@@ -11,7 +11,6 @@ from semteam.world import (
     SemanticClass,
     SemanticGridMap,
     WorldModel,
-    aerial_footprint,
     ground_scan,
     load_world,
     save_world,
@@ -23,7 +22,6 @@ __all__ = [
     "SemanticClass",
     "SemanticGridMap",
     "WorldModel",
-    "aerial_footprint",
     "ground_scan",
     "load_world",
     "save_world",

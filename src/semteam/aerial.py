@@ -1,18 +1,17 @@
 """Online aerial semantic ortho-mapping.
 
-Keyframes are created every time the platform has moved a threshold
-distance. Each keyframe's footprint cells are fused into a map accumulator:
-elevation as a cumulative average, class from the observation whose pixel
-was closest to the image center. A pose-graph backend over odometry edges
-and absolute position priors recovers the global scale of the (scale
-ambiguous) odometry.
+The aerial robot maps from its GPS pose, which it takes as exact. A keyframe
+is created every time the platform has moved a threshold distance. Each
+keyframe's footprint cells are fused into a map accumulator: elevation as a
+cumulative average, class from the observation whose pixel was closest to
+the image center.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,21 +31,10 @@ class CellObservations:
     def __len__(self) -> int:
         return int(self.ixs.size)
 
-    def __iter__(self):
-        for k in range(len(self)):
-            yield (
-                (int(self.ixs[k]), int(self.iys[k])),
-                SemanticClass(int(self.classes[k])),
-                float(self.elevations[k]),
-                float(self.center_dist[k]),
-            )
-
 
 @dataclass
 class Keyframe:
     id: int
-    odom_pose: tuple[float, float, float, float]
-    gps_fix: tuple[float, float, float]
     observed_cells: CellObservations
 
 
@@ -55,33 +43,31 @@ def planar_distance(a, b) -> float:
 
 
 def maybe_create_keyframe(
-    current_odom_pose: tuple[float, float, float, float],
+    pose: tuple[float, float, float, float],
     last_keyframe_pose: tuple[float, float, float, float] | None,
     threshold: float,
     *,
     kf_id: int,
     world: WorldModel,
-    true_pose: tuple[float, float, float, float],
     fov_half_angle: float,
-    gps_fix: tuple[float, float, float] | None = None,
 ) -> Keyframe | None:
-    """New keyframe iff planar odometry distance since the last one is >= threshold.
+    """New keyframe iff the planar distance since the last one is >= threshold.
 
     The first call (no previous keyframe) always creates one. Observed cells
-    come from the ground-truth footprint under the platform's true pose;
-    pixel center distance is the planar distance from the cell center to the
-    pose's ground projection.
+    come from the ground-truth footprint under ``pose``; pixel center
+    distance is the planar distance from the cell center to the pose's
+    ground projection.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if last_keyframe_pose is not None:
-        if planar_distance(current_odom_pose, last_keyframe_pose) < threshold:
+        if planar_distance(pose, last_keyframe_pose) < threshold:
             return None
     truth = world.truth
-    ixs, iys = footprint_indices(truth, true_pose, fov_half_angle)
+    ixs, iys = footprint_indices(truth, pose, fov_half_angle)
     cx = truth.origin_x + (ixs + 0.5) * truth.resolution
     cy = truth.origin_y + (iys + 0.5) * truth.resolution
-    dist = np.hypot(cx - true_pose[0], cy - true_pose[1])
+    dist = np.hypot(cx - pose[0], cy - pose[1])
     cells = CellObservations(
         ixs=ixs,
         iys=iys,
@@ -89,9 +75,7 @@ def maybe_create_keyframe(
         elevations=truth.elevation[iys, ixs].copy(),
         center_dist=dist,
     )
-    if gps_fix is None:
-        gps_fix = (true_pose[0], true_pose[1], true_pose[2])
-    return Keyframe(id=kf_id, odom_pose=tuple(current_odom_pose), gps_fix=gps_fix, observed_cells=cells)
+    return Keyframe(id=kf_id, observed_cells=cells)
 
 
 class MapAccumulator:
@@ -159,202 +143,6 @@ class MapAccumulator:
         )
         self._next_version += 1
         return snap.freeze()
-
-
-# ---------------------------------------------------------------------------
-# pose graph with global scale
-
-
-@dataclass
-class PoseGraph:
-    """Sequential odometry edges + one absolute position prior per node.
-
-    Edge i constrains node i -> i+1 with a translation expressed in node
-    i's odometry frame (scale ambiguous) plus a yaw increment.
-    """
-
-    gps_weight: float = 1.0
-    odom_poses: list[tuple[float, float, float, float]] = field(default_factory=list)
-    gps: list[tuple[float, float, float]] = field(default_factory=list)
-    deltas: list[np.ndarray] = field(default_factory=list)
-    dyaws: list[float] = field(default_factory=list)
-
-    def add_node(self, odom_pose, gps_fix) -> None:
-        if self.odom_poses:
-            px, py, pz, pyaw = self.odom_poses[-1]
-            t = np.array([odom_pose[0] - px, odom_pose[1] - py, odom_pose[2] - pz])
-            c, s = math.cos(-pyaw), math.sin(-pyaw)
-            delta = np.array([c * t[0] - s * t[1], s * t[0] + c * t[1], t[2]])
-            self.deltas.append(delta)
-            self.dyaws.append(odom_pose[3] - pyaw)
-        self.odom_poses.append(tuple(odom_pose))
-        self.gps.append(tuple(gps_fix))
-
-    def add_keyframe(self, kf: Keyframe) -> None:
-        self.add_node(kf.odom_pose, kf.gps_fix)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.odom_poses)
-
-
-@dataclass
-class PoseGraphResult:
-    poses: np.ndarray  # (N, 4): x, y, z, yaw in the world frame
-    scale: float
-    converged: bool
-    scale_confident: bool
-    iterations: int
-    cost: float
-    cost_history: list[float] = field(default_factory=list)
-
-
-def _rot_apply(yaws: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rotate each 3-vector about z by its yaw."""
-    c, s = np.cos(yaws), np.sin(yaws)
-    out = np.empty_like(vecs)
-    out[:, 0] = c * vecs[:, 0] - s * vecs[:, 1]
-    out[:, 1] = s * vecs[:, 0] + c * vecs[:, 1]
-    out[:, 2] = vecs[:, 2]
-    return out
-
-
-def pose_graph_cost(graph: PoseGraph, positions: np.ndarray, yaws: np.ndarray, scale: float) -> float:
-    deltas = np.asarray(graph.deltas)
-    gps = np.asarray(graph.gps)
-    r_edge = positions[1:] - positions[:-1] - scale * _rot_apply(yaws[:-1], deltas)
-    r_gps = positions - gps
-    return float((r_edge**2).sum() + graph.gps_weight * (r_gps**2).sum())
-
-
-def pose_graph_gradient(
-    graph: PoseGraph, positions: np.ndarray, yaws: np.ndarray, scale: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Analytic gradient of the cost w.r.t. positions, yaws and scale."""
-    n = graph.n_nodes
-    deltas = np.asarray(graph.deltas)
-    gps = np.asarray(graph.gps)
-    b = _rot_apply(yaws[:-1], deltas)
-    r_edge = positions[1:] - positions[:-1] - scale * b
-    grad_p = 2.0 * graph.gps_weight * (positions - gps)
-    grad_p[1:] += 2.0 * r_edge
-    grad_p[:-1] -= 2.0 * r_edge
-    # d(R(yaw) delta)/dyaw
-    c, s = np.cos(yaws[:-1]), np.sin(yaws[:-1])
-    db = np.zeros_like(deltas)
-    db[:, 0] = -s * deltas[:, 0] - c * deltas[:, 1]
-    db[:, 1] = c * deltas[:, 0] - s * deltas[:, 1]
-    grad_yaw = np.zeros(n)
-    grad_yaw[:-1] = -2.0 * scale * (r_edge * db).sum(axis=1)
-    grad_s = float(-2.0 * (r_edge * b).sum())
-    return grad_p, grad_yaw, grad_s
-
-
-def _solve_scale(positions: np.ndarray, yaws: np.ndarray, deltas: np.ndarray) -> float:
-    b = _rot_apply(yaws[:-1], deltas)
-    a = positions[1:] - positions[:-1]
-    denom = float((deltas**2).sum())
-    if denom == 0.0:
-        return 1.0
-    return float((a * b).sum() / denom)
-
-
-def optimize_pose_graph(
-    graph: PoseGraph,
-    max_iterations: int = 100,
-    gradient_tol: float = 1e-9,
-) -> PoseGraphResult:
-    """Minimize the pose-graph least squares and recover the global scale.
-
-    Alternates a closed-form scale solve with a damped Gauss-Newton step on
-    positions and yaws (backtracking keeps the cost non-increasing).
-    """
-    n = graph.n_nodes
-    if n < 2:
-        raise ValueError("pose graph needs at least 2 keyframes")
-    gps = np.asarray(graph.gps, dtype=float)
-    if np.max(np.linalg.norm(gps - gps[0], axis=1)) == 0.0:
-        raise ValueError("pose graph needs at least 2 non-coincident position priors")
-
-    centered = gps - gps.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    scale_confident = bool(len(svals) > 1 and svals[1] > 1e-6)
-
-    deltas = np.asarray(graph.deltas, dtype=float)
-    positions = gps.copy()
-    yaws = np.array([p[3] for p in graph.odom_poses], dtype=float)
-    scale = _solve_scale(positions, yaws, deltas)
-    cost = pose_graph_cost(graph, positions, yaws, scale)
-    history = [cost]
-
-    w = graph.gps_weight
-    converged = False
-    it = 0
-    for it in range(1, max_iterations + 1):
-        # Gauss-Newton step on (positions, yaws) at fixed scale
-        b = _rot_apply(yaws[:-1], deltas)
-        r_edge = positions[1:] - positions[:-1] - scale * b
-        r_gps = math.sqrt(w) * (positions - gps)
-        m = 3 * (n - 1) + 3 * n
-        nv = 4 * n  # 3 position + 1 yaw per node
-        J = np.zeros((m, nv))
-        r = np.zeros(m)
-        c, s = np.cos(yaws[:-1]), np.sin(yaws[:-1])
-        db = np.zeros_like(deltas)
-        db[:, 0] = -s * deltas[:, 0] - c * deltas[:, 1]
-        db[:, 1] = c * deltas[:, 0] - s * deltas[:, 1]
-        for i in range(n - 1):
-            row = 3 * i
-            r[row : row + 3] = r_edge[i]
-            J[row : row + 3, 3 * (i + 1) : 3 * (i + 1) + 3] = np.eye(3)
-            J[row : row + 3, 3 * i : 3 * i + 3] = -np.eye(3)
-            J[row : row + 3, 3 * n + i] = -scale * db[i]
-        base = 3 * (n - 1)
-        for i in range(n):
-            row = base + 3 * i
-            r[row : row + 3] = r_gps[i]
-            J[row : row + 3, 3 * i : 3 * i + 3] = math.sqrt(w) * np.eye(3)
-
-        H = J.T @ J
-        H[np.diag_indices_from(H)] += 1e-9
-        step = np.linalg.solve(H, -J.T @ r)
-
-        alpha = 1.0
-        new_cost = cost
-        new_positions, new_yaws = positions, yaws
-        while alpha > 1e-12:
-            cand_p = positions + alpha * step[: 3 * n].reshape(n, 3)
-            cand_y = yaws + alpha * step[3 * n :]
-            cand_cost = pose_graph_cost(graph, cand_p, cand_y, scale)
-            if cand_cost <= cost:
-                new_positions, new_yaws, new_cost = cand_p, cand_y, cand_cost
-                break
-            alpha *= 0.5
-        positions, yaws = new_positions, new_yaws
-
-        # closed-form scale for the new poses never increases the cost
-        scale = _solve_scale(positions, yaws, deltas)
-        cost = pose_graph_cost(graph, positions, yaws, scale)
-        history.append(cost)
-
-        gp, gy, gs = pose_graph_gradient(graph, positions, yaws, scale)
-        gnorm = math.sqrt(float((gp**2).sum() + (gy**2).sum() + gs**2))
-        if gnorm < gradient_tol:
-            converged = True
-            break
-        if new_cost == cost and alpha <= 1e-12:
-            break
-
-    poses = np.column_stack([positions, yaws])
-    return PoseGraphResult(
-        poses=poses,
-        scale=float(scale),
-        converged=converged,
-        scale_confident=scale_confident,
-        iterations=it,
-        cost=cost,
-        cost_history=history,
-    )
 
 
 # ---------------------------------------------------------------------------

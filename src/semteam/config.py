@@ -23,9 +23,6 @@ class AerialConfig:
     fov_half_angle_deg: float = 45.0
     keyframe_threshold: float = 5.0
     snapshot_period_ticks: int = 100
-    pose_graph_period: int = 0  # keyframes between optimizer runs; 0 = off
-    gps_sigma: float = 0.0
-    odom_scale: float = 1.0
     waypoints: list[list[float]] | None = None  # default: boustrophedon sweep
     loop: bool = True
     sweep_margin: float = 10.0
@@ -66,8 +63,6 @@ class PlannerConfig:
 
 @dataclass
 class TrackerConfig:
-    v_max: float = 1.0  # overridden by ground.v_max at agent build time
-    yaw_rate_max: float = 1.0
     k_yaw: float = 2.0
     align_threshold: float = 0.6
     arrival_tolerance: float = 1.5
@@ -97,8 +92,6 @@ class ScenarioConfig:
     start: tuple[float, float] = (23.0, 23.0)
     start_yaw: float = 1.5707963267948966
     initial_map: str = "none"  # "full" preloads a truth snapshot everywhere
-    pose_log_period: int = 10
-    parallel_agents: bool = False
     aerial: AerialConfig = field(default_factory=AerialConfig)
     ground: GroundConfig = field(default_factory=GroundConfig)
     localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
@@ -130,6 +123,9 @@ class ScenarioConfig:
                 problems.append(f"unknown field {key!r}")
                 continue
             if key in sections:
+                if not isinstance(value, dict):
+                    problems.append(f"{key} must be an object, got {type(value).__name__}")
+                    continue
                 sec_cls = sections[key]
                 sec_fields = set(sec_cls.__dataclass_fields__)
                 sec_kwargs = {}
@@ -141,10 +137,13 @@ class ScenarioConfig:
                 kwargs[key] = sec_cls(**sec_kwargs)
             else:
                 kwargs[key] = _tupled(value)
+        cfg = cls(**kwargs)
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            problems += exc.problems
         if problems:
             raise ConfigError(problems)
-        cfg = cls(**kwargs)
-        cfg.validate()
         return cfg
 
     @classmethod
@@ -166,12 +165,15 @@ class ScenarioConfig:
             if not value >= 0:
                 p.append(f"{name} must be >= 0, got {value}")
 
+        def non_negative_components(name, values):
+            if any(v < 0 for v in values):
+                p.append(f"{name} components must be >= 0, got {values}")
+
         positive("tick_seconds", self.tick_seconds)
         positive("max_ticks", self.max_ticks)
         non_negative("n_ground", self.n_ground)
         non_negative("n_aerial", self.n_aerial)
         non_negative("comm_range", self.comm_range)
-        positive("pose_log_period", self.pose_log_period)
         if self.n_aerial > 1:
             p.append(f"n_aerial must be 0 or 1 (single aerial robot), got {self.n_aerial}")
         if self.initial_map not in ("none", "full"):
@@ -183,20 +185,18 @@ class ScenarioConfig:
             p.append(f"aerial.fov_half_angle_deg must be in (0, 90), got {self.aerial.fov_half_angle_deg}")
         positive("aerial.keyframe_threshold", self.aerial.keyframe_threshold)
         positive("aerial.snapshot_period_ticks", self.aerial.snapshot_period_ticks)
-        non_negative("aerial.pose_graph_period", self.aerial.pose_graph_period)
-        non_negative("aerial.gps_sigma", self.aerial.gps_sigma)
-        positive("aerial.odom_scale", self.aerial.odom_scale)
 
         positive("ground.v_max", self.ground.v_max)
         positive("ground.yaw_rate_max", self.ground.yaw_rate_max)
         positive("ground.scan_beams", self.ground.scan_beams)
         positive("ground.scan_max_range", self.ground.scan_max_range)
         positive("ground.scan_period_ticks", self.ground.scan_period_ticks)
-        if any(s < 0 for s in self.ground.odom_sigma):
-            p.append(f"ground.odom_sigma components must be >= 0, got {self.ground.odom_sigma}")
+        non_negative_components("ground.odom_sigma", self.ground.odom_sigma)
         positive("ground.local_grid_side", self.ground.local_grid_side)
 
         positive("localizer.n_particles", self.localizer.n_particles)
+        non_negative_components("localizer.init_spread", self.localizer.init_spread)
+        non_negative_components("localizer.process_noise", self.localizer.process_noise)
         non_negative("localizer.init_error", self.localizer.init_error)
         non_negative("localizer.unknown_cost", self.localizer.unknown_cost)
         positive("localizer.temperature", self.localizer.temperature)

@@ -13,8 +13,7 @@ import hashlib
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from semteam import aerial as am
 from semteam import gossip, localize, mission as msn, planner as pln, tracker as trk
 from semteam.config import ScenarioConfig
 from semteam.geometry import wrap_angle
-from semteam.standard import build_standard_world, standard_world_path
+from semteam.standard import build_standard_world
 from semteam.world import SemanticGridMap, WorldModel, ground_scan, load_world
 
 
@@ -50,7 +49,7 @@ def inject_odometry_noise(
 
 def resolve_world(spec: str) -> WorldModel:
     if spec == "standard":
-        return load_world(standard_world_path())
+        return build_standard_world()
     return load_world(spec)
 
 
@@ -75,7 +74,7 @@ def boustrophedon(world: WorldModel, altitude: float, fov_half_angle: float, mar
 
 POSE_KEY = "pose"
 MAP_KEY = "map"
-POSE_PERIOD = 10
+POSE_PERIOD = 10  # ticks between pose records, both gossiped and in poses.csv
 
 
 def encode_pose(x: float, y: float, z: float, yaw: float, tick: int) -> bytes:
@@ -87,11 +86,12 @@ def decode_pose(payload: bytes):
 
 
 class AerialAgent:
-    """Waypoint-flying mapper; believes its GPS pose exactly."""
+    """Waypoint-flying mapper. It takes its GPS pose as exact and maps
+    every keyframe at that pose."""
 
     kind = "aerial"
 
-    def __init__(self, robot_id: int, cfg: ScenarioConfig, world: WorldModel, seed: int):
+    def __init__(self, robot_id: int, cfg: ScenarioConfig, world: WorldModel):
         self.id = robot_id
         self.cfg = cfg
         self.world = world
@@ -111,10 +111,8 @@ class AerialAgent:
         self.acc = am.MapAccumulator(
             truth.width, truth.height, truth.resolution, truth.origin_x, truth.origin_y
         )
-        self.graph = am.PoseGraph()
         self.last_kf_pose = None
         self.kf_count = 0
-        self.gps_rng = rng_stream(seed, robot_id, "gps")
         self.events: list[dict] = []
 
     @property
@@ -143,39 +141,19 @@ class AerialAgent:
 
     def autonomy(self, tick: int) -> None:
         a = self.cfg.aerial
-        s = a.odom_scale
-        odom = (
-            self.true_pose[0] * s,
-            self.true_pose[1] * s,
-            self.true_pose[2] * s,
-            self.true_pose[3],
-        )
+        pose = tuple(self.true_pose)
         kf = am.maybe_create_keyframe(
-            odom,
+            pose,
             self.last_kf_pose,
             a.keyframe_threshold,
             kf_id=self.kf_count,
             world=self.world,
-            true_pose=tuple(self.true_pose),
             fov_half_angle=self.fov,
-            gps_fix=self._gps_fix(),
         )
         if kf is not None:
-            self.last_kf_pose = odom
+            self.last_kf_pose = pose
             self.kf_count += 1
             self.acc.fuse_keyframe(kf)
-            self.graph.add_keyframe(kf)
-            if a.pose_graph_period > 0 and self.kf_count % a.pose_graph_period == 0 and self.graph.n_nodes >= 2:
-                result = am.optimize_pose_graph(self.graph)
-                self.events.append(
-                    {
-                        "tick": tick,
-                        "ev": "pose_graph",
-                        "robot": self.id,
-                        "n": self.graph.n_nodes,
-                        "scale": round(result.scale, 6),
-                    }
-                )
         if tick % a.snapshot_period_ticks == 0 and self.acc.observed.any():
             snap = self.acc.snapshot()
             rec = self.db.put_local(MAP_KEY, am.encode_snapshot(snap), tick)
@@ -184,13 +162,6 @@ class AerialAgent:
             )
         if tick % POSE_PERIOD == 0:
             self.db.put_local(POSE_KEY, encode_pose(*self.true_pose, tick), tick)
-
-    def _gps_fix(self):
-        sigma = self.cfg.aerial.gps_sigma
-        fix = self.true_pose[:3].copy()
-        if sigma > 0:
-            fix = fix + self.gps_rng.normal(0.0, sigma, size=3)
-        return tuple(fix)
 
 
 class GroundAgent:
@@ -256,7 +227,6 @@ class GroundAgent:
             robot_id=robot_id,
             arrival_tolerance=cfg.tracker.arrival_tolerance,
             reselect_period=cfg.mission.reselect_period,
-            warmup_ticks=cfg.mission.warmup_ticks,
         )
         self.map: SemanticGridMap | None = None
         self.map_version = 0
@@ -543,7 +513,7 @@ class Simulation:
 
         self.agents: list = []
         for rid in range(config.n_aerial):
-            self.agents.append(AerialAgent(rid, config, self.world, config.seed))
+            self.agents.append(AerialAgent(rid, config, self.world))
         for k in range(config.n_ground):
             self.agents.append(GroundAgent(config.n_aerial + k, config, self.world, config.seed))
 
@@ -598,12 +568,8 @@ class Simulation:
         for agent in self.ground_agents:
             agent.odometry(prev[agent.id])
         # (3)+(4) sensing and autonomy, ascending id
-        if self.cfg.parallel_agents:
-            with ThreadPoolExecutor(max_workers=len(self.agents) or 1) as pool:
-                list(pool.map(lambda a: a.autonomy(t), self.agents))
-        else:
-            for agent in self.agents:
-                agent.autonomy(t)
+        for agent in self.agents:
+            agent.autonomy(t)
         for agent in self.agents:
             for ev in agent.events:
                 self._log(ev)
@@ -631,7 +597,7 @@ class Simulation:
             self.dr_err[agent.id].append(
                 math.hypot(agent.dr_pose[0] - agent.true_pose[0], agent.dr_pose[1] - agent.true_pose[1])
             )
-            if t % self.cfg.pose_log_period == 0:
+            if t % POSE_PERIOD == 0:
                 self.pose_rows.append(
                     f"{t},{agent.id},"
                     f"{agent.believed[0]:.4f},{agent.believed[1]:.4f},{agent.believed[2]:.5f},"

@@ -193,29 +193,14 @@ def predict(
     return ParticleSet(xs, ys, yaws, particles.weights.copy())
 
 
-def match_cost(
-    particle_pose: tuple[float, float, float],
-    obs: PolarObservation,
-    grid: SemanticGridMap,
-    unknown_cost: float,
-) -> float:
-    """Normalized semantic mismatch between the observation and the map."""
-    ps = ParticleSet(
-        xs=np.array([particle_pose[0]]),
-        ys=np.array([particle_pose[1]]),
-        yaws=np.array([particle_pose[2]]),
-        weights=np.array([1.0]),
-    )
-    return float(match_costs(ps, obs, grid, unknown_cost)[0])
-
-
 def match_costs(
     particles: ParticleSet,
     obs: PolarObservation,
     grid: SemanticGridMap,
     unknown_cost: float,
 ) -> np.ndarray:
-    """Vectorized match_cost over a particle set."""
+    """Normalized semantic mismatch between the observation and the map,
+    one cost per particle."""
     if obs.n_filled == 0:
         return np.zeros(particles.n)
     c, s = np.cos(particles.yaws)[:, None], np.sin(particles.yaws)[:, None]

@@ -222,7 +222,6 @@ class MissionController:
     robot_id: int
     arrival_tolerance: float = 1.5
     reselect_period: int = 50
-    warmup_ticks: int = 0
     phase: str = "idle"
     current_roi: ROI | None = None
     pending_plan: PlanResult | None = None
@@ -260,9 +259,6 @@ class MissionController:
         the engine should start tracking a fresh plan, clears
         ``current_roi`` when it should stop."""
         events: list[dict] = []
-        if now < self.warmup_ticks:
-            # the localizer is still converging from its initial offset
-            return events
         view = self._claims_view(db)
 
         if self.phase in ("planning", "navigating") and self.current_roi is not None:

@@ -1,13 +1,10 @@
-"""The bundled standard scenario world: a 200 x 200 m (1 m/cell) two-loop
-road network with dirt shortcuts, buildings, tree lines, and 13 vehicle
-targets parked just off the roads. The builder is deterministic; the same
-world ships as packaged data so configs can reference it by name.
+"""The standard scenario world: a 200 x 200 m (1 m/cell) two-loop road
+network with dirt shortcuts, buildings, tree lines, and 13 vehicle targets
+parked just off the roads. The builder is deterministic; configs name this
+world ``"standard"``.
 """
 
 from __future__ import annotations
-
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -103,8 +100,3 @@ def build_standard_world() -> WorldModel:
         version=1,
     )
     return WorldModel.from_map(truth)
-
-
-def standard_world_path() -> Path:
-    """Path of the packaged world file."""
-    return Path(resources.files("semteam").joinpath("data/standard.world"))

@@ -116,25 +116,15 @@ def integrate_scan(
     return grid
 
 
-def select_local_goal(
-    grid: LocalObstacleGrid,
-    pose: tuple[float, float, float],
-    next_waypoint: tuple[float, float],
-    search_radius: float,
-) -> tuple[float, float] | None:
-    """Clearance-maximal free cell near the farthest known-free point toward
-    the waypoint; None when that region is entirely occupied."""
-    goal, _ = _select_local_goal_ex(grid, pose, next_waypoint, search_radius)
-    return goal
-
-
 def _select_local_goal_ex(
     grid: LocalObstacleGrid,
     pose: tuple[float, float, float],
     next_waypoint: tuple[float, float],
     search_radius: float,
 ) -> tuple[tuple[float, float] | None, float]:
-    """select_local_goal plus how far the forward march actually reached."""
+    """Clearance-maximal free cell near the farthest known-free point toward
+    the waypoint (None when that region is entirely occupied), plus how far
+    the forward march actually reached."""
     x, y = pose[0], pose[1]
     wx, wy = next_waypoint
     res = grid.resolution

@@ -268,26 +268,17 @@ def save_world(world: WorldModel, path: str | Path) -> None:
 # sensor queries
 
 
-def aerial_footprint(
-    grid: SemanticGridMap,
-    pose: tuple[float, float, float, float],
-    fov_half_angle: float,
-) -> set[tuple[int, int]]:
-    """Cells whose centers fall inside the camera's square ground footprint.
-
-    The square has side ``2 * altitude * tan(fov_half_angle)``, is centered
-    under the pose and axis-aligned with its yaw.
-    """
-    ixs, iys = footprint_indices(grid, pose, fov_half_angle)
-    return {(int(ix), int(iy)) for ix, iy in zip(ixs, iys)}
-
-
 def footprint_indices(
     grid: SemanticGridMap,
     pose: tuple[float, float, float, float],
     fov_half_angle: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of aerial_footprint, for bulk consumers."""
+    """Cells whose centers fall inside the camera's square ground footprint,
+    as ``(ixs, iys)`` index arrays.
+
+    The square has side ``2 * altitude * tan(fov_half_angle)``, is centered
+    under the pose and axis-aligned with its yaw.
+    """
     x, y, altitude, yaw = pose
     if altitude <= 0:
         raise ValueError(f"altitude must be > 0, got {altitude}")

@@ -1,4 +1,4 @@
-"""Aerial mapping: keyframes, fusion, pose graph, snapshot format."""
+"""Aerial mapping: keyframes, fusion, snapshot format."""
 
 import math
 
@@ -7,13 +7,9 @@ import pytest
 
 from semteam.aerial import (
     MapAccumulator,
-    PoseGraph,
     decode_snapshot,
     encode_snapshot,
     maybe_create_keyframe,
-    optimize_pose_graph,
-    pose_graph_cost,
-    pose_graph_gradient,
 )
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel
 
@@ -36,17 +32,24 @@ def flat_world(w=40, h=40, cls=SemanticClass.ROAD, elevation=None):
     return WorldModel.from_map(grid)
 
 
-def kf_at(world, x, y, kf_id, alt=10.0, odom=None):
-    pose = (x, y, alt, 0.0)
+def kf_at(world, x, y, kf_id, alt=10.0):
     return maybe_create_keyframe(
-        odom if odom is not None else pose,
+        (x, y, alt, 0.0),
         None,
         1.0,
         kf_id=kf_id,
         world=world,
-        true_pose=pose,
         fov_half_angle=FOV,
     )
+
+
+def cells_of(kf):
+    """(cell, class, elevation, center distance) per observed cell."""
+    obs = kf.observed_cells
+    return [
+        ((int(ix), int(iy)), SemanticClass(int(c)), float(e), float(d))
+        for ix, iy, c, e, d in zip(obs.ixs, obs.iys, obs.classes, obs.elevations, obs.center_dist)
+    ]
 
 
 class TestKeyframeCreation:
@@ -54,7 +57,7 @@ class TestKeyframeCreation:
         world = flat_world()
         out = maybe_create_keyframe(
             (4.9, 0, 10, 0), (0, 0, 10, 0), 5.0,
-            kf_id=1, world=world, true_pose=(4.9, 0, 10, 0), fov_half_angle=FOV,
+            kf_id=1, world=world, fov_half_angle=FOV,
         )
         assert out is None
 
@@ -62,7 +65,7 @@ class TestKeyframeCreation:
         world = flat_world()
         out = maybe_create_keyframe(
             (5.0, 0, 10, 0), (0, 0, 10, 0), 5.0,
-            kf_id=1, world=world, true_pose=(5.0, 0, 10, 0), fov_half_angle=FOV,
+            kf_id=1, world=world, fov_half_angle=FOV,
         )
         assert out is not None
 
@@ -76,8 +79,7 @@ class TestKeyframeCreation:
             x = k * 0.25
             pose = (x, 10.0, 10.0, 0.0)
             kf = maybe_create_keyframe(
-                pose, last, 5.0, kf_id=next_id, world=world,
-                true_pose=pose, fov_half_angle=FOV,
+                pose, last, 5.0, kf_id=next_id, world=world, fov_half_angle=FOV,
             )
             if kf is not None:
                 created += 1
@@ -88,7 +90,7 @@ class TestKeyframeCreation:
     def test_center_distance_is_planar(self):
         world = flat_world()
         kf = kf_at(world, 20.0, 20.0, 0)
-        for (ix, iy), _, _, dist in kf.observed_cells:
+        for (ix, iy), _, _, dist in cells_of(kf):
             expected = math.hypot(ix + 0.5 - 20.0, iy + 0.5 - 20.0)
             assert dist == pytest.approx(expected)
 
@@ -142,8 +144,7 @@ class TestFusion:
             alt = float(rng.uniform(3, 9))
             pose = (x, y, alt, float(rng.uniform(0, 2 * math.pi)))
             kf = maybe_create_keyframe(
-                pose, None, 1.0, kf_id=k, world=world,
-                true_pose=pose, fov_half_angle=FOV,
+                pose, None, 1.0, kf_id=k, world=world, fov_half_angle=FOV,
             )
             kfs.append(kf)
         return world, kfs
@@ -156,7 +157,7 @@ class TestFusion:
         # independent pass: plain dict accumulation over every observation
         sums, counts = {}, {}
         for kf in kfs:
-            for cell, _, elev, _ in kf.observed_cells:
+            for cell, _, elev, _ in cells_of(kf):
                 sums[cell] = sums.get(cell, 0.0) + elev
                 counts[cell] = counts.get(cell, 0) + 1
         fused = acc.fused_elevation()
@@ -185,7 +186,7 @@ class TestFusion:
             acc.fuse_keyframe(kf)
         best = {}
         for kf in kfs:
-            for cell, cls, _, dist in kf.observed_cells:
+            for cell, cls, _, dist in cells_of(kf):
                 key = (dist, kf.id)
                 if cell not in best or key < best[cell][0]:
                     best[cell] = (key, cls)
@@ -214,7 +215,7 @@ class TestSnapshot:
         kf = kf_at(world, 10.0, 10.0, 0, alt=5.0)
         acc.fuse_keyframe(kf)
         snap = acc.snapshot()
-        observed = {(ix, iy) for cell in [0] for (ix, iy), *_ in kf.observed_cells}
+        observed = {cell for cell, *_ in cells_of(kf)}
         got = {(int(ix), int(iy)) for iy, ix in zip(*np.nonzero(snap.observed))}
         assert got == observed
 
@@ -243,110 +244,3 @@ class TestSnapshot:
         np.testing.assert_allclose(back.elevation, snap.elevation, atol=0.005 + 1e-9)
         # canonical bytes: encoding a decoded snapshot reproduces the bytes
         assert encode_snapshot(back) == data
-
-
-def square_loop_poses(side=40.0, step=5.0, alt=20.0):
-    """World-frame poses around a square, yaw following the direction of travel."""
-    poses = []
-    corners = [(0, 0), (side, 0), (side, side), (0, side)]
-    for leg in range(4):
-        x0, y0 = corners[leg]
-        x1, y1 = corners[(leg + 1) % 4]
-        yaw = math.atan2(y1 - y0, x1 - x0)
-        n = int(side / step)
-        for k in range(n):
-            t = k / n
-            poses.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0), alt, yaw))
-    poses.append((0.0, 0.0, alt, poses[0][3]))
-    return poses
-
-
-def graph_from(true_poses, odom_scale=1.0, gps_noise=0.0, rng=None, gps_weight=1.0):
-    """Odometry translations are true translations divided by the map scale."""
-    g = PoseGraph(gps_weight=gps_weight)
-    for x, y, z, yaw in true_poses:
-        odom = (x * odom_scale, y * odom_scale, z * odom_scale, yaw)
-        gps = np.array([x, y, z], dtype=float)
-        if gps_noise > 0:
-            gps = gps + rng.normal(0, gps_noise, size=3)
-        g.add_node(odom, tuple(gps))
-    return g
-
-
-class TestPoseGraph:
-    def test_zero_residual_fixed_point(self):
-        poses = square_loop_poses()
-        g = graph_from(poses)
-        res = optimize_pose_graph(g)
-        assert res.scale == pytest.approx(1.0, abs=1e-6)
-        np.testing.assert_allclose(res.poses[:, :3], np.asarray(g.gps), atol=1e-6)
-        assert res.cost < 1e-12
-
-    def test_square_half_scale_odometry(self):
-        poses = square_loop_poses()
-        g = graph_from(poses, odom_scale=0.5)
-        res = optimize_pose_graph(g)
-        assert res.scale == pytest.approx(2.0, abs=1e-6)
-
-    def test_scale_recovery_under_gps_noise(self):
-        poses = square_loop_poses(side=50.0, step=5.0)  # 40 keyframes + closing node
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            g = graph_from(poses, odom_scale=1.0 / 1.3, gps_noise=0.5, rng=rng)
-            res = optimize_pose_graph(g)
-            assert abs(res.scale - 1.3) / 1.3 < 0.05, f"seed {seed}: {res.scale}"
-
-    def test_cost_history_non_increasing(self):
-        rng = np.random.default_rng(17)
-        poses = square_loop_poses()
-        g = graph_from(poses, odom_scale=0.7, gps_noise=0.8, rng=rng)
-        res = optimize_pose_graph(g)
-        hist = res.cost_history
-        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            n = 6
-            g = PoseGraph(gps_weight=0.7)
-            for i in range(n):
-                odom = tuple(rng.uniform(-5, 5, size=3)) + (float(rng.uniform(-3, 3)),)
-                gps = tuple(rng.uniform(-5, 5, size=3))
-                g.add_node(odom, gps)
-            positions = rng.uniform(-5, 5, size=(n, 3))
-            yaws = rng.uniform(-3, 3, size=n)
-            s = float(rng.uniform(0.5, 2.0))
-            gp, gy, gs = pose_graph_gradient(g, positions, yaws, s)
-
-            eps = 1e-6
-            for i in range(n):
-                for j in range(3):
-                    hi = positions.copy(); hi[i, j] += eps
-                    lo = positions.copy(); lo[i, j] -= eps
-                    fd = (pose_graph_cost(g, hi, yaws, s) - pose_graph_cost(g, lo, yaws, s)) / (2 * eps)
-                    assert gp[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-                hi = yaws.copy(); hi[i] += eps
-                lo = yaws.copy(); lo[i] -= eps
-                fd = (pose_graph_cost(g, positions, hi, s) - pose_graph_cost(g, positions, lo, s)) / (2 * eps)
-                assert gy[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-            fd = (
-                pose_graph_cost(g, positions, yaws, s + eps)
-                - pose_graph_cost(g, positions, yaws, s - eps)
-            ) / (2 * eps)
-            assert gs == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-    def test_collinear_gps_flagged(self):
-        g = PoseGraph()
-        for i in range(6):
-            g.add_node((float(i), 0.0, 10.0, 0.0), (float(i), 0.0, 10.0))
-        res = optimize_pose_graph(g)
-        assert not res.scale_confident
-
-    def test_preconditions(self):
-        g = PoseGraph()
-        g.add_node((0, 0, 0, 0), (0, 0, 0))
-        with pytest.raises(ValueError):
-            optimize_pose_graph(g)
-        g.add_node((1, 0, 0, 0), (0, 0, 0))  # coincident priors
-        with pytest.raises(ValueError):
-            optimize_pose_graph(g)

@@ -1,0 +1,144 @@
+"""Engine and scenario config: determinism, output files, config loading."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from semteam.config import ConfigError, ScenarioConfig
+from semteam.engine import POSE_PERIOD, Simulation, resolve_world
+from semteam.standard import build_standard_world
+from semteam.world import SemanticClass, SemanticGridMap, WorldModel, world_to_text
+
+STANDARD_WORLD_SHA256 = "09a1cf1ed5674ec98596321d54e85c0c8be7f258fe6dc202680a97a340904a79"
+
+
+def small_world(n=40):
+    """Open road square with a vegetation border, two buildings as landmarks
+    and one 2x2 vehicle."""
+    cls = np.full((n, n), int(SemanticClass.ROAD), dtype=np.int8)
+    cls[:2, :] = cls[-2:, :] = cls[:, :2] = cls[:, -2:] = SemanticClass.VEGETATION
+    cls[12:18, 12:18] = SemanticClass.BUILDING
+    cls[24:28, 6:9] = SemanticClass.BUILDING
+    cls[28:30, 28:30] = SemanticClass.VEHICLE
+    grid = SemanticGridMap(
+        origin_x=0.0, origin_y=0.0, resolution=1.0, width=n, height=n,
+        classes=cls, elevation=np.zeros((n, n)),
+        observed=np.ones((n, n), dtype=bool), version=1,
+    )
+    return WorldModel.from_map(grid)
+
+
+def small_config(**overrides):
+    """Two ground robots that finish the small world's mission in about 250 ticks."""
+    data = {
+        "max_ticks": 300,
+        "start": [6.0, 6.0],
+        "initial_map": "full",
+        "aerial": {"altitude": 15.0, "speed": 3.0},
+        "mission": {"warmup_ticks": 50},
+        "localizer": {"n_particles": 100, "init_error": 1.0, "init_spread": [1.0, 1.0, 0.1]},
+    }
+    data.update(overrides)
+    return ScenarioConfig.from_dict(data)
+
+
+class TestRun:
+    @pytest.fixture(scope="class")
+    def two_runs(self, tmp_path_factory):
+        cfg = small_config()
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path_factory.mktemp(name)
+            report = Simulation(cfg, world=small_world()).run(out)
+            outs.append((out, report))
+        return cfg, outs
+
+    def test_same_config_and_seed_byte_identical(self, two_runs):
+        _, ((a, _), (b, _)) = two_runs
+        for name in ("events.jsonl", "poses.csv", "metrics.csv", "map_final.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_mission_completes_before_tick_cap(self, two_runs):
+        cfg, ((out, report), _) = two_runs
+        assert report.targets_visited == report.n_targets == 1
+        assert report.ticks < cfg.max_ticks
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        kinds = {ev["ev"] for ev in events}
+        assert {"map", "sync", "map_ingested", "claimed", "visited", "target_reached", "all_targets_visited"} <= kinds
+        assert report.duration_s == report.ticks * cfg.tick_seconds
+
+    def test_pose_rows_every_pose_period(self, two_runs):
+        _, ((out, report), _) = two_runs
+        rows = (out / "poses.csv").read_text().splitlines()[1:]
+        ticks = sorted({int(row.split(",")[0]) for row in rows})
+        assert ticks == list(range(0, report.ticks, POSE_PERIOD))
+        assert len(rows) == 2 * len(ticks)
+
+    def test_written_config_loads_back(self, two_runs):
+        cfg, ((out, _), _) = two_runs
+        assert ScenarioConfig.load(out / "config.json") == cfg
+
+
+class TestStandardWorld:
+    def test_text_form_hash_pinned(self):
+        text = world_to_text(build_standard_world())
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == STANDARD_WORLD_SHA256
+
+    def test_resolved_by_name(self):
+        world = resolve_world("standard")
+        assert world_to_text(world) == world_to_text(build_standard_world())
+        assert len(world.target_cells) == 13 * 4
+
+
+class TestConfig:
+    def test_json_round_trip(self, tmp_path):
+        cfg = small_config(seed=7, n_ground=3, comm_range=25.5)
+        cfg.mission.waypoints = [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]]
+        assert ScenarioConfig.from_dict(json.loads(cfg.to_json())) == cfg
+        cfg.save(tmp_path / "config.json")
+        assert ScenarioConfig.load(tmp_path / "config.json") == cfg
+
+    def test_defaults_valid(self):
+        ScenarioConfig().validate()
+        assert ScenarioConfig.from_dict({}) == ScenarioConfig()
+
+    def test_one_error_lists_every_problem(self):
+        data = {
+            "parallel_agents": True,
+            "pose_log_period": 10,
+            "tick_seconds": 0.0,
+            "aerial": {"pose_graph_period": 5, "gps_sigma": 1.0, "odom_scale": 2.0, "speed": -1.0},
+            "tracker": {"v_max": 1.0, "yaw_rate_max": 1.0},
+        }
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(data)
+        assert err.value.problems == [
+            "unknown field 'parallel_agents'",
+            "unknown field 'pose_log_period'",
+            "unknown field aerial.'pose_graph_period'",
+            "unknown field aerial.'gps_sigma'",
+            "unknown field aerial.'odom_scale'",
+            "unknown field tracker.'v_max'",
+            "unknown field tracker.'yaw_rate_max'",
+            "tick_seconds must be > 0, got 0.0",
+            "aerial.speed must be > 0, got -1.0",
+        ]
+
+    @pytest.mark.parametrize("value", [5, "fast", [1, 2], None])
+    def test_section_not_an_object(self, value):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"aerial": value, "ground": {"bogus": 1}})
+        assert err.value.problems[0].startswith("aerial must be an object")
+        assert err.value.problems[1:] == ["unknown field ground.'bogus'"]
+
+    @pytest.mark.parametrize("name", ["process_noise", "init_spread"])
+    def test_negative_localizer_spread_rejected(self, name):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"localizer": {name: [0.05, -0.05, 0.01]}})
+        assert err.value.problems == [f"localizer.{name} components must be >= 0, got (0.05, -0.05, 0.01)"]
+
+    def test_zero_localizer_spread_accepted(self):
+        cfg = ScenarioConfig.from_dict({"localizer": {"process_noise": [0.0, 0.0, 0.0]}})
+        assert cfg.localizer.process_noise == (0.0, 0.0, 0.0)

@@ -11,7 +11,6 @@ from semteam.localize import (
     ParticleSet,
     PolarObservation,
     init_filter,
-    match_cost,
     match_costs,
     predict,
     update_and_resample,
@@ -180,26 +179,32 @@ def scan_obs(grid, pose, max_range=15.0, beams=36, n_az=36, n_rng=10):
     return PolarObservation.from_scan(scan, n_az, n_rng, max_range)
 
 
+def one_particle(pose):
+    return ParticleSet(
+        xs=np.array([pose[0]]), ys=np.array([pose[1]]), yaws=np.array([pose[2]]), weights=np.array([1.0])
+    )
+
+
 class TestMatchCost:
     def test_true_pose_zero_cost(self):
         world = ring_world()
         pose = (11.5, 11.5, 0.3)
         obs = scan_obs(world.truth, pose)
         assert obs.n_filled > 0
-        assert match_cost(pose, obs, world.truth, 0.4) == 0.0
+        assert match_costs(one_particle(pose), obs, world.truth, 0.4)[0] == 0.0
 
     def test_all_unknown_map_gives_fixed_cost(self):
         world = ring_world()
         pose = (11.5, 11.5, 0.0)
         obs = scan_obs(world.truth, pose)
         unknown = SemanticGridMap.unknown(64, 64)
-        assert match_cost(pose, obs, unknown, 0.4) == pytest.approx(0.4)
+        assert match_costs(one_particle(pose), obs, unknown, 0.4)[0] == pytest.approx(0.4)
 
     def test_empty_observation_zero_cost(self):
         obs = PolarObservation.from_scan([], 8, 4, 5.0)
         grid = SemanticGridMap.unknown(8, 8)
         assert obs.n_filled == 0
-        assert match_cost((1, 1, 0), obs, grid, 0.7) == 0.0
+        assert match_costs(one_particle((1, 1, 0)), obs, grid, 0.7)[0] == 0.0
 
     def test_all_miss_scan_yields_free_evidence(self):
         obs = PolarObservation.from_scan([(5.0, SemanticClass.UNKNOWN)] * 8, 8, 4, 5.0)
@@ -219,7 +224,7 @@ class TestMatchCost:
             pose_eval = (float(rng.uniform(9, 55)), float(rng.uniform(9, 12)), float(rng.uniform(0, 6.3)))
             scan = ground_scan(grid, (11.5, 11.5, 0.0), max_range, 36)
             obs = PolarObservation.from_scan(scan, n_az, n_rng_bins, max_range)
-            got = match_cost(pose_eval, obs, grid, 0.4)
+            got = match_costs(one_particle(pose_eval), obs, grid, 0.4)[0]
 
             # independent recount: re-bin the raw scan (hits, then free
             # evidence) and score every filled bin by hand
@@ -297,8 +302,8 @@ class TestMatchCost:
         for _ in range(10):
             pose = (float(rng.uniform(9, 54)), float(rng.uniform(9, 54)), float(rng.uniform(0, 6.3)))
             obs = scan_obs(g1, (11.5, 11.5, 0.0))
-            c1 = match_cost(pose, obs, g1, 0.4)
-            c2 = match_cost((pose[0] + 37.0, pose[1] - 12.0, pose[2]), obs, g2, 0.4)
+            c1 = match_costs(one_particle(pose), obs, g1, 0.4)[0]
+            c2 = match_costs(one_particle((pose[0] + 37.0, pose[1] - 12.0, pose[2])), obs, g2, 0.4)[0]
             assert c1 == c2
 
 

@@ -13,8 +13,8 @@ from semteam.tracker import (
     LocalObstacleGrid,
     TrackerParams,
     TrackerState,
+    _select_local_goal_ex,
     integrate_scan,
-    select_local_goal,
     step,
 )
 from semteam.world import SemanticClass, SemanticGridMap, ground_scan
@@ -84,7 +84,7 @@ class TestSelectLocalGoal:
     def test_obstacle_free_goal_on_segment(self):
         grid = filled_grid()
         pose = (12.5, 12.5, 0.0)
-        goal = select_local_goal(grid, pose, (16.5, 12.5), 3.0)
+        goal, _ = _select_local_goal_ex(grid, pose, (16.5, 12.5), 3.0)
         assert goal is not None
         # the goal sits on the segment toward the waypoint
         assert abs(goal[1] - 12.5) <= 1.0
@@ -92,12 +92,12 @@ class TestSelectLocalGoal:
 
     def test_fully_occupied_returns_none(self):
         grid = filled_grid(state=OBSTACLE_CELL)
-        assert select_local_goal(grid, (12.5, 12.5, 0.0), (16.5, 12.5), 3.0) is None
+        assert _select_local_goal_ex(grid, (12.5, 12.5, 0.0), (16.5, 12.5), 3.0)[0] is None
 
     def test_unknown_region_blocks_march(self):
         grid = filled_grid(state=UNKNOWN_CELL)
         grid.cells[11:14, 11:14] = FREE_CELL
-        goal = select_local_goal(grid, (12.5, 12.5, 0.0), (20.5, 12.5), 2.0)
+        goal, _ = _select_local_goal_ex(grid, (12.5, 12.5, 0.0), (20.5, 12.5), 2.0)
         assert goal is not None
         assert goal[0] <= 14.5  # cannot target unknown space
 
@@ -110,7 +110,7 @@ class TestSelectLocalGoal:
         pose = (9.5, 12.5, 0.0)
         waypoint = (22.5, 12.5)
         search_radius = 4.0
-        got = select_local_goal(grid, pose, waypoint, search_radius)
+        got, _ = _select_local_goal_ex(grid, pose, waypoint, search_radius)
 
         # oracle: replay the rule by exhaustive scoring
         res = grid.resolution

@@ -11,7 +11,7 @@ from semteam.world import (
     SemanticGridMap,
     WorldFormatError,
     WorldModel,
-    aerial_footprint,
+    footprint_indices,
     ground_scan,
     parse_world,
     traversable,
@@ -108,26 +108,28 @@ class TestWorldFile:
 class TestAerialFootprint:
     def test_tan45_square_side(self):
         grid = uniform_map(SemanticClass.ROAD, 40, 40)
-        cells = aerial_footprint(grid, (20.0, 20.0, 10.0, 0.0), math.radians(45))
+        ixs, _ = footprint_indices(grid, (20.0, 20.0, 10.0, 0.0), math.radians(45))
         # side 20 m at 1 m resolution: 20x20 cells
-        assert len(cells) == 400
+        assert len(ixs) == 400
 
     def test_vanishing_altitude(self):
         grid = uniform_map(SemanticClass.ROAD, 10, 10)
-        cells = aerial_footprint(grid, (5.2, 5.2, 1e-9, 0.3), math.radians(45))
-        assert len(cells) <= 1
+        ixs, _ = footprint_indices(grid, (5.2, 5.2, 1e-9, 0.3), math.radians(45))
+        assert len(ixs) <= 1
 
     def test_invalid_altitude(self):
         grid = uniform_map(SemanticClass.ROAD, 10, 10)
         with pytest.raises(ValueError):
-            aerial_footprint(grid, (5.0, 5.0, 0.0, 0.0), math.radians(45))
+            footprint_indices(grid, (5.0, 5.0, 0.0, 0.0), math.radians(45))
 
     def test_matches_brute_force_rotated_square(self):
         grid = uniform_map(SemanticClass.GRASS, 48, 48)
         yaw = math.radians(30)
         pose = (22.3, 25.1, 12.0, yaw)
         half = 12.0 * math.tan(math.radians(45))
-        got = aerial_footprint(grid, pose, math.radians(45))
+        ixs, iys = footprint_indices(grid, pose, math.radians(45))
+        got = set(zip(ixs.tolist(), iys.tolist()))
+        assert len(got) == len(ixs)  # no cell twice
 
         expected = set()
         c, s = math.cos(yaw), math.sin(yaw)
@@ -149,8 +151,8 @@ class TestAerialFootprint:
             fov = float(rng.uniform(0.3, 1.0))
             pose = (float(rng.uniform(60, 140)), float(rng.uniform(60, 140)), alt, float(rng.uniform(0, 6.28)))
             side = 2 * alt * math.tan(fov)
-            cells = aerial_footprint(grid, pose, fov)
-            area = len(cells) * grid.resolution**2
+            ixs, _ = footprint_indices(grid, pose, fov)
+            area = len(ixs) * grid.resolution**2
             ring = 4 * (side + 1) * grid.resolution  # one-cell ring around the square
             assert abs(area - side**2) <= ring
 
