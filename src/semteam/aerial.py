@@ -78,6 +78,23 @@ def maybe_create_keyframe(
     return Keyframe(id=kf_id, observed_cells=cells)
 
 
+def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
+    """A keyframe that sees every cell of ``grid`` at the image center.
+
+    Fused first, it makes the map complete, and no later keyframe replaces
+    its classes (distance 0, lowest id).
+    """
+    iys, ixs = np.indices((grid.height, grid.width)).reshape(2, -1)
+    cells = CellObservations(
+        ixs=ixs,
+        iys=iys,
+        classes=grid.classes[iys, ixs],
+        elevations=grid.elevation[iys, ixs],
+        center_dist=np.zeros(ixs.size),
+    )
+    return Keyframe(id=-1, observed_cells=cells)
+
+
 class MapAccumulator:
     """Per-cell fusion state for the aerial map.
 

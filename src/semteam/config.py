@@ -4,7 +4,7 @@ JSON (de)serialization, and validation that enumerates every bad field."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 
@@ -58,7 +58,6 @@ class PlannerConfig:
     close_radius: int = 0
     node_radius: float = 25.0
     lam: float = 1.0
-    clearance_penalty: str = "verbatim"
 
 
 @dataclass
@@ -107,6 +106,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError([f"config must be an object, got {type(data).__name__}"])
         problems: list[str] = []
         sections = {
             "aerial": AerialConfig,
@@ -154,79 +155,123 @@ class ScenarioConfig:
         Path(path).write_text(self.to_json() + "\n")
 
     def validate(self) -> None:
-        """Check every numeric range; report all problems at once."""
-        p: list[str] = []
+        """Check every field's type and every numeric range; report all
+        problems at once."""
+        wrong = _type_problems(self)
+        p = list(wrong.values())
 
-        def positive(name, value):
-            if not value > 0:
-                p.append(f"{name} must be > 0, got {value}")
+        def require(name, ok, requirement):
+            value = self
+            for part in name.split("."):
+                value = getattr(value, part)
+            if name not in wrong and not ok(value):
+                p.append(f"{name} {requirement}, got {value!r}")
 
-        def non_negative(name, value):
-            if not value >= 0:
-                p.append(f"{name} must be >= 0, got {value}")
+        def positive(name):
+            require(name, lambda v: v > 0, "must be > 0")
 
-        def non_negative_components(name, values):
-            if any(v < 0 for v in values):
-                p.append(f"{name} components must be >= 0, got {values}")
+        def non_negative(name):
+            require(name, lambda v: v >= 0, "must be >= 0")
 
-        positive("tick_seconds", self.tick_seconds)
-        positive("max_ticks", self.max_ticks)
-        non_negative("n_ground", self.n_ground)
-        non_negative("n_aerial", self.n_aerial)
-        non_negative("comm_range", self.comm_range)
-        if self.n_aerial > 1:
-            p.append(f"n_aerial must be 0 or 1 (single aerial robot), got {self.n_aerial}")
-        if self.initial_map not in ("none", "full"):
-            p.append(f"initial_map must be 'none' or 'full', got {self.initial_map!r}")
+        def non_negative_components(name):
+            require(name, lambda v: all(c >= 0 for c in v), "components must be >= 0")
 
-        positive("aerial.altitude", self.aerial.altitude)
-        positive("aerial.speed", self.aerial.speed)
-        if not 0 < self.aerial.fov_half_angle_deg < 90:
-            p.append(f"aerial.fov_half_angle_deg must be in (0, 90), got {self.aerial.fov_half_angle_deg}")
-        positive("aerial.keyframe_threshold", self.aerial.keyframe_threshold)
-        positive("aerial.snapshot_period_ticks", self.aerial.snapshot_period_ticks)
+        positive("tick_seconds")
+        positive("max_ticks")
+        non_negative("n_ground")
+        non_negative("n_aerial")
+        non_negative("comm_range")
+        require("n_aerial", lambda v: v <= 1, "must be 0 or 1 (single aerial robot)")
+        require("initial_map", lambda v: v in ("none", "full"), "must be 'none' or 'full'")
 
-        positive("ground.v_max", self.ground.v_max)
-        positive("ground.yaw_rate_max", self.ground.yaw_rate_max)
-        positive("ground.scan_beams", self.ground.scan_beams)
-        positive("ground.scan_max_range", self.ground.scan_max_range)
-        positive("ground.scan_period_ticks", self.ground.scan_period_ticks)
-        non_negative_components("ground.odom_sigma", self.ground.odom_sigma)
-        positive("ground.local_grid_side", self.ground.local_grid_side)
+        positive("aerial.altitude")
+        positive("aerial.speed")
+        require("aerial.fov_half_angle_deg", lambda v: 0 < v < 90, "must be in (0, 90)")
+        positive("aerial.keyframe_threshold")
+        positive("aerial.snapshot_period_ticks")
 
-        positive("localizer.n_particles", self.localizer.n_particles)
-        non_negative_components("localizer.init_spread", self.localizer.init_spread)
-        non_negative_components("localizer.process_noise", self.localizer.process_noise)
-        non_negative("localizer.init_error", self.localizer.init_error)
-        non_negative("localizer.unknown_cost", self.localizer.unknown_cost)
-        positive("localizer.temperature", self.localizer.temperature)
-        if not 0 <= self.localizer.ess_fraction <= 1:
-            p.append(f"localizer.ess_fraction must be in [0, 1], got {self.localizer.ess_fraction}")
-        positive("localizer.azimuth_bins", self.localizer.azimuth_bins)
-        positive("localizer.range_bins", self.localizer.range_bins)
+        positive("ground.v_max")
+        positive("ground.yaw_rate_max")
+        positive("ground.scan_beams")
+        positive("ground.scan_max_range")
+        positive("ground.scan_period_ticks")
+        non_negative_components("ground.odom_sigma")
+        positive("ground.local_grid_side")
 
-        non_negative("planner.close_radius", self.planner.close_radius)
-        positive("planner.node_radius", self.planner.node_radius)
-        non_negative("planner.lam", self.planner.lam)
-        if self.planner.clearance_penalty not in ("verbatim", "inverse"):
-            p.append(
-                "planner.clearance_penalty must be 'verbatim' or 'inverse', "
-                f"got {self.planner.clearance_penalty!r}"
-            )
+        positive("localizer.n_particles")
+        non_negative_components("localizer.init_spread")
+        non_negative_components("localizer.process_noise")
+        non_negative("localizer.init_error")
+        non_negative("localizer.unknown_cost")
+        positive("localizer.temperature")
+        require("localizer.ess_fraction", lambda v: 0 <= v <= 1, "must be in [0, 1]")
+        positive("localizer.azimuth_bins")
+        positive("localizer.range_bins")
 
-        positive("tracker.arrival_tolerance", self.tracker.arrival_tolerance)
-        positive("tracker.search_radius", self.tracker.search_radius)
+        non_negative("planner.close_radius")
+        positive("planner.node_radius")
+        non_negative("planner.lam")
 
-        if self.mission.mode not in ("region_investigation", "waypoint"):
-            p.append(f"mission.mode must be 'region_investigation' or 'waypoint', got {self.mission.mode!r}")
-        positive("mission.cluster_radius", self.mission.cluster_radius)
-        positive("mission.dilation_radius", self.mission.dilation_radius)
-        positive("mission.visit_radius", self.mission.visit_radius)
+        positive("tracker.arrival_tolerance")
+        positive("tracker.search_radius")
+
+        require(
+            "mission.mode",
+            lambda v: v in ("region_investigation", "waypoint"),
+            "must be 'region_investigation' or 'waypoint'",
+        )
+        positive("mission.cluster_radius")
+        positive("mission.dilation_radius")
+        positive("mission.visit_radius")
         if self.mission.mode == "waypoint" and not self.mission.waypoints:
             p.append("mission.waypoints required in waypoint mode")
 
         if p:
             raise ConfigError(p)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(n: int):
+    return lambda v: isinstance(v, (tuple, list)) and len(v) == n and all(map(_is_number, v))
+
+
+def _points(v) -> bool:
+    return isinstance(v, list) and all(map(_numbers(2), v))
+
+
+# field annotation -> (accepts value, what it must be)
+_TYPES = {
+    "float": (_is_number, "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, float]": (_numbers(2), "a list of 2 numbers"),
+    "tuple[float, float, float]": (_numbers(3), "a list of 3 numbers"),
+    "list[list[float]] | None": (lambda v: v is None or _points(v), "null or a list of [x, y] points"),
+    "list[list[list[float]]] | None": (
+        lambda v: v is None or (isinstance(v, list) and all(map(_points, v))),
+        "null or a list of lists of [x, y] points",
+    ),
+}
+
+
+def _type_problems(obj, prefix: str = "") -> dict[str, str]:
+    """Dotted field name -> problem, for every field whose value has the wrong type."""
+    out = {}
+    for f in fields(obj):
+        name = prefix + f.name
+        value = getattr(obj, f.name)
+        if f.type not in _TYPES:  # a section
+            if is_dataclass(value):
+                out.update(_type_problems(value, name + "."))
+            else:
+                out[name] = f"{name} must be an object, got {type(value).__name__}"
+        elif not _TYPES[f.type][0](value):
+            out[name] = f"{name} must be {_TYPES[f.type][1]}, got {value!r}"
+    return out
 
 
 def _tupled(value):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,17 +71,8 @@ def boustrophedon(world: WorldModel, altitude: float, fov_half_angle: float, mar
     return pts
 
 
-POSE_KEY = "pose"
 MAP_KEY = "map"
-POSE_PERIOD = 10  # ticks between pose records, both gossiped and in poses.csv
-
-
-def encode_pose(x: float, y: float, z: float, yaw: float, tick: int) -> bytes:
-    return struct.pack("<ddddq", x, y, z, yaw, tick)
-
-
-def decode_pose(payload: bytes):
-    return struct.unpack("<ddddq", payload)
+POSE_PERIOD = 10  # ticks between poses.csv rows
 
 
 class AerialAgent:
@@ -114,10 +104,6 @@ class AerialAgent:
         self.last_kf_pose = None
         self.kf_count = 0
         self.events: list[dict] = []
-
-    @property
-    def believed_pose(self) -> np.ndarray:
-        return self.true_pose
 
     def integrate(self, dt: float) -> None:
         if not self.waypoints:
@@ -156,12 +142,10 @@ class AerialAgent:
             self.acc.fuse_keyframe(kf)
         if tick % a.snapshot_period_ticks == 0 and self.acc.observed.any():
             snap = self.acc.snapshot()
-            rec = self.db.put_local(MAP_KEY, am.encode_snapshot(snap), tick)
+            rec = self.db.put_local(MAP_KEY, am.encode_snapshot(snap))
             self.events.append(
                 {"tick": tick, "ev": "map", "robot": self.id, "version": snap.version, "seq": rec.seq}
             )
-        if tick % POSE_PERIOD == 0:
-            self.db.put_local(POSE_KEY, encode_pose(*self.true_pose, tick), tick)
 
 
 class GroundAgent:
@@ -233,11 +217,7 @@ class GroundAgent:
         self.map_source: tuple[int, int] | None = None  # (origin, seq) consumed
         self.grid = None
         self.field = None
-        self.roadmap = pln.Roadmap(
-            radius=cfg.planner.node_radius,
-            lam=cfg.planner.lam,
-            penalty=cfg.planner.clearance_penalty,
-        )
+        self.roadmap = pln.Roadmap(radius=cfg.planner.node_radius, lam=cfg.planner.lam)
         self.vis = None
         self.rois: list[msn.ROI] = []
         self.backtracks = 0
@@ -351,13 +331,6 @@ class GroundAgent:
         else:
             self.command = (0.0, 0.0)
 
-        if tick % POSE_PERIOD == 0:
-            self.db.put_local(
-                POSE_KEY,
-                encode_pose(self.believed[0], self.believed[1], 0.0, self.believed[2], tick),
-                tick,
-            )
-
     # ---- internals -------------------------------------------------------
 
     def _ingest_map(self, tick: int) -> None:
@@ -438,8 +411,11 @@ class GroundAgent:
                 self.tracker_state = None
 
     def _waypoint_mission(self, tick: int) -> None:
-        if self.tracker_state is None or self.tracker_state.phase in ("cancelled", "done"):
-            self.tracker_state = trk.TrackerState(waypoints=list(self._wp_script))
+        """Drive the script once from the believed pose; retry it if cancelled."""
+        if self.tracker_state is None or self.tracker_state.phase == "cancelled":
+            # the tracker takes its first waypoint as the start of the path
+            x, y, _ = self.believed
+            self.tracker_state = trk.TrackerState(waypoints=[(x, y)] + list(self._wp_script))
 
     def _shakeout(self, tick: int) -> None:
         """Warmup drive: a short out-and-back leg from the staging area.
@@ -518,10 +494,13 @@ class Simulation:
             self.agents.append(GroundAgent(config.n_aerial + k, config, self.world, config.seed))
 
         if config.initial_map == "full":
-            snap = self._truth_snapshot()
-            payload = am.encode_snapshot(snap)
+            # the aerial robot's own map starts complete, so that none of the
+            # snapshots it publishes later replaces the preload with less
+            truth = self.world.truth
+            acc = self.agents[0].acc if config.n_aerial else am.MapAccumulator.like(truth)
+            acc.fuse_keyframe(am.full_view_keyframe(truth))
             source = self.agents[0].id if config.n_aerial else 65000
-            rec = gossip.DbRecord(origin=source, key=MAP_KEY, seq=1, stamp=0, payload=payload)
+            rec = gossip.DbRecord(origin=source, key=MAP_KEY, seq=1, payload=am.encode_snapshot(acc.snapshot()))
             for agent in self.agents:
                 agent.db.merge([rec])
 
@@ -539,20 +518,6 @@ class Simulation:
         self.pose_rows: list[str] = []
         self.loc_err: dict[int, list[float]] = {a.id: [] for a in self.agents if a.kind == "ground"}
         self.dr_err: dict[int, list[float]] = {a.id: [] for a in self.agents if a.kind == "ground"}
-
-    def _truth_snapshot(self) -> SemanticGridMap:
-        t = self.world.truth
-        return SemanticGridMap(
-            origin_x=t.origin_x,
-            origin_y=t.origin_y,
-            resolution=t.resolution,
-            width=t.width,
-            height=t.height,
-            classes=t.classes.copy(),
-            elevation=t.elevation.copy(),
-            observed=np.ones((t.height, t.width), dtype=bool),
-            version=1,
-        )
 
     @property
     def ground_agents(self) -> list[GroundAgent]:

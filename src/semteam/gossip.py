@@ -9,7 +9,6 @@ idempotent, commutative, and associative.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 
@@ -18,7 +17,6 @@ class DbRecord:
     origin: int
     key: str
     seq: int
-    stamp: int
     payload: bytes
 
 
@@ -28,12 +26,11 @@ class Database:
     def __init__(self, owner: int) -> None:
         self.owner = owner
         self.records: dict[tuple[int, str], DbRecord] = {}
-        self.stale_dropped = 0
 
-    def put_local(self, key: str, payload: bytes, now: int) -> DbRecord:
+    def put_local(self, key: str, payload: bytes) -> DbRecord:
         cur = self.records.get((self.owner, key))
         seq = 1 if cur is None else cur.seq + 1
-        rec = DbRecord(origin=self.owner, key=key, seq=seq, stamp=now, payload=payload)
+        rec = DbRecord(origin=self.owner, key=key, seq=seq, payload=payload)
         self.records[(self.owner, key)] = rec
         return rec
 
@@ -63,74 +60,19 @@ class Database:
             if cur is None or rec.seq > cur.seq:
                 self.records[(rec.origin, rec.key)] = rec
                 applied += 1
-            else:
-                self.stale_dropped += 1
         return applied
-
-    def encode(self) -> bytes:
-        """Canonical byte form of the full replica (sorted records)."""
-        recs = [self.records[k] for k in sorted(self.records)]
-        return encode_records(recs)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def sync_pair(a: Database, b: Database, drop_after_first_phase: bool = False) -> tuple[int, int]:
-    """Anti-entropy exchange; afterwards both replicas are identical
-    (unless the link drops between the two phases, which merge tolerates).
+def sync_pair(a: Database, b: Database) -> tuple[int, int]:
+    """Anti-entropy exchange; afterwards both replicas are identical.
 
     Returns (records applied at b, records applied at a).
     """
     sum_a = a.summary()
     sum_b = b.summary()
     applied_b = b.merge(a.diff(sum_b))
-    if drop_after_first_phase:
-        return applied_b, 0
     applied_a = a.merge(b.diff(sum_a))
     return applied_b, applied_a
-
-
-# ---------------------------------------------------------------------------
-# wire format: length-prefixed binary, byte-exact across runs
-
-_REC_HEAD = struct.Struct("<HH")  # origin, key length
-_REC_BODY = struct.Struct("<QQI")  # seq, stamp, payload length
-
-
-def encode_record(rec: DbRecord) -> bytes:
-    key_bytes = rec.key.encode("ascii")
-    return (
-        _REC_HEAD.pack(rec.origin, len(key_bytes))
-        + key_bytes
-        + _REC_BODY.pack(rec.seq, rec.stamp, len(rec.payload))
-        + rec.payload
-    )
-
-
-def decode_record(data: bytes, offset: int = 0) -> tuple[DbRecord, int]:
-    origin, key_len = _REC_HEAD.unpack_from(data, offset)
-    offset += _REC_HEAD.size
-    key = data[offset : offset + key_len].decode("ascii")
-    offset += key_len
-    seq, stamp, payload_len = _REC_BODY.unpack_from(data, offset)
-    offset += _REC_BODY.size
-    payload = bytes(data[offset : offset + payload_len])
-    offset += payload_len
-    return DbRecord(origin=origin, key=key, seq=seq, stamp=stamp, payload=payload), offset
-
-
-def encode_records(records: list[DbRecord]) -> bytes:
-    out = [struct.pack("<I", len(records))]
-    out.extend(encode_record(r) for r in records)
-    return b"".join(out)
-
-
-def decode_records(data: bytes) -> list[DbRecord]:
-    (count,) = struct.unpack_from("<I", data, 0)
-    offset = 4
-    out = []
-    for _ in range(count):
-        rec, offset = decode_record(data, offset)
-        out.append(rec)
-    return out

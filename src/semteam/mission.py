@@ -33,7 +33,6 @@ VISITED = "visited"
 FAILED = "failed"
 
 CLAIMS_KEY = "claims"
-FAILURES_KEY = "failures"
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,6 @@ def decode_claims(payload: bytes) -> dict[str, tuple[str, int]]:
     return {rid: (status, int(stamp)) for rid, (status, stamp) in data["claims"].items()}
 
 
-def encode_failures(entries: list[tuple[str, int]]) -> bytes:
-    return json.dumps({"failures": entries}, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
 def merged_claim_view(db: Database) -> dict[str, list[tuple[int, str, int]]]:
     """roi_id -> [(robot, status, stamp)] over every robot's claims record."""
     view: dict[str, list[tuple[int, str, int]]] = {}
@@ -233,8 +228,8 @@ class MissionController:
     _view_cache_key: tuple = ()
     _view_cache: dict = field(default_factory=dict)
 
-    def publish_claims(self, db: Database, now: int) -> None:
-        db.put_local(CLAIMS_KEY, encode_claims(self.claims), now)
+    def publish_claims(self, db: Database) -> None:
+        db.put_local(CLAIMS_KEY, encode_claims(self.claims))
 
     def _claims_view(self, db: Database) -> dict[str, list[tuple[int, str, int]]]:
         """merged_claim_view, recomputed only when a claims record advances."""
@@ -267,7 +262,7 @@ class MissionController:
             if rivals and min(rivals) < self.robot_id:
                 # simultaneous claim discovered: lower id keeps it
                 self.claims.pop(rid, None)
-                self.publish_claims(db, now)
+                self.publish_claims(db)
                 events.append(self._ev(now, "claim_released", rid))
                 self.current_roi = None
                 self.pending_plan = None
@@ -295,7 +290,7 @@ class MissionController:
             self.current_roi = roi
             self.pending_plan = result
             self.claims[roi.roi_id] = (CLAIMED, now)
-            self.publish_claims(db, now)
+            self.publish_claims(db)
             events.append(self._ev(now, "claimed", roi.roi_id))
             self._set_phase("planning", now, events)
             return events
@@ -309,7 +304,7 @@ class MissionController:
             if tracker_phase == "done":
                 rid = self.current_roi.roi_id
                 self.claims[rid] = (VISITED, now)
-                self.publish_claims(db, now)
+                self.publish_claims(db)
                 events.append(self._ev(now, "visited", rid))
                 self.current_roi = None
                 self._set_phase("idle", now, events)
@@ -317,8 +312,7 @@ class MissionController:
                 rid = self.current_roi.roi_id
                 self.claims[rid] = (FAILED, now)
                 self.failures.append((rid, now))
-                self.publish_claims(db, now)
-                db.put_local(FAILURES_KEY, encode_failures(self.failures), now)
+                self.publish_claims(db)
                 events.append(self._ev(now, "failed", rid))
                 self.current_roi = None
                 self._set_phase("idle", now, events)

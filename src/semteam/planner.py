@@ -5,8 +5,7 @@ the roadmap is grown deterministically by repeatedly placing nodes at the
 highest-clearance cell not yet visible to the graph, until every free cell
 sees at least one node. Edge weights trade distance against clearance with
 the printed heuristic W = lambda*|u-v| + [m^2 + sqrt(m)], m = min clearance
-along the edge (an inverse clearance penalty is available as a config
-switch, since the printed form makes low-clearance edges cheaper).
+along the edge.
 """
 
 from __future__ import annotations
@@ -102,24 +101,16 @@ def edge_weight(
     v: tuple[int, int],
     field: DistanceField,
     lam: float = 1.0,
-    penalty: str = "verbatim",
 ) -> float:
     """Distance/clearance edge weight; assumes the segment is obstacle-free."""
+    return _weight(u, v, segment_min_value(u, v, field.dist), field.resolution, lam)
+
+
+def _weight(u, v, m: float, resolution: float, lam: float) -> float:
+    """The printed heuristic for an edge of min clearance ``m``."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    m = segment_min_value(u, v, field.dist)
-    length = math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution
-    return lam * length + clearance_penalty(m, penalty)
-
-
-def clearance_penalty(m: float, penalty: str = "verbatim") -> float:
-    if penalty == "verbatim":
-        return m * m + math.sqrt(m)
-    if penalty == "inverse":
-        if m == 0.0:
-            return math.inf
-        return 1.0 / (m * m) + 1.0 / math.sqrt(m)
-    raise ValueError(f"unknown clearance penalty {penalty!r}")
+    return lam * (math.hypot(u[0] - v[0], u[1] - v[1]) * resolution) + (m * m + math.sqrt(m))
 
 
 class VisibilityMap:
@@ -161,12 +152,11 @@ class VisibilityMap:
 class Roadmap:
     """Spatial graph of high-clearance nodes and obstacle-free edges."""
 
-    def __init__(self, radius: float, lam: float = 1.0, penalty: str = "verbatim") -> None:
+    def __init__(self, radius: float, lam: float = 1.0) -> None:
         if radius <= 0:
             raise ValueError("radius must be > 0")
         self.radius = radius
         self.lam = lam
-        self.penalty = penalty
         self.nodes: dict[int, tuple[int, int]] = {}
         self.edges: dict[tuple[int, int], tuple[float, float]] = {}
         self.adj: dict[int, set[int]] = {}
@@ -296,11 +286,7 @@ def update_roadmap(
     for key in roadmap.edges:
         ua, ub = roadmap.nodes[key[0]], roadmap.nodes[key[1]]
         m = segment_min_value(ua, ub, field.dist)
-        roadmap.edges[key] = (
-            roadmap.lam * math.hypot(ua[0] - ub[0], ua[1] - ub[1]) * res
-            + clearance_penalty(m, roadmap.penalty),
-            m,
-        )
+        roadmap.edges[key] = (_weight(ua, ub, m, res, roadmap.lam), m)
 
     roadmap.generation += 1
     roadmap._prev_free = free.copy()
@@ -441,7 +427,7 @@ def plan(
         return PlanResult(ok=False, reason="unreachable")
 
     def w_of(u, v):
-        return edge_weight(u, v, field, roadmap.lam, roadmap.penalty)
+        return edge_weight(u, v, field, roadmap.lam)
 
     # Dijkstra over the roadmap plus virtual start/goal connectors
     dist: dict[int, float] = {}

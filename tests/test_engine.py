@@ -81,6 +81,48 @@ class TestRun:
         assert ScenarioConfig.load(out / "config.json") == cfg
 
 
+class TestReplicas:
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        """A small-world run stepped tick by tick, with the UNKNOWN-cell count
+        of every map a ground robot holds after each tick."""
+        cfg = small_config()
+        sim = Simulation(cfg, world=small_world())
+        unknown = []
+        while sim.tick_count < cfg.max_ticks and not sim.mission_complete():
+            sim.tick()
+            unknown += [
+                int((g.map.classes == SemanticClass.UNKNOWN).sum()) for g in sim.ground_agents if g.map is not None
+            ]
+        return sim, unknown
+
+    def test_full_preload_is_never_replaced_by_a_partial_map(self, stepped):
+        sim, unknown = stepped
+        assert len(unknown) == 2 * sim.tick_count
+        assert max(unknown) == 0
+
+    def test_every_replica_holds_only_map_and_claims(self, stepped):
+        sim, _ = stepped
+        for agent in sim.agents:
+            assert {key for _, key in agent.db.records} == {"map", "claims"}, agent.id
+
+
+class TestWaypointMission:
+    WAYPOINTS = [[[6.5, 20.5], [20.5, 22.5]], [[22.5, 6.5]]]
+
+    def test_each_robot_reaches_its_scripted_waypoints(self, tmp_path):
+        cfg = small_config(mission={"mode": "waypoint", "waypoints": self.WAYPOINTS})
+        Simulation(cfg, world=small_world()).run(tmp_path)
+        track: dict[int, list[tuple[float, float]]] = {}
+        for row in (tmp_path / "poses.csv").read_text().splitlines()[1:]:
+            cols = row.split(",")
+            track.setdefault(int(cols[1]), []).append((float(cols[5]), float(cols[6])))
+        assert sorted(track) == [1, 2]
+        for robot, script in zip(sorted(track), self.WAYPOINTS):
+            for wx, wy in script:
+                assert min(np.hypot(x - wx, y - wy) for x, y in track[robot]) <= 2.0, (robot, wx, wy)
+
+
 class TestStandardWorld:
     def test_text_form_hash_pinned(self):
         text = world_to_text(build_standard_world())
@@ -132,6 +174,20 @@ class TestConfig:
             ScenarioConfig.from_dict({"aerial": value, "ground": {"bogus": 1}})
         assert err.value.problems[0].startswith("aerial must be an object")
         assert err.value.problems[1:] == ["unknown field ground.'bogus'"]
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            ({"tick_seconds": "x"}, "tick_seconds must be a number, got 'x'"),
+            ({"n_ground": None}, "n_ground must be an integer, got None"),
+            ({"localizer": {"process_noise": 0.05}}, "localizer.process_noise must be a list of 3 numbers, got 0.05"),
+            ([1], "config must be an object, got list"),
+        ],
+    )
+    def test_wrong_type_is_a_config_error(self, data, problem):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(data)
+        assert err.value.problems == [problem]
 
     @pytest.mark.parametrize("name", ["process_noise", "init_spread"])
     def test_negative_localizer_spread_rejected(self, name):

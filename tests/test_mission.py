@@ -172,7 +172,7 @@ class TestMissionController:
         self.run_tick(ctrl, db, rois, now=3, tracker="cancelled")
         assert ctrl.phase == "idle"
         assert decode_claims(db.get(0, "claims").payload)["aaa"][0] == FAILED
-        assert db.get(0, "failures") is not None
+        assert ctrl.failures == [("aaa", 3)]
 
         other = Database(owner=1)
         sync_pair(db, other)
@@ -215,7 +215,7 @@ class TestMissionController:
         ctrl, db, rois = self.setup_controller()
         ctrl.claims["aaa"] = (FAILED, 0)
         ctrl.claims["bbb"] = (VISITED, 0)
-        ctrl.publish_claims(db, 0)
+        ctrl.publish_claims(db)
         self.run_tick(ctrl, db, rois, now=1)
         assert ctrl.phase == "selecting"
         self.run_tick(ctrl, db, rois, now=2)

@@ -11,7 +11,6 @@ from semteam.planner import (
     DistanceField,
     Roadmap,
     TraversabilityGrid,
-    clearance_penalty,
     distance_transform,
     edge_weight,
     extract_traversability,
@@ -194,12 +193,6 @@ class TestEdgeWeight:
         field = self.field_const(0.0)
         w = edge_weight((0, 0), (3, 4), field, lam=2.0)
         assert w == pytest.approx(2.0 * 5.0)
-
-    def test_inverse_penalty_switch(self):
-        field = self.field_const(4.0)
-        w = edge_weight((0, 0), (3, 4), field, lam=1.0, penalty="inverse")
-        assert w == pytest.approx(5 + 1 / 16 + 0.5)
-        assert clearance_penalty(0.0, "inverse") == math.inf
 
     def test_lambda_zero_matches_sampler_oracle(self):
         rng = np.random.default_rng(7)
