@@ -605,8 +605,12 @@ class Simulation:
         self.events.append(json.dumps(ev, sort_keys=True, separators=(",", ":")))
 
     def mission_complete(self) -> bool:
-        if self.cfg.mission.mode != "region_investigation":
-            return False
+        if self.cfg.mission.mode == "waypoint":
+            # every ground robot drives its script, never the shake-out leg
+            grounds = self.ground_agents
+            return bool(grounds) and all(
+                a.tracker_state is not None and a.tracker_state.phase == "done" for a in grounds
+            )
         return bool(self.true_targets) and len(self.visited_targets) == len(self.true_targets)
 
     def run(self, out_dir: str | Path | None = None) -> RunReport:
@@ -668,5 +672,6 @@ class Simulation:
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
     """Build the simulation from a validated config and run it to completion
-    (all targets visited) or to max_ticks."""
+    (all targets visited, or in waypoint mode every ground robot at the end
+    of its script) or to max_ticks."""
     return Simulation(config).run(out_dir)

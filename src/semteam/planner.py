@@ -3,14 +3,20 @@
 Traversability comes from the road/dirt classes with a morphological close;
 the roadmap is grown deterministically by repeatedly placing nodes at the
 highest-clearance cell not yet visible to the graph, until every free cell
-sees at least one node. Edge weights trade distance against clearance with
-the printed heuristic W = lambda*|u-v| + [m^2 + sqrt(m)], m = min clearance
-along the edge.
+sees at least one node. A node is linked to every earlier node its own
+visible region contains. Pairs of nearby nodes whose regions overlap but
+that share neither an edge nor a neighbor are then bridged through a new
+node, taken from a worklist of candidate pairs in a fixed order. Edge
+weights trade distance against clearance with the printed heuristic
+W = lambda*|u-v| + [m^2 + sqrt(m)], m = min clearance along the edge; a new
+map version recomputes only the weights of edges whose bounding box holds a
+cell where the distance field changed.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -103,14 +109,16 @@ def edge_weight(
     lam: float = 1.0,
 ) -> float:
     """Distance/clearance edge weight; assumes the segment is obstacle-free."""
-    return _weight(u, v, segment_min_value(u, v, field.dist), field.resolution, lam)
+    return _edge_value(u, v, field, lam)[0]
 
 
-def _weight(u, v, m: float, resolution: float, lam: float) -> float:
-    """The printed heuristic for an edge of min clearance ``m``."""
+def _edge_value(u, v, field: DistanceField, lam: float) -> tuple[float, float]:
+    """The printed heuristic and the min clearance ``m`` of the edge u-v, as
+    the roadmap stores them."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    return lam * (math.hypot(u[0] - v[0], u[1] - v[1]) * resolution) + (m * m + math.sqrt(m))
+    m = segment_min_value(u, v, field.dist)
+    return lam * (math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution) + (m * m + math.sqrt(m)), m
 
 
 class VisibilityMap:
@@ -163,6 +171,7 @@ class Roadmap:
         self.generation = 0
         self._next_id = 0
         self._prev_free: np.ndarray | None = None
+        self._prev_dist: np.ndarray | None = None
 
     def edge_key(self, a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
@@ -216,6 +225,10 @@ def update_roadmap(
     if now_blocked.any():
         _revalidate_against(roadmap, vis, grid, now_blocked)
 
+    # the edges kept from earlier versions; every edge added below gets its
+    # weight from this field when it is created
+    _refresh_weights(roadmap, field)
+
     # newly free cells may already see existing nodes
     if newly_free.any() and roadmap.nodes:
         nf_iy, nf_ix = np.nonzero(newly_free)
@@ -239,58 +252,113 @@ def update_roadmap(
     while uncovered.any():
         flat = int(np.argmax(np.where(uncovered, field.dist, -np.inf)))
         cell = (flat % w, flat // w)
-        _add_node(roadmap, vis, grid, cell, r_cells)
+        _add_node(roadmap, vis, grid, field, cell, r_cells)
         uncovered = free & (vis.cover == 0)
 
-    # Bridge node pairs with overlapping visibility but no path between
-    # them. "No path" is taken locally: a pair needs an edge or a common
-    # neighbor, otherwise two nodes covering the same corridor can end up
-    # connected only the long way around the map.
-    occupied = {c for c in roadmap.nodes.values()}
-    while True:
-        bridged = False
-        ids = sorted(roadmap.nodes)
-        pos = {nid: roadmap.nodes[nid] for nid in ids}
-        for i, a in enumerate(ids):
-            ax, ay = pos[a]
-            for b in ids[i + 1 :]:
-                bx, by = pos[b]
-                if (ax - bx) ** 2 + (ay - by) ** 2 > (2 * r_cells) ** 2:
-                    continue
-                if b in roadmap.adj[a] or (roadmap.adj[a] & roadmap.adj[b]):
-                    continue
-                overlap = vis.node_cells[a] & vis.node_cells[b]
-                if not overlap:
-                    continue
-                cells = np.fromiter(overlap, dtype=np.int64, count=len(overlap))
-                cells.sort()
-                order = np.argsort(-field.dist.reshape(-1)[cells], kind="stable")
-                best = None
-                for k in order:
-                    cell = (int(cells[k]) % w, int(cells[k]) // w)
-                    if cell not in occupied:
-                        best = cell
-                        break
-                if best is None:
-                    continue
-                _add_node(roadmap, vis, grid, best, r_cells)
-                occupied.add(best)
-                bridged = True
-                break
-            if bridged:
-                break
-        if not bridged:
-            break
-
-    # refresh every edge weight from the current field
-    for key in roadmap.edges:
-        ua, ub = roadmap.nodes[key[0]], roadmap.nodes[key[1]]
-        m = segment_min_value(ua, ub, field.dist)
-        roadmap.edges[key] = (_weight(ua, ub, m, res, roadmap.lam), m)
+    _bridge(roadmap, vis, grid, field, r_cells)
 
     roadmap.generation += 1
     roadmap._prev_free = free.copy()
+    roadmap._prev_dist = field.dist  # fields are never written after they are made
     return roadmap, vis
+
+
+def _bridge(
+    roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, field: DistanceField, r_cells
+) -> None:
+    """Bridge node pairs with overlapping visibility but no path between them.
+
+    "No path" is taken locally: a pair needs an edge or a common neighbor,
+    otherwise two nodes covering the same corridor can end up connected
+    only the long way around the map. The bridge node goes on the
+    highest-clearance overlap cell that holds no node yet.
+
+    Pairs (a, b), a < b, within 2*r_cells of each other are taken in
+    lexicographic order: a row-by-row scan of the pairs among the nodes
+    placed before bridging, merged with a heap of the pairs pushed after
+    each bridge node. Once a pair is skipped it stays skipped for
+    the rest of the pass, because every reason to skip it only becomes
+    truer as bridge nodes are added: nodes do not move (too far apart),
+    edges are only added (already an edge or a common neighbor), existing
+    nodes' visible regions do not change (no overlap), and occupied cells
+    only accumulate (every overlap cell holds a node). So a skipped pair is
+    dropped for good, and after a bridge node n is added only (a, b) itself
+    and the pairs (o, n) with o near n can have become bridgeable. Pushing
+    those onto the heap makes each pair taken the lexicographically first
+    bridgeable one, which is the pair a full rescan of all pairs would pick.
+    """
+    w = grid.shape[1]
+    reach2 = (2 * r_cells) ** 2
+    dist = field.dist.reshape(-1)
+    occupied = set(roadmap.nodes.values())
+    ids = np.array(sorted(roadmap.nodes), dtype=np.int64)
+    xy = np.array([roadmap.nodes[int(i)] for i in ids], dtype=np.int64).reshape(-1, 2)
+    scan = (
+        (int(ids[i]), b)
+        for i in range(len(ids) - 1)
+        for b in ids[i + 1 :][((xy[i + 1 :] - xy[i]) ** 2).sum(axis=1) <= reach2].tolist()
+    )
+    heap: list[tuple[int, int]] = []
+    adj = roadmap.adj
+    nxt = next(scan, None)
+    while nxt is not None or heap:
+        if heap and (nxt is None or heap[0] < nxt):
+            a, b = heapq.heappop(heap)
+        else:
+            (a, b), nxt = nxt, next(scan, None)
+        if b in adj[a] or (adj[a] & adj[b]):
+            continue
+        overlap = vis.node_cells[a] & vis.node_cells[b]
+        if not overlap:
+            continue
+        cells = np.fromiter(overlap, dtype=np.int64, count=len(overlap))
+        cells.sort()
+        best = None
+        for k in np.argsort(-dist[cells], kind="stable"):
+            cell = (int(cells[k]) % w, int(cells[k]) // w)
+            if cell not in occupied:
+                best = cell
+                break
+        if best is None:
+            continue
+        n = _add_node(roadmap, vis, grid, field, best, r_cells)
+        occupied.add(best)
+        heapq.heappush(heap, (a, b))
+        bx, by = best
+        for o, (ox, oy) in roadmap.nodes.items():
+            if o != n and (ox - bx) ** 2 + (oy - by) ** 2 <= reach2:
+                heapq.heappush(heap, (o, n))
+
+
+def _refresh_weights(roadmap: Roadmap, field: DistanceField) -> None:
+    """Recompute the weights of edges whose bounding box holds a cell where
+    the distance field changed since the last update.
+
+    An edge's supercover lies inside the bounding box of its end cells, so
+    an edge whose box holds no changed cell keeps its exact min clearance.
+    The boxes are tested all at once against a summed-area table of the
+    changed cells.
+    """
+    keys = list(roadmap.edges)
+    if roadmap._prev_dist is not None:
+        changed = field.dist != roadmap._prev_dist
+        if not changed.any():
+            return
+        h, w = changed.shape
+        sat = np.zeros((h + 1, w + 1), dtype=np.int32)
+        sat[1:, 1:] = changed.cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
+        nodes = roadmap.nodes
+        ends = np.fromiter(
+            itertools.chain.from_iterable(nodes[a] + nodes[b] for a, b in keys), dtype=np.int64, count=4 * len(keys)
+        ).reshape(-1, 4)
+        x0 = np.minimum(ends[:, 0], ends[:, 2])
+        x1 = np.maximum(ends[:, 0], ends[:, 2]) + 1
+        y0 = np.minimum(ends[:, 1], ends[:, 3])
+        y1 = np.maximum(ends[:, 1], ends[:, 3]) + 1
+        hits = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
+        keys = [key for key, hit in zip(keys, hits) if hit]
+    for key in keys:
+        roadmap.edges[key] = _edge_value(roadmap.nodes[key[0]], roadmap.nodes[key[1]], field, roadmap.lam)
 
 
 def _window_obstacles(free, node, cand_ix, cand_iy):
@@ -318,7 +386,9 @@ def _window_obstacles(free, node, cand_ix, cand_iy):
     return ox + x_lo, oy + y_lo
 
 
-def _add_node(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, cell, r_cells) -> int:
+def _add_node(
+    roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, field: DistanceField, cell, r_cells
+) -> int:
     free = grid.free
     h, w = free.shape
     nx, ny = cell
@@ -341,13 +411,14 @@ def _add_node(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, ce
     flats = {int(iy_ * w + ix_) for ix_, iy_ in zip(cand_ix[seen], cand_iy[seen])}
     vis.add_node_region(nid, flats)
 
+    # An edge is a clear segment of length <= r_cells, so it links nid to
+    # exactly the nodes on cells in its visible region: visible_from and
+    # segment_free are the same closed-square slab test, and every slab value
+    # is a correctly rounded quotient of small integers, so they agree. Ids
+    # only grow, so every other node's id is below nid.
     for other, (ox, oy) in roadmap.nodes.items():
-        if other == nid:
-            continue
-        if (ox - nx) ** 2 + (oy - ny) ** 2 > r_cells**2:
-            continue
-        if segment_free((nx, ny), (ox, oy), free):
-            roadmap.edges[roadmap.edge_key(nid, other)] = (0.0, 0.0)
+        if other != nid and oy * w + ox in flats:
+            roadmap.edges[(other, nid)] = _edge_value((ox, oy), (nx, ny), field, roadmap.lam)
             roadmap.adj[nid].add(other)
             roadmap.adj[other].add(nid)
     return nid

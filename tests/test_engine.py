@@ -112,7 +112,8 @@ class TestWaypointMission:
 
     def test_each_robot_reaches_its_scripted_waypoints(self, tmp_path):
         cfg = small_config(mission={"mode": "waypoint", "waypoints": self.WAYPOINTS})
-        Simulation(cfg, world=small_world()).run(tmp_path)
+        report = Simulation(cfg, world=small_world()).run(tmp_path)
+        assert report.ticks < cfg.max_ticks
         track: dict[int, list[tuple[float, float]]] = {}
         for row in (tmp_path / "poses.csv").read_text().splitlines()[1:]:
             cols = row.split(",")

@@ -1,16 +1,18 @@
 """Planner: traversability, distance transform, roadmap, path queries."""
 
+import hashlib
 import heapq
 import math
 
 import numpy as np
 import pytest
 
-from semteam.geometry import segment_cells, segment_free, segment_min_value
+from semteam.geometry import segment_cells, segment_free, segment_min_value, visible_from
 from semteam.planner import (
     DistanceField,
     Roadmap,
     TraversabilityGrid,
+    _window_obstacles,
     distance_transform,
     edge_weight,
     extract_traversability,
@@ -92,6 +94,26 @@ class TestSegmentGeometry:
             ixs, iys = segment_cells(u, v)
             got = set(zip(ixs.tolist(), iys.tolist()))
             assert got == supercover_oracle(u, v), (u, v)
+
+    def test_visible_from_matches_segment_free(self):
+        """A node's visible region is exactly the free cells within its radius
+        that a clear segment reaches, which roadmap edges rely on."""
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(40):
+            free = rng.random((20, 20)) > rng.uniform(0.05, 0.4)
+            fy, fx = np.nonzero(free)
+            k = int(rng.integers(0, fx.size))
+            node = (int(fx[k]), int(fy[k]))
+            r = float(rng.uniform(2.0, 12.0))
+            disc = (fx - node[0]) ** 2 + (fy - node[1]) ** 2 <= r**2
+            cand_ix, cand_iy = fx[disc], fy[disc]
+            ob_ix, ob_iy = _window_obstacles(free, node, cand_ix, cand_iy)
+            seen = visible_from(node, cand_ix, cand_iy, ob_ix, ob_iy)
+            for ix, iy, s in zip(cand_ix.tolist(), cand_iy.tolist(), seen.tolist()):
+                assert s == segment_free(node, (ix, iy), free), (node, (ix, iy))
+                checked += 1
+        assert checked > 2000
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -283,6 +305,87 @@ class TestRoadmapConstruction:
             assert rm.nodes.get(nid) == cell
         assert len(rm.nodes) >= len(nodes_v1)
         assert (vis.cover[grid2.free] > 0).all()
+
+
+#: sha256 of the three roadmap states grown over ``incremental_versions``,
+#: recorded from the restart-scan bridging and per-pair segment_free edges
+#: that the worklist and visibility edges replaced.
+GOLDEN_ROADMAP_SHA256 = "5d83663e16862d5b77dcbc14be99c10c3c3bd791a4882f9f3f1d0afd11af23fd"
+
+
+def incremental_versions():
+    """Three map versions of one seeded 24x24 grid with about 20% clutter:
+    the left half revealed, then all of it, then a 4x4 block turned to
+    obstacle."""
+    rng = np.random.default_rng(11)
+    base = rng.random((24, 24)) > 0.2
+    left = base.copy()
+    left[:, 13:] = False
+    blocked = base.copy()
+    blocked[9:13, 5:9] = False
+    return [left, base, blocked]
+
+
+class TestIncrementalRoadmap:
+    RADIUS = 8.0
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        """Copies of the roadmap state after each update of one growing roadmap."""
+        rm, vis = Roadmap(radius=self.RADIUS), None
+        out = []
+        for free in incremental_versions():
+            grid = grid_from_free(free)
+            field = distance_transform(grid)
+            rm, vis = update_roadmap(rm, vis, grid, field)
+            out.append(
+                {
+                    "free": free,
+                    "field": field,
+                    "nodes": dict(rm.nodes),
+                    "edges": dict(rm.edges),
+                    "adj": {n: set(a) for n, a in rm.adj.items()},
+                    "cells": {n: set(c) for n, c in vis.node_cells.items()},
+                }
+            )
+        return out
+
+    def test_golden_roadmap(self, steps):
+        # the last version blocks free cells and removes nodes
+        assert (steps[1]["free"] & ~steps[2]["free"]).any()
+        assert set(steps[1]["nodes"]) - set(steps[2]["nodes"])
+        h = hashlib.sha256()
+        for s in steps:
+            h.update(repr((sorted(s["nodes"].items()), sorted(s["edges"].items()))).encode())
+        assert h.hexdigest() == GOLDEN_ROADMAP_SHA256
+
+    def test_every_weight_fresh_after_each_update(self, steps):
+        for s in steps:
+            nodes, field = s["nodes"], s["field"]
+            assert s["edges"]
+            for (a, b), (w, m) in s["edges"].items():
+                assert w > 0.0 and m > 0.0, (a, b)
+                assert m == segment_min_value(nodes[a], nodes[b], field.dist), (a, b)
+                assert w == edge_weight(nodes[a], nodes[b], field), (a, b)
+
+    def test_overlapping_pairs_are_bridged(self, steps):
+        reach2 = (2 * self.RADIUS) ** 2
+        for s in steps:
+            nodes, adj, cells = s["nodes"], s["adj"], s["cells"]
+            occupied = {iy * 24 + ix for ix, iy in nodes.values()}
+            ids = sorted(nodes)
+            checked = 0
+            for i, a in enumerate(ids):
+                for b in ids[i + 1 :]:
+                    (ax, ay), (bx, by) = nodes[a], nodes[b]
+                    if (ax - bx) ** 2 + (ay - by) ** 2 > reach2:
+                        continue
+                    overlap = cells[a] & cells[b]
+                    if overlap <= occupied:
+                        continue
+                    assert b in adj[a] or adj[a] & adj[b], (a, b)
+                    checked += 1
+            assert checked > 0
 
 
 def _flood_components(free):
