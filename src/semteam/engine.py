@@ -207,11 +207,7 @@ class GroundAgent:
             search_radius=cfg.tracker.search_radius,
         )
         self.tracker_state: trk.TrackerState | None = None
-        self.mission = msn.MissionController(
-            robot_id=robot_id,
-            arrival_tolerance=cfg.tracker.arrival_tolerance,
-            reselect_period=cfg.mission.reselect_period,
-        )
+        self.mission = msn.MissionController(robot_id=robot_id, reselect_period=cfg.mission.reselect_period)
         self.map: SemanticGridMap | None = None
         self.map_version = 0
         self.map_source: tuple[int, int] | None = None  # (origin, seq) consumed
@@ -442,7 +438,6 @@ class RunReport:
     targets_visited: int
     n_targets: int
     total_distance_m: float
-    distances: dict[int, float]
     loc_err_mean: float
     loc_err_max: float
     loc_err_early_mean: float
@@ -452,7 +447,6 @@ class RunReport:
     cancellations: int
     failures_reported: int
     db_records_mean: float
-    out_dir: str | None = None
 
     def metrics_row(self) -> dict:
         return {
@@ -474,9 +468,6 @@ class RunReport:
             "failures_reported": self.failures_reported,
             "db_records_mean": round(self.db_records_mean, 2),
         }
-
-
-METRICS_COLUMNS = list(RunReport(0, 0, 0.0, 0, None, 0, 0, 0.0, {}, 0, 0, 0, 0, 0, 0, 0, 0, 0).metrics_row())
 
 
 class Simulation:
@@ -616,12 +607,12 @@ class Simulation:
     def run(self, out_dir: str | Path | None = None) -> RunReport:
         while self.tick_count < self.cfg.max_ticks and not self.mission_complete():
             self.tick()
-        report = self._report(out_dir)
+        report = self._report()
         if out_dir is not None:
             self._write_outputs(Path(out_dir), report)
         return report
 
-    def _report(self, out_dir) -> RunReport:
+    def _report(self) -> RunReport:
         grounds = self.ground_agents
         all_err = [e for a in grounds for e in self.loc_err[a.id]]
         early_ticks = int(60.0 / self.dt)
@@ -638,7 +629,6 @@ class Simulation:
             targets_visited=len(self.visited_targets),
             n_targets=len(self.true_targets),
             total_distance_m=sum(a.distance for a in grounds),
-            distances={a.id: a.distance for a in self.agents},
             loc_err_mean=float(np.mean(all_err)) if all_err else 0.0,
             loc_err_max=float(np.max(all_err)) if all_err else 0.0,
             loc_err_early_mean=float(np.mean(early)) if early else 0.0,
@@ -648,7 +638,6 @@ class Simulation:
             cancellations=sum(a.cancellations for a in grounds),
             failures_reported=failures,
             db_records_mean=float(np.mean([len(a.db) for a in self.agents])) if self.agents else 0.0,
-            out_dir=str(out_dir) if out_dir is not None else None,
         )
 
     def _write_outputs(self, out: Path, report: RunReport) -> None:
@@ -658,9 +647,7 @@ class Simulation:
         header = "tick,robot,bel_x,bel_y,bel_yaw,true_x,true_y,true_yaw,dr_x,dr_y,dr_yaw,ess,diverged"
         (out / "poses.csv").write_text(header + "\n" + "\n".join(self.pose_rows) + "\n")
         row = report.metrics_row()
-        (out / "metrics.csv").write_text(
-            ",".join(METRICS_COLUMNS) + "\n" + ",".join(str(row[c]) for c in METRICS_COLUMNS) + "\n"
-        )
+        (out / "metrics.csv").write_text(",".join(row) + "\n" + ",".join(str(v) for v in row.values()) + "\n")
         latest = None
         for agent in self.agents:
             rec = agent.db.get(agent.id, MAP_KEY) if agent.kind == "aerial" else None
@@ -668,10 +655,3 @@ class Simulation:
                 latest = rec
         if latest is not None:
             (out / "map_final.bin").write_bytes(latest.payload)
-
-
-def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> RunReport:
-    """Build the simulation from a validated config and run it to completion
-    (all targets visited, or in waypoint mode every ground robot at the end
-    of its script) or to max_ticks."""
-    return Simulation(config).run(out_dir)

@@ -47,7 +47,7 @@ class OdomDelta:
 
 @dataclass
 class PolarObservation:
-    """n_azimuth x n_range bins of SemanticClass, UNKNOWN where no return.
+    """One scan binned into n_azimuth x n_range robot-frame polar bins.
 
     A bin is filled either by a beam hit (it keeps the hit's class and the
     robot-frame offset of the hit point, which lies inside the struck cell)
@@ -56,8 +56,6 @@ class PolarObservation:
     populate the real polar map. Both kinds of bins are scored by matching.
     """
 
-    classes: np.ndarray
-    max_range: float
     local_dx: np.ndarray
     local_dy: np.ndarray
     bin_classes: np.ndarray
@@ -94,7 +92,6 @@ class PolarObservation:
         the struck cell. ``free_stride`` thins the free evidence (adjacent
         radial bins on one beam carry largely redundant information).
         """
-        grid = np.full((n_azimuth, n_range), int(SemanticClass.UNKNOWN), dtype=np.int8)
         filled = np.zeros((n_azimuth, n_range), dtype=bool)
         n_beams = len(scan)
         az_width = 2.0 * math.pi / n_azimuth
@@ -107,7 +104,6 @@ class PolarObservation:
             ia = int(offset / az_width) % n_azimuth
             ir = min(int(rng / rng_width), n_range - 1)
             if not filled[ia, ir]:
-                grid[ia, ir] = hit_cls
                 filled[ia, ir] = True
                 dxs.append(rng * math.cos(offset))
                 dys.append(rng * math.sin(offset))
@@ -126,8 +122,6 @@ class PolarObservation:
                     fxs.append(r_k * math.cos(offset))
                     fys.append(r_k * math.sin(offset))
         return cls(
-            classes=grid,
-            max_range=max_range,
             local_dx=np.asarray(dxs),
             local_dy=np.asarray(dys),
             bin_classes=np.asarray(classes, dtype=np.int64),
@@ -282,10 +276,7 @@ def update_and_resample(
     else:
         w = w / total
 
-    est_x = float((w * particles.xs).sum())
-    est_y = float((w * particles.ys).sum())
-    est_yaw = float(math.atan2((w * np.sin(particles.yaws)).sum(), (w * np.cos(particles.yaws)).sum()))
-    estimate = (est_x, est_y, est_yaw)
+    estimate = _weighted_mean(particles.xs, particles.ys, particles.yaws, w)
 
     ess = float(1.0 / (w**2).sum())
     resampled = ess < params.ess_fraction * particles.n
@@ -306,9 +297,13 @@ def update_and_resample(
 
 
 def weighted_mean_pose(particles: ParticleSet) -> tuple[float, float, float]:
-    w = particles.weights
+    return _weighted_mean(particles.xs, particles.ys, particles.yaws, particles.weights)
+
+
+def _weighted_mean(xs, ys, yaws, w) -> tuple[float, float, float]:
+    """Weighted mean of (x, y) and circular mean of yaw."""
     return (
-        float((w * particles.xs).sum()),
-        float((w * particles.ys).sum()),
-        float(math.atan2((w * np.sin(particles.yaws)).sum(), (w * np.cos(particles.yaws)).sum())),
+        float((w * xs).sum()),
+        float((w * ys).sum()),
+        float(math.atan2((w * np.sin(yaws)).sum(), (w * np.cos(yaws)).sum())),
     )

@@ -215,8 +215,7 @@ class MissionController:
     -> (visited | failed) -> idle, publishing claims along the way."""
 
     robot_id: int
-    arrival_tolerance: float = 1.5
-    reselect_period: int = 50
+    reselect_period: int
     phase: str = "idle"
     current_roi: ROI | None = None
     pending_plan: PlanResult | None = None

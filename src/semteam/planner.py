@@ -11,6 +11,14 @@ weights trade distance against clearance with the printed heuristic
 W = lambda*|u-v| + [m^2 + sqrt(m)], m = min clearance along the edge; a new
 map version recomputes only the weights of edges whose bounding box holds a
 cell where the distance field changed.
+
+Map versions only add free cells. The aerial robot maps at its exact pose,
+so every keyframe copies the true class of each footprint cell; the map
+accumulator's ``observed`` mask only grows; and the morphological close is
+an increasing operator. So the traversable mask of a later version holds
+the earlier one, nodes and edges stay valid once made, and the roadmap only
+grows, as a visibility roadmap does (Simeon, Laumond & Nissoux, Advanced
+Robotics 2000). ``update_roadmap`` rejects a version that breaks this.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ class TraversabilityGrid:
     resolution: float
     origin_x: float
     origin_y: float
-    source_version: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,7 +78,6 @@ def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> Trav
         resolution=grid_map.resolution,
         origin_x=grid_map.origin_x,
         origin_y=grid_map.origin_y,
-        source_version=grid_map.version,
     )
 
 
@@ -122,13 +128,14 @@ def _edge_value(u, v, field: DistanceField, lam: float) -> tuple[float, float]:
 
 
 class VisibilityMap:
-    """Which roadmap nodes each cell can see within radius R (and vice versa)."""
+    """Which roadmap nodes each cell can see within radius R (and vice versa);
+    ``cover`` marks the cells at least one node sees."""
 
     def __init__(self, width: int, height: int) -> None:
         self.width = width
         self.height = height
         self.node_cells: dict[int, set[int]] = {}
-        self.cover = np.zeros((height, width), dtype=np.int32)
+        self.cover = np.zeros((height, width), dtype=bool)
 
     def flat(self, cell: tuple[int, int]) -> int:
         return cell[1] * self.width + cell[0]
@@ -137,24 +144,9 @@ class VisibilityMap:
         f = self.flat(cell)
         return [nid for nid, cells in self.node_cells.items() if f in cells]
 
-    def add_node_region(self, nid: int, flats: set[int]) -> None:
-        self.node_cells[nid] = flats
-        if flats:
-            idx = np.fromiter(flats, dtype=np.int64, count=len(flats))
-            np.add.at(self.cover.reshape(-1), idx, 1)
-
-    def remove_node(self, nid: int) -> None:
-        flats = self.node_cells.pop(nid, set())
-        if flats:
-            idx = np.fromiter(flats, dtype=np.int64, count=len(flats))
-            np.add.at(self.cover.reshape(-1), idx, -1)
-
-    def discard_cells(self, nid: int, flats: set[int]) -> None:
-        gone = self.node_cells[nid] & flats
-        if gone:
-            self.node_cells[nid] -= gone
-            idx = np.fromiter(gone, dtype=np.int64, count=len(gone))
-            np.add.at(self.cover.reshape(-1), idx, -1)
+    def add_cells(self, nid: int, flats: set[int]) -> None:
+        self.node_cells.setdefault(nid, set()).update(flats)
+        self.cover.reshape(-1)[np.fromiter(flats, dtype=np.int64, count=len(flats))] = True
 
 
 class Roadmap:
@@ -168,7 +160,6 @@ class Roadmap:
         self.nodes: dict[int, tuple[int, int]] = {}
         self.edges: dict[tuple[int, int], tuple[float, float]] = {}
         self.adj: dict[int, set[int]] = {}
-        self.generation = 0
         self._next_id = 0
         self._prev_free: np.ndarray | None = None
         self._prev_dist: np.ndarray | None = None
@@ -203,27 +194,22 @@ def update_roadmap(
 ) -> tuple[Roadmap, VisibilityMap]:
     """Grow the roadmap for a new map version.
 
-    Nodes are retained across versions; only newly free cells trigger
-    additions. Cells flipping free -> obstacle (rare class rewrites)
-    invalidate the visibility entries and edges crossing them.
+    Nodes, edges and visible regions are kept across versions; only newly
+    free cells trigger additions. A version must keep every cell the last
+    one had free (keyframes copy truth classes, the accumulator's
+    ``observed`` mask only grows, and the close is increasing); one that
+    loses a free cell raises ``ValueError`` and leaves the roadmap as it was.
     """
     free = grid.free
+    prev = roadmap._prev_free
+    if prev is not None and (prev & ~free).any():
+        raise ValueError("map version turns free cells into obstacles; the roadmap only grows")
     h, w = free.shape
     if vis is None or vis.width != w or vis.height != h:
         vis = VisibilityMap(w, h)
     res = grid.resolution
     r_cells = roadmap.radius / res
-
-    prev = roadmap._prev_free
     newly_free = free.copy() if prev is None else (free & ~prev)
-    now_blocked = np.zeros_like(free) if prev is None else (prev & ~free)
-
-    # drop nodes whose cell is no longer free
-    for nid in [n for n, (ix, iy) in roadmap.nodes.items() if not free[iy, ix]]:
-        _remove_node(roadmap, vis, nid)
-
-    if now_blocked.any():
-        _revalidate_against(roadmap, vis, grid, now_blocked)
 
     # the edges kept from earlier versions; every edge added below gets its
     # weight from this field when it is created
@@ -240,24 +226,18 @@ def update_roadmap(
             cand_ix, cand_iy = nf_ix[sel], nf_iy[sel]
             ob_ix, ob_iy = _window_obstacles(free, (nx, ny), cand_ix, cand_iy)
             seen = visible_from((nx, ny), cand_ix, cand_iy, ob_ix, ob_iy)
-            flats = {int(iy_ * w + ix_) for ix_, iy_ in zip(cand_ix[seen], cand_iy[seen])}
-            new = flats - vis.node_cells[nid]
-            if new:
-                vis.node_cells[nid] |= new
-                idx = np.fromiter(new, dtype=np.int64, count=len(new))
-                np.add.at(vis.cover.reshape(-1), idx, 1)
+            vis.add_cells(nid, {int(iy_ * w + ix_) for ix_, iy_ in zip(cand_ix[seen], cand_iy[seen])})
 
     # cover every free cell: place nodes at the clearance maxima
-    uncovered = free & (vis.cover == 0)
+    uncovered = free & ~vis.cover
     while uncovered.any():
         flat = int(np.argmax(np.where(uncovered, field.dist, -np.inf)))
         cell = (flat % w, flat // w)
         _add_node(roadmap, vis, grid, field, cell, r_cells)
-        uncovered = free & (vis.cover == 0)
+        uncovered = free & ~vis.cover
 
     _bridge(roadmap, vis, grid, field, r_cells)
 
-    roadmap.generation += 1
     roadmap._prev_free = free.copy()
     roadmap._prev_dist = field.dist  # fields are never written after they are made
     return roadmap, vis
@@ -409,7 +389,7 @@ def _add_node(
     ob_ix, ob_iy = _window_obstacles(free, (nx, ny), cand_ix, cand_iy)
     seen = visible_from((nx, ny), cand_ix, cand_iy, ob_ix, ob_iy)
     flats = {int(iy_ * w + ix_) for ix_, iy_ in zip(cand_ix[seen], cand_iy[seen])}
-    vis.add_node_region(nid, flats)
+    vis.add_cells(nid, flats)
 
     # An edge is a clear segment of length <= r_cells, so it links nid to
     # exactly the nodes on cells in its visible region: visible_from and
@@ -422,37 +402,6 @@ def _add_node(
             roadmap.adj[nid].add(other)
             roadmap.adj[other].add(nid)
     return nid
-
-
-def _remove_node(roadmap: Roadmap, vis: VisibilityMap, nid: int) -> None:
-    roadmap.nodes.pop(nid)
-    vis.remove_node(nid)
-    for other in roadmap.adj.pop(nid, set()):
-        roadmap.adj[other].discard(nid)
-        roadmap.edges.pop(roadmap.edge_key(nid, other), None)
-
-
-def _revalidate_against(roadmap, vis, grid, now_blocked):
-    """Remove visibility entries and edges crossed by newly blocked cells."""
-    w = grid.shape[1]
-    ob_iy, ob_ix = np.nonzero(now_blocked)
-    blocked_flats = {int(iy * w + ix) for ix, iy in zip(ob_ix, ob_iy)}
-    for nid, cell in roadmap.nodes.items():
-        vis.discard_cells(nid, blocked_flats)
-        cells = vis.node_cells[nid]
-        if not cells:
-            continue
-        arr = np.fromiter(cells, dtype=np.int64, count=len(cells))
-        cand_ix, cand_iy = arr % w, arr // w
-        still = visible_from(cell, cand_ix, cand_iy, ob_ix, ob_iy)
-        gone = {int(f) for f in arr[~still]}
-        vis.discard_cells(nid, gone)
-    for key in list(roadmap.edges):
-        ua, ub = roadmap.nodes[key[0]], roadmap.nodes[key[1]]
-        if not segment_free(ua, ub, grid.free):
-            roadmap.edges.pop(key)
-            roadmap.adj[key[0]].discard(key[1])
-            roadmap.adj[key[1]].discard(key[0])
 
 
 # ---------------------------------------------------------------------------

@@ -131,21 +131,11 @@ class SemanticGridMap:
         iy = int(math.floor((y - self.origin_y) / self.resolution))
         return ix, iy
 
-    def center_of(self, ix: int, iy: int) -> tuple[float, float]:
-        return (
-            self.origin_x + (ix + 0.5) * self.resolution,
-            self.origin_y + (iy + 0.5) * self.resolution,
-        )
-
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width and 0 <= iy < self.height
 
     def class_at(self, ix: int, iy: int) -> SemanticClass:
         return SemanticClass(int(self.classes[iy, ix]))
-
-    def contains_point(self, x: float, y: float) -> bool:
-        ix, iy = self.cell_of(x, y)
-        return self.in_bounds(ix, iy)
 
 
 @dataclass

@@ -9,8 +9,10 @@ from semteam.aerial import (
     MapAccumulator,
     decode_snapshot,
     encode_snapshot,
+    full_view_keyframe,
     maybe_create_keyframe,
 )
+from semteam.planner import extract_traversability
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel
 
 FOV = math.radians(30)
@@ -244,3 +246,66 @@ class TestSnapshot:
         np.testing.assert_allclose(back.elevation, snap.elevation, atol=0.005 + 1e-9)
         # canonical bytes: encoding a decoded snapshot reproduces the bytes
         assert encode_snapshot(back) == data
+
+
+class TestMapOnlyGrows:
+    """Later snapshots keep every observed cell and its class, so their
+    traversable masks are nested: the planner's roadmap relies on this."""
+
+    def mixed_world(self, n=30):
+        rng = np.random.default_rng(21)
+        kinds = [SemanticClass.ROAD, SemanticClass.DIRT_GRAVEL, SemanticClass.VEGETATION,
+                 SemanticClass.BUILDING, SemanticClass.VEHICLE]
+        classes = np.array(kinds, dtype=np.int8)[rng.integers(0, len(kinds), size=(n, n))]
+        grid = SemanticGridMap(
+            origin_x=0.0,
+            origin_y=0.0,
+            resolution=1.0,
+            width=n,
+            height=n,
+            classes=classes,
+            elevation=rng.uniform(0, 5, size=(n, n)),
+            observed=np.ones((n, n), dtype=bool),
+            version=1,
+        )
+        return WorldModel.from_map(grid)
+
+    def snapshots(self, world, preload):
+        rng = np.random.default_rng(22)
+        acc = MapAccumulator.like(world.truth)
+        if preload:
+            acc.fuse_keyframe(full_view_keyframe(world.truth))
+        snaps, last, kf_id = [], None, 0
+        x, y = 5.0, 5.0
+        for _ in range(120):
+            x = float(np.clip(x + rng.uniform(-2, 2), -2, 32))
+            y = float(np.clip(y + rng.uniform(-2, 2), -2, 32))
+            pose = (x, y, float(rng.uniform(2, 6)), 0.0)
+            kf = maybe_create_keyframe(pose, last, 1.5, kf_id=kf_id, world=world, fov_half_angle=FOV)
+            if kf is not None:
+                last, kf_id = pose, kf_id + 1
+                acc.fuse_keyframe(kf)
+                snaps.append(acc.snapshot())
+        assert kf_id > 20
+        return snaps
+
+    @pytest.mark.parametrize("preload", [False, True])
+    def test_snapshots_never_unobserve_or_rewrite(self, preload):
+        world = self.mixed_world()
+        snaps = self.snapshots(world, preload)
+        if not preload:
+            assert snaps[-1].observed.sum() > 20 * snaps[0].observed.sum()
+        for old, new in zip(snaps, snaps[1:]):
+            assert not (old.observed & ~new.observed).any()
+            assert np.array_equal(old.classes[old.observed], new.classes[old.observed])
+        last = snaps[-1]
+        assert np.array_equal(last.classes[last.observed], world.truth.classes[last.observed])
+
+    @pytest.mark.parametrize("preload", [False, True])
+    @pytest.mark.parametrize("close_radius", [0, 2])
+    def test_traversable_masks_nested(self, preload, close_radius):
+        snaps = self.snapshots(self.mixed_world(), preload)
+        frees = [extract_traversability(s, close_radius).free for s in snaps]
+        for old, new in zip(frees, frees[1:]):
+            assert not (old & ~new).any()
+        assert frees[-1].any()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semteam.config import MissionSpec
 from semteam.gossip import Database, sync_pair
 from semteam.mission import (
     CLAIMED,
@@ -136,7 +137,7 @@ class TestChooseGoal:
 
 class TestMissionController:
     def setup_controller(self, robot_id=0):
-        ctrl = MissionController(robot_id=robot_id)
+        ctrl = MissionController(robot_id=robot_id, reselect_period=MissionSpec().reselect_period)
         db = Database(owner=robot_id)
         rois = [ROI("aaa", ((5, 5),), (6, 5)), ROI("bbb", ((20, 20),), (21, 20))]
         return ctrl, db, rois
