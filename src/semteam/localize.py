@@ -18,6 +18,9 @@ import numpy as np
 from semteam.geometry import wrap_angle
 from semteam.world import SemanticClass, SemanticGridMap
 
+#: match-table layer of free-evidence bins; layers below it are classes
+FREE_LAYER = len(SemanticClass)
+
 
 @dataclass
 class ParticleSet:
@@ -63,11 +66,12 @@ class PolarObservation:
     free_dy: np.ndarray
 
     def __post_init__(self) -> None:
-        # combined projection arrays; expected class -1 marks free evidence
+        # combined projection arrays and, per bin, its layer of the map's
+        # match table: the expected class, or FREE_LAYER for free evidence
         self.all_dx = np.concatenate([self.local_dx, self.free_dx])
         self.all_dy = np.concatenate([self.local_dy, self.free_dy])
-        self.all_expected = np.concatenate(
-            [self.bin_classes, np.full(self.free_dx.size, -1, dtype=np.int64)]
+        self.all_layer = np.concatenate(
+            [self.bin_classes, np.full(self.free_dx.size, FREE_LAYER, dtype=np.int64)]
         )
 
     @property
@@ -92,41 +96,39 @@ class PolarObservation:
         the struck cell. ``free_stride`` thins the free evidence (adjacent
         radial bins on one beam carry largely redundant information).
         """
-        filled = np.zeros((n_azimuth, n_range), dtype=bool)
         n_beams = len(scan)
         az_width = 2.0 * math.pi / n_azimuth
         rng_width = max_range / n_range
-        dxs, dys, classes = [], [], []
-        for i, (rng, hit_cls) in enumerate(scan):
-            if hit_cls == SemanticClass.UNKNOWN:
-                continue
-            offset = 2.0 * math.pi * i / n_beams
-            ia = int(offset / az_width) % n_azimuth
-            ir = min(int(rng / rng_width), n_range - 1)
-            if not filled[ia, ir]:
-                filled[ia, ir] = True
-                dxs.append(rng * math.cos(offset))
-                dys.append(rng * math.sin(offset))
-                classes.append(int(hit_cls))
-        fxs, fys = [], []
-        for i, (rng, hit_cls) in enumerate(scan):
-            offset = 2.0 * math.pi * i / n_beams
-            ia = int(offset / az_width) % n_azimuth
-            r_stop = max_range if hit_cls == SemanticClass.UNKNOWN else rng - free_margin
-            for k in range(0, n_range, max(1, free_stride)):
-                r_k = (k + 0.5) * rng_width
-                if r_k > r_stop:
-                    break
-                if not filled[ia, k]:
-                    filled[ia, k] = True
-                    fxs.append(r_k * math.cos(offset))
-                    fys.append(r_k * math.sin(offset))
+        ranges = np.array([r for r, _ in scan], dtype=np.float64)
+        classes = np.array([c for _, c in scan], dtype=np.int64)
+        offset = 2.0 * math.pi * np.arange(n_beams) / n_beams
+        cos, sin = np.cos(offset), np.sin(offset)
+        ia = (offset / az_width).astype(np.int64) % n_azimuth
+        hit = classes != SemanticClass.UNKNOWN
+
+        # free samples in beam-major, then outward order; radii only grow
+        # along a beam, so the samples short of r_stop are a prefix of it
+        ks = np.arange(0, n_range, max(1, free_stride))
+        r_k = (ks + 0.5) * rng_width
+        r_stop = np.where(hit, ranges - free_margin, max_range)
+        beam, k = np.nonzero(r_k[None, :] <= r_stop[:, None])
+
+        # bins keyed ia * n_range + ir, hits before free samples: the first
+        # claim on a bin fills it
+        hits = np.flatnonzero(hit)
+        ir = np.minimum((ranges[hits] / rng_width).astype(np.int64), n_range - 1)
+        keys = np.concatenate([ia[hits] * n_range + ir, ia[beam] * n_range + ks[k]])
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        split = np.searchsorted(first, hits.size)
+        free = first[split:] - hits.size
+        hits = hits[first[:split]]
         return cls(
-            local_dx=np.asarray(dxs),
-            local_dy=np.asarray(dys),
-            bin_classes=np.asarray(classes, dtype=np.int64),
-            free_dx=np.asarray(fxs),
-            free_dy=np.asarray(fys),
+            local_dx=ranges[hits] * cos[hits],
+            local_dy=ranges[hits] * sin[hits],
+            bin_classes=classes[hits],
+            free_dx=r_k[k[free]] * cos[beam[free]],
+            free_dy=r_k[k[free]] * sin[beam[free]],
         )
 
 
@@ -197,52 +199,73 @@ def match_costs(
     one cost per particle."""
     if obs.n_filled == 0:
         return np.zeros(particles.n)
-    c, s = np.cos(particles.yaws)[:, None], np.sin(particles.yaws)[:, None]
-    dx, dy = obs.all_dx[None, :], obs.all_dy[None, :]
+    # bin-by-particle layout: every numpy loop runs along the particles
+    c, s = np.cos(particles.yaws), np.sin(particles.yaws)
+    dx, dy = obs.all_dx[:, None], obs.all_dy[:, None]
     inv_res = 1.0 / grid.resolution
-    u = (particles.xs[:, None] - grid.origin_x) * inv_res + (c * dx - s * dy) * inv_res
-    v = (particles.ys[:, None] - grid.origin_y) * inv_res + (s * dx + c * dy) * inv_res
+    # u = (x - origin_x) * inv_res + (c * dx - s * dy) * inv_res, and v the
+    # same in y, evaluated in place: three bin-by-particle buffers in all
+    u = c * dx
+    v = s * dy
+    u -= v
+    u *= inv_res
+    u += (particles.xs - grid.origin_x) * inv_res
+    np.multiply(s, dx, out=v)
+    scratch = c * dy
+    v += scratch
+    v *= inv_res
+    v += (particles.ys - grid.origin_y) * inv_res
     np.floor(u, out=u)
+    np.clip(u, -1, grid.width, out=u)
     np.floor(v, out=v)
-    inside = (u >= 0) & (u < grid.width) & (v >= 0) & (v < grid.height)
-    ix = u.astype(np.int32)
-    iy = v.astype(np.int32)
-    np.clip(ix, 0, grid.width - 1, out=ix)
-    np.clip(iy, 0, grid.height - 1, out=iy)
-    cls = grid.classes[iy, ix]
-    near = _class_neighborhoods(grid)[iy, ix]
-
-    expected = obs.all_expected[None, :]
-    is_free_bin = expected < 0
-    # a bin matches when its class occurs within one cell of the projected
-    # point; polar binning is coarse, exact-cell matching would be sharper
-    # than the observation itself
-    drivable_near = (near & _DRIVABLE_BITS) != 0
-    cls_near = (near & (1 << np.where(is_free_bin, 0, expected))) != 0
-    mismatch = np.where(is_free_bin, ~drivable_near, ~cls_near).astype(np.float64)
-    per_bin = np.where(~inside | (cls == SemanticClass.UNKNOWN), unknown_cost, mismatch)
+    np.clip(v, -1, grid.height, out=v)
+    # flat index into the match table: cells off the map land on its border
+    stride = grid.width + 2
+    v *= stride
+    v += u
+    v += (obs.all_layer * ((grid.height + 2) * stride) + stride + 1)[:, None]
+    flat = scratch.view(np.intp)
+    np.copyto(flat, v, casting="unsafe")
+    codes = _match_table(grid).ravel().take(flat)
+    # particle-by-bin costs, in u's buffer, so each particle's sum runs
+    # over one row
+    per_bin = u.reshape(particles.n, obs.n_filled)
+    np.array([0.0, 1.0, unknown_cost]).take(codes.T, out=per_bin, mode="clip")
     return per_bin.sum(axis=1) / obs.n_filled
 
 
 _DRIVABLE_BITS = (1 << int(SemanticClass.ROAD)) | (1 << int(SemanticClass.DIRT_GRAVEL))
 
 
-def _class_neighborhoods(grid: SemanticGridMap) -> np.ndarray:
-    """Per-cell bitmask of classes present in the 3x3 neighborhood."""
-    cached = getattr(grid, "_class_near", None)
+def _match_table(grid: SemanticGridMap) -> np.ndarray:
+    """Per-map cost codes, shape ``(FREE_LAYER + 1, H + 2, W + 2)`` int8.
+
+    Layer ``c`` scores a bin expecting class ``c``, layer ``FREE_LAYER`` a
+    free-evidence bin. A bin matches (code 0) when its class, or for free
+    evidence a drivable class, occurs within one cell of the projected
+    point: polar binning is coarse, so exact-cell matching would be sharper
+    than the observation itself. Otherwise it mismatches (code 1). UNKNOWN
+    cells and the one-cell border around the map give code 2.
+    """
+    cached = getattr(grid, "_match_table", None)
     if cached is not None:
         return cached
-    bits = (1 << grid.classes.astype(np.int64)).astype(np.int64)
-    # UNKNOWN cells contribute no class evidence to their neighbors
-    bits[grid.classes == SemanticClass.UNKNOWN] = 0
-    padded = np.zeros((grid.height + 2, grid.width + 2), dtype=np.int64)
-    padded[1:-1, 1:-1] = bits
-    near = np.zeros_like(bits)
+    h, w = grid.height, grid.width
+    # bit c of near: class c occurs within one cell; no layer reads the
+    # UNKNOWN bit, so UNKNOWN cells give no evidence to their neighbors
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = np.left_shift(1, grid.classes.astype(np.uint8), dtype=np.uint8)
+    near = np.zeros((h, w), dtype=np.uint8)
     for dy_ in (0, 1, 2):
         for dx_ in (0, 1, 2):
-            near |= padded[dy_ : dy_ + grid.height, dx_ : dx_ + grid.width]
-    object.__setattr__(grid, "_class_near", near)
-    return near
+            near |= padded[dy_ : dy_ + h, dx_ : dx_ + w]
+    known = grid.classes != SemanticClass.UNKNOWN
+    table = np.full((FREE_LAYER + 1, h + 2, w + 2), 2, dtype=np.int8)
+    for layer, mask in enumerate([1 << int(c) for c in SemanticClass] + [_DRIVABLE_BITS]):
+        table[layer, 1:-1, 1:-1] = np.where(known, (near & mask) == 0, 2)
+    table.setflags(write=False)
+    object.__setattr__(grid, "_match_table", table)
+    return table
 
 
 @dataclass

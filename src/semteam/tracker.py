@@ -21,7 +21,12 @@ OBSTACLE_CELL = 2
 
 @dataclass
 class LocalObstacleGrid:
-    """Rolling robot-centered grid of {unknown, free, obstacle}."""
+    """Rolling robot-centered grid of {unknown, free, obstacle}.
+
+    ``cells`` changes only through ``integrate_scan`` and ``recenter``, which
+    drop the cached clearance; code that writes ``cells`` directly sets
+    ``clearance_cache`` to None.
+    """
 
     side: float
     resolution: float
@@ -29,6 +34,7 @@ class LocalObstacleGrid:
     cells: np.ndarray
     origin_x: float
     origin_y: float
+    clearance_cache: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def create(cls, side: float, resolution: float) -> "LocalObstacleGrid":
@@ -56,6 +62,17 @@ class LocalObstacleGrid:
             return UNKNOWN_CELL
         return int(self.cells[iy, ix])
 
+    def clearance(self) -> np.ndarray:
+        """Per-cell distance to the nearest obstacle cell (2 * side when the
+        grid holds none), computed once per change of ``cells``."""
+        if self.clearance_cache is None:
+            if (self.cells == OBSTACLE_CELL).any():
+                free = self.cells != OBSTACLE_CELL
+                self.clearance_cache = distance_transform_edt(free) * self.resolution
+            else:
+                self.clearance_cache = np.full((self.n, self.n), 2.0 * self.side)
+        return self.clearance_cache
+
     def recenter(self, x: float, y: float) -> None:
         """Shift the window so the pose sits in the center cell; cells are
         kept aligned to a fixed world lattice so data slides without loss."""
@@ -76,6 +93,7 @@ class LocalObstacleGrid:
                 src_y0 : src_y0 + h, src_x0 : src_x0 + w
             ]
         self.cells = fresh
+        self.clearance_cache = None
         self.origin_x, self.origin_y = new_ox, new_oy
 
 
@@ -88,6 +106,7 @@ def integrate_scan(
     """Carve free space along each beam and mark the hit cell; latest wins."""
     x, y, yaw = pose
     grid.recenter(x, y)
+    grid.clearance_cache = None
     res = grid.resolution
     n_beams = len(scan)
     ranges = np.array([r for r, _ in scan])
@@ -164,11 +183,7 @@ def _select_local_goal_ex(
     if gx.size == 0:
         return None, march_reach
 
-    if (grid.cells == OBSTACLE_CELL).any():
-        clearance = distance_transform_edt(grid.cells != OBSTACLE_CELL) * res
-    else:
-        clearance = np.full((grid.n, grid.n), 2.0 * grid.side)
-    scores = clearance[gy, gx]
+    scores = grid.clearance()[gy, gx]
     d2 = (gx - cand_ix) ** 2 + (gy - cand_iy) ** 2
     flats = gy * grid.n + gx
     best = np.lexsort((flats, d2, -scores))[0]

@@ -297,6 +297,11 @@ def footprint_indices(
     return ix[rx], iy[ry]
 
 
+#: ground_scan's cell code for the ring of cells around the map
+_OUTSIDE = 255
+_CLASSES = tuple(SemanticClass)
+
+
 def ground_scan(
     grid: SemanticGridMap,
     pose: tuple[float, float, float],
@@ -323,57 +328,64 @@ def ground_scan(
     if not traversable(start_cls):
         return [(0.0, start_cls)] * n_beams
 
-    # padded cell-state raster: 0 traversable, 1 blocking, 2 outside the map
-    state_pad = getattr(grid, "_scan_state_pad", None)
-    if state_pad is None:
-        state_pad = np.full((grid.height + 2, grid.width + 2), 2, dtype=np.uint8)
-        state_pad[1:-1, 1:-1] = np.where(traversable_mask(grid.classes), 0, 1)
-        object.__setattr__(grid, "_scan_state_pad", state_pad)
+    # padded cell codes: 0 traversable, 1 + class blocking, _OUTSIDE on the
+    # ring of cells around the map
+    codes = getattr(grid, "_scan_codes", None)
+    if codes is None:
+        codes = np.full((grid.height + 2, grid.width + 2), _OUTSIDE, dtype=np.uint8)
+        codes[1:-1, 1:-1] = np.where(traversable_mask(grid.classes), 0, grid.classes + 1)
+        object.__setattr__(grid, "_scan_codes", codes)
 
     res = grid.resolution
     az = yaw + 2.0 * math.pi * np.arange(n_beams) / n_beams
-    dirx = np.cos(az)
-    diry = np.sin(az)
-
-    ix = np.full(n_beams, ix0, dtype=np.int64)
-    iy = np.full(n_beams, iy0, dtype=np.int64)
-    step_x = np.sign(dirx).astype(np.int64)
-    step_y = np.sign(diry).astype(np.int64)
-
+    dirs = np.array([np.cos(az), np.sin(az)])  # rows: x, y
+    steps = np.sign(dirs).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tdx = np.where(dirx != 0, res / np.abs(dirx), np.inf)
-        tdy = np.where(diry != 0, res / np.abs(diry), np.inf)
-        next_x = grid.origin_x + (ix + np.where(step_x > 0, 1, 0)) * res
-        next_y = grid.origin_y + (iy + np.where(step_y > 0, 1, 0)) * res
-        tmax_x = np.where(dirx != 0, (next_x - x) / dirx, np.inf)
-        tmax_y = np.where(diry != 0, (next_y - y) / diry, np.inf)
+        # per axis: time to the first cell edge ahead and between edges
+        origin = np.array([[grid.origin_x], [grid.origin_y]])
+        edge = origin + (np.array([[ix0], [iy0]]) + (dirs > 0)) * res
+        t_first = np.where(dirs != 0, (edge - np.array([[x], [y]])) / dirs, np.inf)
+        t_delta = np.where(dirs != 0, res / np.abs(dirs), np.inf)
 
+    # Exact grid traversal with every step at once. The edge-crossing times
+    # of each axis are running sums, added in the order a step-by-step walk
+    # adds them, and a stable sort merges the two axes with an x crossing
+    # first on a tie. Step j enters the cell beyond the j-th merged crossing.
+    # Crossing i of an axis comes no sooner than i * res, so m crossings per
+    # axis, one more than needed against rounding, cover every crossing
+    # within max_range and the one after it.
+    m = int(max_range / res) + 3
+    t_cross = np.empty((n_beams, 2, m))
+    # + 0.0 turns a -0.0 first crossing (a pose on a cell edge, beam heading
+    # down) into the +0.0 the walk reads after adding 0.0 to the idle axis
+    t_cross[:, :, 0] = t_first.T + 0.0
+    t_cross[:, :, 1:] = t_delta.T[:, :, None]
+    np.cumsum(t_cross, axis=2, out=t_cross)
+    order = np.argsort(t_cross.reshape(n_beams, 2 * m), axis=1, kind="stable")
+    beams = np.arange(n_beams)
+    t_enter = t_cross.ravel().take(order + 2 * m * beams[:, None])
+
+    # walk the padded raster: an x crossing moves one column, a y crossing
+    # one row. The walk meets the outside ring before it could leave the
+    # raster; the cells after a beam's stop are never read, so clip them
+    stride = grid.width + 2
+    moves = np.where(order < m, steps[0][:, None], steps[1][:, None] * stride)
+    cells = np.cumsum(moves, axis=1)
+    cells += (iy0 + 1) * stride + ix0 + 1
+    code = codes.ravel().take(cells, mode="clip")
+
+    # every beam stops: its last merged crossing lies beyond max_range
+    stop = (code != 0) | (t_enter > max_range)
+    k = stop.argmax(axis=1)
+    code_k = code[beams, k]
+    blocked = (t_enter[beams, k] <= max_range) & (code_k != _OUTSIDE)
+    k, hit_beams = k[blocked], beams[blocked]
     ranges = np.full(n_beams, float(max_range))
     hit_cls = np.full(n_beams, int(SemanticClass.UNKNOWN), dtype=np.int64)
-    active = np.ones(n_beams, dtype=bool)
-
-    max_steps = int(2 * max_range / res) + 4
-    for _ in range(max_steps):
-        if not active.any():
-            break
-        go_x = tmax_x <= tmax_y
-        t_enter = np.where(go_x, tmax_x, tmax_y)
-        ix = ix + np.where(go_x, step_x, 0)
-        iy = iy + np.where(go_x, 0, step_y)
-        tmax_x = tmax_x + np.where(go_x, tdx, 0.0)
-        tmax_y = tmax_y + np.where(go_x, 0.0, tdy)
-
-        state = state_pad[np.clip(iy, -1, grid.height) + 1, np.clip(ix, -1, grid.width) + 1]
-        active = active & (state != 2) & (t_enter <= max_range)
-        blocked = active & (state == 1)
-        if blocked.any():
-            # chord midpoint inside the struck cell
-            t_exit = np.minimum(tmax_x, tmax_y)
-            ranges[blocked] = 0.5 * (t_enter[blocked] + t_exit[blocked])
-            hit_cls[blocked] = grid.classes[iy[blocked], ix[blocked]]
-            active = active & ~blocked
-
-    return [(float(r), SemanticClass(int(c))) for r, c in zip(ranges, hit_cls)]
+    # chord midpoint inside the struck cell
+    ranges[blocked] = 0.5 * (t_enter[hit_beams, k] + t_enter[hit_beams, k + 1])
+    hit_cls[blocked] = code_k[blocked] - 1
+    return list(zip(ranges.tolist(), map(_CLASSES.__getitem__, hit_cls.tolist())))
 
 
 # ---------------------------------------------------------------------------

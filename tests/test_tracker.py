@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
 from semteam.planner import Roadmap, distance_transform, extract_traversability, plan, update_roadmap
 from semteam.tracker import (
@@ -147,6 +148,50 @@ class TestSelectLocalGoal:
         assert got == pytest.approx(expect)
         # displaced into the side opening, not stuck at the blocked line
         assert got[1] > 13.0
+
+
+def fresh_clearance(grid):
+    return distance_transform_edt(grid.cells != OBSTACLE_CELL) * grid.resolution
+
+
+class TestClearanceCache:
+    def test_follows_scans_and_recenters(self):
+        rng = np.random.default_rng(2)
+        world = class_map(corridor_world_classes(rng, size=40))
+        ys, xs = np.nonzero(world.classes == SemanticClass.ROAD)
+        grid = LocalObstacleGrid.create(16.0, 0.5)
+        for i in rng.permutation(xs.size)[:12]:
+            pose = (xs[i] + 0.5, ys[i] + 0.5, float(rng.uniform(-3, 3)))
+            integrate_scan(grid, ground_scan(world, pose, 10.0, 36), pose, 10.0)
+            for shift in (0.0, 0.2, 3.0, -7.5):
+                # small shifts keep the window, larger ones slide it
+                grid.recenter(pose[0] + shift, pose[1] - shift)
+                here = (pose[0] + shift, pose[1] - shift, pose[2])
+                goal, _ = _select_local_goal_ex(grid, here, (here[0] + 4.0, here[1] + 1.0), 3.0)
+                assert np.array_equal(grid.clearance(), fresh_clearance(grid))
+                twin = LocalObstacleGrid(
+                    grid.side, grid.resolution, grid.n, grid.cells.copy(), grid.origin_x, grid.origin_y
+                )
+                assert goal == _select_local_goal_ex(twin, here, (here[0] + 4.0, here[1] + 1.0), 3.0)[0]
+
+    def test_scan_in_place_refreshes(self):
+        # the second scan keeps the window where it is
+        grid = LocalObstacleGrid.create(24.0, 1.0)
+        pose = (10.5, 10.5, 0.0)
+        for wall_x in (15, 12):
+            world = open_map()
+            world.classes[10, wall_x] = SemanticClass.BUILDING
+            integrate_scan(grid, ground_scan(world, pose, 12.0, 36), pose, 12.0)
+            assert np.array_equal(grid.clearance(), fresh_clearance(grid))
+
+    def test_grid_without_obstacles(self):
+        grid = LocalObstacleGrid.create(24.0, 1.0)
+        pose = (100.5, 100.5, 0.0)
+        integrate_scan(grid, [(8.0, SemanticClass.UNKNOWN)] * 16, pose, 8.0)
+        assert np.array_equal(grid.clearance(), np.full((24, 24), 48.0))
+        integrate_scan(grid, [(3.0, SemanticClass.BUILDING)] * 16, pose, 8.0)
+        assert np.array_equal(grid.clearance(), fresh_clearance(grid))
+        assert grid.clearance().max() < 48.0
 
 
 class TestStep:
