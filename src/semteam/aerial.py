@@ -2,9 +2,9 @@
 
 The aerial robot maps from its GPS pose, which it takes as exact. A keyframe
 is created every time the platform has moved a threshold distance. Each
-keyframe's footprint cells are fused into a map accumulator: elevation as a
-cumulative average, class from the observation whose pixel was closest to
-the image center.
+keyframe's footprint cells are fused into a map accumulator: each cell is
+marked observed and takes its class from the observation whose pixel was
+closest to the image center.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ class CellObservations:
     ixs: np.ndarray
     iys: np.ndarray
     classes: np.ndarray
-    elevations: np.ndarray
     center_dist: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.ixs.size)
 
 
 @dataclass
@@ -72,7 +68,6 @@ def maybe_create_keyframe(
         ixs=ixs,
         iys=iys,
         classes=truth.classes[iys, ixs].copy(),
-        elevations=truth.elevation[iys, ixs].copy(),
         center_dist=dist,
     )
     return Keyframe(id=kf_id, observed_cells=cells)
@@ -89,7 +84,6 @@ def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
         ixs=ixs,
         iys=iys,
         classes=grid.classes[iys, ixs],
-        elevations=grid.elevation[iys, ixs],
         center_dist=np.zeros(ixs.size),
     )
     return Keyframe(id=-1, observed_cells=cells)
@@ -98,9 +92,9 @@ def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
 class MapAccumulator:
     """Per-cell fusion state for the aerial map.
 
-    Elevation is a cumulative average; class assignment keeps the
-    observation with the globally smallest (center distance, keyframe id)
-    key, which makes the result independent of arrival order.
+    Class assignment keeps the observation with the globally smallest
+    (center distance, keyframe id) key, which makes the result independent
+    of arrival order.
     """
 
     def __init__(self, width: int, height: int, resolution: float = 1.0,
@@ -111,13 +105,10 @@ class MapAccumulator:
         self.origin_x = origin_x
         self.origin_y = origin_y
         shape = (height, width)
-        self.elev_sum = np.zeros(shape)
-        self.elev_count = np.zeros(shape, dtype=np.int64)
         self.best_class = np.full(shape, SemanticClass.UNKNOWN, dtype=np.int8)
         self.best_dist = np.full(shape, np.inf)
         self.best_kf = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
         self.observed = np.zeros(shape, dtype=bool)
-        self.dropped_cells = 0
         self._next_version = 1
 
     @classmethod
@@ -127,10 +118,7 @@ class MapAccumulator:
     def fuse_keyframe(self, kf: Keyframe) -> None:
         obs = kf.observed_cells
         ok = (obs.ixs >= 0) & (obs.ixs < self.width) & (obs.iys >= 0) & (obs.iys < self.height)
-        self.dropped_cells += int((~ok).sum())
         ixs, iys = obs.ixs[ok], obs.iys[ok]
-        self.elev_sum[iys, ixs] += obs.elevations[ok]
-        self.elev_count[iys, ixs] += 1
         self.observed[iys, ixs] = True
         dist = obs.center_dist[ok]
         cur_dist = self.best_dist[iys, ixs]
@@ -139,10 +127,6 @@ class MapAccumulator:
         self.best_class[iys[take], ixs[take]] = obs.classes[ok][take]
         self.best_dist[iys[take], ixs[take]] = dist[take]
         self.best_kf[iys[take], ixs[take]] = kf.id
-
-    def fused_elevation(self) -> np.ndarray:
-        counts = np.maximum(self.elev_count, 1)
-        return np.where(self.observed, self.elev_sum / counts, 0.0)
 
     def snapshot(self) -> SemanticGridMap:
         """Immutable snapshot with a strictly increasing version."""
@@ -154,7 +138,6 @@ class MapAccumulator:
             width=self.width,
             height=self.height,
             classes=classes,
-            elevation=self.fused_elevation(),
             observed=self.observed.copy(),
             version=self._next_version,
         )
@@ -172,7 +155,7 @@ def encode_snapshot(grid: SemanticGridMap) -> bytes:
     """Compact deterministic binary layout for map snapshots.
 
     Header (version, width, height, resolution, origin), class layer one
-    byte per cell, observed bitmask, elevation as signed 16-bit centimeters.
+    byte per cell, then the observed bitmask packed eight cells to a byte.
     """
     head = _HEADER.pack(
         grid.version, grid.width, grid.height,
@@ -180,8 +163,7 @@ def encode_snapshot(grid: SemanticGridMap) -> bytes:
     )
     classes = grid.classes.astype(np.uint8).tobytes()
     obs_bits = np.packbits(grid.observed.ravel(), bitorder="little").tobytes()
-    elev_cm = np.clip(np.round(grid.elevation * 100.0), -32768, 32767).astype("<i2").tobytes()
-    return head + classes + obs_bits + elev_cm
+    return head + classes + obs_bits
 
 
 def decode_snapshot(data: bytes) -> SemanticGridMap:
@@ -193,8 +175,6 @@ def decode_snapshot(data: bytes) -> SemanticGridMap:
     nbits = (n + 7) // 8
     packed = np.frombuffer(data, dtype=np.uint8, count=nbits, offset=off)
     observed = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
-    off += nbits
-    elev = np.frombuffer(data, dtype="<i2", count=n, offset=off).astype(float) / 100.0
     return SemanticGridMap(
         origin_x=ox,
         origin_y=oy,
@@ -202,7 +182,6 @@ def decode_snapshot(data: bytes) -> SemanticGridMap:
         width=width,
         height=height,
         classes=classes.reshape(height, width),
-        elevation=elev.reshape(height, width),
         observed=observed.reshape(height, width),
         version=version,
     ).freeze()

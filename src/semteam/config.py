@@ -57,7 +57,6 @@ class LocalizerConfig:
 class PlannerConfig:
     close_radius: int = 0
     node_radius: float = 25.0
-    lam: float = 1.0
 
 
 @dataclass
@@ -210,7 +209,6 @@ class ScenarioConfig:
 
         non_negative("planner.close_radius")
         positive("planner.node_radius")
-        non_negative("planner.lam")
 
         positive("tracker.arrival_tolerance")
         positive("tracker.search_radius")

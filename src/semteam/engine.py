@@ -213,7 +213,7 @@ class GroundAgent:
         self.map_source: tuple[int, int] | None = None  # (origin, seq) consumed
         self.grid = None
         self.field = None
-        self.roadmap = pln.Roadmap(radius=cfg.planner.node_radius, lam=cfg.planner.lam)
+        self.roadmap = pln.Roadmap(radius=cfg.planner.node_radius)
         self.vis = None
         self.rois: list[msn.ROI] = []
         self.backtracks = 0

@@ -7,10 +7,10 @@ sees at least one node. A node is linked to every earlier node its own
 visible region contains. Pairs of nearby nodes whose regions overlap but
 that share neither an edge nor a neighbor are then bridged through a new
 node, taken from a worklist of candidate pairs in a fixed order. Edge
-weights trade distance against clearance with the printed heuristic
-W = lambda*|u-v| + [m^2 + sqrt(m)], m = min clearance along the edge; a new
-map version recomputes only the weights of edges whose bounding box holds a
-cell where the distance field changed.
+weights trade distance against clearance with the printed heuristic at
+lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min clearance along the edge.
+A new map version recomputes only the weights of edges whose bounding box
+holds a cell where the distance field changed.
 
 Map versions only add free cells. The aerial robot maps at its exact pose,
 so every keyframe copies the true class of each footprint cell; the map
@@ -108,23 +108,16 @@ def distance_transform(grid: TraversabilityGrid) -> DistanceField:
     return DistanceField(dist=dist, resolution=grid.resolution, sentinel=sentinel)
 
 
-def edge_weight(
-    u: tuple[int, int],
-    v: tuple[int, int],
-    field: DistanceField,
-    lam: float = 1.0,
-) -> float:
+def edge_weight(u: tuple[int, int], v: tuple[int, int], field: DistanceField) -> float:
     """Distance/clearance edge weight; assumes the segment is obstacle-free."""
-    return _edge_value(u, v, field, lam)[0]
+    return _edge_value(u, v, field)[0]
 
 
-def _edge_value(u, v, field: DistanceField, lam: float) -> tuple[float, float]:
+def _edge_value(u, v, field: DistanceField) -> tuple[float, float]:
     """The printed heuristic and the min clearance ``m`` of the edge u-v, as
     the roadmap stores them."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
     m = segment_min_value(u, v, field.dist)
-    return lam * (math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution) + (m * m + math.sqrt(m)), m
+    return math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution + (m * m + math.sqrt(m)), m
 
 
 class VisibilityMap:
@@ -152,11 +145,10 @@ class VisibilityMap:
 class Roadmap:
     """Spatial graph of high-clearance nodes and obstacle-free edges."""
 
-    def __init__(self, radius: float, lam: float = 1.0) -> None:
+    def __init__(self, radius: float) -> None:
         if radius <= 0:
             raise ValueError("radius must be > 0")
         self.radius = radius
-        self.lam = lam
         self.nodes: dict[int, tuple[int, int]] = {}
         self.edges: dict[tuple[int, int], tuple[float, float]] = {}
         self.adj: dict[int, set[int]] = {}
@@ -169,21 +161,6 @@ class Roadmap:
 
     def neighbors(self, nid: int):
         return self.adj.get(nid, set())
-
-    def components(self) -> dict[int, int]:
-        parent = {nid: nid for nid in self.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return {nid: find(nid) for nid in self.nodes}
 
 
 def update_roadmap(
@@ -338,7 +315,7 @@ def _refresh_weights(roadmap: Roadmap, field: DistanceField) -> None:
         hits = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
         keys = [key for key, hit in zip(keys, hits) if hit]
     for key in keys:
-        roadmap.edges[key] = _edge_value(roadmap.nodes[key[0]], roadmap.nodes[key[1]], field, roadmap.lam)
+        roadmap.edges[key] = _edge_value(roadmap.nodes[key[0]], roadmap.nodes[key[1]], field)
 
 
 def _window_obstacles(free, node, cand_ix, cand_iy):
@@ -398,7 +375,7 @@ def _add_node(
     # only grow, so every other node's id is below nid.
     for other, (ox, oy) in roadmap.nodes.items():
         if other != nid and oy * w + ox in flats:
-            roadmap.edges[(other, nid)] = _edge_value((ox, oy), (nx, ny), field, roadmap.lam)
+            roadmap.edges[(other, nid)] = _edge_value((ox, oy), (nx, ny), field)
             roadmap.adj[nid].add(other)
             roadmap.adj[other].add(nid)
     return nid
@@ -447,7 +424,7 @@ def plan(
         return PlanResult(ok=False, reason="unreachable")
 
     def w_of(u, v):
-        return edge_weight(u, v, field, roadmap.lam)
+        return edge_weight(u, v, field)
 
     # Dijkstra over the roadmap plus virtual start/goal connectors
     dist: dict[int, float] = {}

@@ -81,13 +81,6 @@ def build_standard_world() -> WorldModel:
     for x, y in VEHICLE_SITES:
         cls[y : y + 2, x : x + 2] = SemanticClass.VEHICLE
 
-    # gentle rolling terrain with taller built/vegetated cells
-    xs = np.arange(SIZE)
-    elev = 2.0 + 1.5 * np.sin(xs[None, :] / 23.0) * np.cos(xs[:, None] / 19.0)
-    elev = np.round(elev, 2)
-    elev[cls == SemanticClass.BUILDING] += 6.0
-    elev[cls == SemanticClass.VEGETATION] += 3.0
-
     truth = SemanticGridMap(
         origin_x=0.0,
         origin_y=0.0,
@@ -95,7 +88,6 @@ def build_standard_world() -> WorldModel:
         width=SIZE,
         height=SIZE,
         classes=cls,
-        elevation=elev,
         observed=np.ones((SIZE, SIZE), dtype=bool),
         version=1,
     )

@@ -1,5 +1,5 @@
-"""Ground-truth world model: semantic/elevation rasters and the sensor
-footprint queries every other subsystem observes the world through.
+"""Ground-truth world model: the semantic raster and the sensor footprint
+queries every other subsystem observes the world through.
 
 Conventions used throughout the package:
 
@@ -42,17 +42,6 @@ LETTER_TO_CLASS = {
 }
 CLASS_TO_LETTER = {v: k for k, v in LETTER_TO_CLASS.items()}
 
-#: fixed render colors, one RGB triple per class
-PALETTE = {
-    SemanticClass.ROAD: (120, 120, 120),
-    SemanticClass.DIRT_GRAVEL: (170, 130, 80),
-    SemanticClass.GRASS: (120, 200, 80),
-    SemanticClass.VEGETATION: (30, 110, 40),
-    SemanticClass.BUILDING: (70, 70, 160),
-    SemanticClass.VEHICLE: (255, 40, 40),
-    SemanticClass.UNKNOWN: (0, 0, 0),
-}
-
 TRAVERSABLE_CLASSES = frozenset((SemanticClass.ROAD, SemanticClass.DIRT_GRAVEL))
 
 
@@ -72,9 +61,11 @@ class WorldFormatError(ValueError):
 
 @dataclass
 class SemanticGridMap:
-    """Versioned 2.5-D raster: class, elevation and observed flag per cell.
+    """Versioned raster: class and observed flag per cell.
 
-    A map object handed out as a snapshot is frozen (numpy write flags
+    ``elevation`` is an optional per-cell height that a ground-truth world
+    may carry, as in a world file with an elevation block; no robot reads
+    it. A map object handed out as a snapshot is frozen (numpy write flags
     cleared); mutation happens only inside the owning accumulator, which
     bumps ``version`` for every batch.
     """
@@ -85,17 +76,17 @@ class SemanticGridMap:
     width: int
     height: int
     classes: np.ndarray
-    elevation: np.ndarray
     observed: np.ndarray
     version: int
+    elevation: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.resolution <= 0:
             raise ValueError(f"resolution must be > 0, got {self.resolution}")
         shape = (self.height, self.width)
-        for name in ("classes", "elevation", "observed"):
+        for name in ("classes", "observed", "elevation"):
             layer = getattr(self, name)
-            if layer.shape != shape:
+            if layer is not None and layer.shape != shape:
                 raise ValueError(f"{name} layer has shape {layer.shape}, expected {shape}")
 
     @classmethod
@@ -116,14 +107,14 @@ class SemanticGridMap:
             width=width,
             height=height,
             classes=np.full((height, width), SemanticClass.UNKNOWN, dtype=np.int8),
-            elevation=np.zeros((height, width)),
             observed=np.zeros((height, width), dtype=bool),
             version=version,
         )
 
     def freeze(self) -> "SemanticGridMap":
-        for layer in (self.classes, self.elevation, self.observed):
-            layer.setflags(write=False)
+        for layer in (self.classes, self.observed, self.elevation):
+            if layer is not None:
+                layer.setflags(write=False)
         return self
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
@@ -204,10 +195,10 @@ def parse_world(text: str) -> WorldModel:
                     f"line {2 + iy}, cell ({ix}, {iy}): unknown class code {letter!r}"
                 ) from None
 
-    rest = [ln for ln in lines[1 + height :]]
-    rest_nonempty = [ln for ln in rest if ln.strip()]
-    elevation = np.zeros((height, width))
+    rest_nonempty = [ln for ln in lines[1 + height :] if ln.strip()]
+    elevation = None
     if rest_nonempty:
+        elevation = np.zeros((height, width))
         if len(rest_nonempty) != height:
             raise WorldFormatError(
                 f"dimension mismatch: elevation block has {len(rest_nonempty)} rows, "
@@ -244,7 +235,7 @@ def world_to_text(world: WorldModel) -> str:
     out = [f"{m.width} {m.height} {m.resolution!r} {m.origin_x!r} {m.origin_y!r}"]
     for iy in range(m.height):
         out.append("".join(CLASS_TO_LETTER[SemanticClass(int(c))] for c in m.classes[iy]))
-    if np.any(m.elevation != 0.0):
+    if m.elevation is not None and np.any(m.elevation != 0.0):
         for iy in range(m.height):
             out.append(" ".join(repr(float(v)) for v in m.elevation[iy]))
     return "\n".join(out) + "\n"
@@ -386,18 +377,3 @@ def ground_scan(
     ranges[blocked] = 0.5 * (t_enter[hit_beams, k] + t_enter[hit_beams, k + 1])
     hit_cls[blocked] = code_k[blocked] - 1
     return list(zip(ranges.tolist(), map(_CLASSES.__getitem__, hit_cls.tolist())))
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def render_ppm(grid: SemanticGridMap, path: str | Path) -> None:
-    """Emit the class layer as a binary portable pixmap (P6), one fixed RGB
-    per class, top image row = highest world y."""
-    lut = np.zeros((len(SemanticClass), 3), dtype=np.uint8)
-    for cls, rgb in PALETTE.items():
-        lut[int(cls)] = rgb
-    rgb = lut[grid.classes[::-1, :].astype(np.int64)]
-    header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + rgb.tobytes())

@@ -18,17 +18,15 @@ from semteam.world import SemanticClass, SemanticGridMap, WorldModel
 FOV = math.radians(30)
 
 
-def flat_world(w=40, h=40, cls=SemanticClass.ROAD, elevation=None):
-    h_, w_ = h, w
+def flat_world(w=40, h=40, cls=SemanticClass.ROAD):
     grid = SemanticGridMap(
         origin_x=0.0,
         origin_y=0.0,
         resolution=1.0,
-        width=w_,
-        height=h_,
-        classes=np.full((h_, w_), int(cls), dtype=np.int8),
-        elevation=np.zeros((h_, w_)) if elevation is None else elevation,
-        observed=np.ones((h_, w_), dtype=bool),
+        width=w,
+        height=h,
+        classes=np.full((h, w), int(cls), dtype=np.int8),
+        observed=np.ones((h, w), dtype=bool),
         version=1,
     )
     return WorldModel.from_map(grid)
@@ -46,11 +44,11 @@ def kf_at(world, x, y, kf_id, alt=10.0):
 
 
 def cells_of(kf):
-    """(cell, class, elevation, center distance) per observed cell."""
+    """(cell, class, center distance) per observed cell."""
     obs = kf.observed_cells
     return [
-        ((int(ix), int(iy)), SemanticClass(int(c)), float(e), float(d))
-        for ix, iy, c, e, d in zip(obs.ixs, obs.iys, obs.classes, obs.elevations, obs.center_dist)
+        ((int(ix), int(iy)), SemanticClass(int(c)), float(d))
+        for ix, iy, c, d in zip(obs.ixs, obs.iys, obs.classes, obs.center_dist)
     ]
 
 
@@ -92,25 +90,12 @@ class TestKeyframeCreation:
     def test_center_distance_is_planar(self):
         world = flat_world()
         kf = kf_at(world, 20.0, 20.0, 0)
-        for (ix, iy), _, _, dist in cells_of(kf):
+        for (ix, iy), _, dist in cells_of(kf):
             expected = math.hypot(ix + 0.5 - 20.0, iy + 0.5 - 20.0)
             assert dist == pytest.approx(expected)
 
 
 class TestFusion:
-    def test_elevation_cumulative_average(self):
-        acc = MapAccumulator(8, 8)
-        world = flat_world(8, 8)
-        kf1 = kf_at(world, 4.0, 4.0, 0, alt=2.0)
-        kf1.observed_cells.elevations[:] = 10.0
-        kf2 = kf_at(world, 4.0, 4.0, 1, alt=2.0)
-        kf2.observed_cells.elevations[:] = 12.0
-        acc.fuse_keyframe(kf1)
-        acc.fuse_keyframe(kf2)
-        fused = acc.fused_elevation()
-        assert fused[acc.observed].max() == pytest.approx(11.0)
-        assert fused[acc.observed].min() == pytest.approx(11.0)
-
     def test_closer_center_overwrites_class(self):
         acc = MapAccumulator(16, 16)
         world_far = flat_world(16, 16, cls=SemanticClass.GRASS)
@@ -131,11 +116,10 @@ class TestFusion:
 
     def _random_keyframes(self, seed, n=50):
         rng = np.random.default_rng(seed)
-        elev = rng.uniform(0, 20, size=(32, 32))
         classes = rng.integers(0, 6, size=(32, 32)).astype(np.int8)
         grid = SemanticGridMap(
             origin_x=0.0, origin_y=0.0, resolution=1.0, width=32, height=32,
-            classes=classes, elevation=elev,
+            classes=classes,
             observed=np.ones((32, 32), dtype=bool), version=1,
         )
         world = WorldModel.from_map(grid)
@@ -151,21 +135,6 @@ class TestFusion:
             kfs.append(kf)
         return world, kfs
 
-    def test_replay_all_elevation_oracle(self):
-        world, kfs = self._random_keyframes(seed=21)
-        acc = MapAccumulator(32, 32)
-        for kf in kfs:
-            acc.fuse_keyframe(kf)
-        # independent pass: plain dict accumulation over every observation
-        sums, counts = {}, {}
-        for kf in kfs:
-            for cell, _, elev, _ in cells_of(kf):
-                sums[cell] = sums.get(cell, 0.0) + elev
-                counts[cell] = counts.get(cell, 0) + 1
-        fused = acc.fused_elevation()
-        for (ix, iy), total in sums.items():
-            assert fused[iy, ix] == pytest.approx(total / counts[(ix, iy)])
-
     def test_fusion_order_insensitive(self):
         world, kfs = self._random_keyframes(seed=33, n=30)
         rng = np.random.default_rng(5)
@@ -176,10 +145,9 @@ class TestFusion:
             acc = MapAccumulator(32, 32)
             for kf in order:
                 acc.fuse_keyframe(kf)
-            layers.append((acc.fused_elevation(), acc.best_class.copy()))
-        for elev, cls in layers[1:]:
-            np.testing.assert_allclose(elev, layers[0][0], atol=1e-9)
-            assert np.array_equal(cls, layers[0][1])
+            layers.append(acc.best_class.copy())
+        for cls in layers[1:]:
+            assert np.array_equal(cls, layers[0])
 
     def test_global_minimum_class_rule(self):
         world, kfs = self._random_keyframes(seed=8, n=20)
@@ -188,7 +156,7 @@ class TestFusion:
             acc.fuse_keyframe(kf)
         best = {}
         for kf in kfs:
-            for cell, cls, _, dist in cells_of(kf):
+            for cell, cls, dist in cells_of(kf):
                 key = (dist, kf.id)
                 if cell not in best or key < best[cell][0]:
                     best[cell] = (key, cls)
@@ -198,9 +166,13 @@ class TestFusion:
     def test_out_of_bounds_cells_dropped(self):
         acc = MapAccumulator(10, 10)
         world = flat_world(40, 40)
-        kf = kf_at(world, 38.0, 38.0, 0, alt=6.0)  # footprint mostly beyond 10x10
+        kf = kf_at(world, 8.0, 8.0, 0, alt=6.0)  # footprint partly beyond 10x10
         acc.fuse_keyframe(kf)
-        assert acc.dropped_cells > 0
+        cells = {cell for cell, *_ in cells_of(kf)}
+        inside = {(ix, iy) for ix, iy in cells if ix < 10 and iy < 10}
+        assert inside and inside != cells
+        got = {(int(ix), int(iy)) for iy, ix in zip(*np.nonzero(acc.observed))}
+        assert got == inside
 
 
 class TestSnapshot:
@@ -232,18 +204,19 @@ class TestSnapshot:
         acc = MapAccumulator(17, 9, resolution=0.5, origin_x=-3.0, origin_y=2.0)
         world = flat_world(17, 9)
         for k in range(4):
-            kf = kf_at(world, float(rng.uniform(2, 8)), float(rng.uniform(2, 7)), k, alt=3.0)
-            kf.observed_cells.elevations[:] = rng.uniform(-5, 5, size=len(kf.observed_cells))
-            acc.fuse_keyframe(kf)
+            acc.fuse_keyframe(kf_at(world, float(rng.uniform(2, 8)), float(rng.uniform(2, 7)), k, alt=3.0))
         snap = acc.snapshot()
         data = encode_snapshot(snap)
         back = decode_snapshot(data)
         assert back.version == snap.version
         assert back.width == snap.width and back.height == snap.height
         assert back.resolution == snap.resolution
+        assert (back.origin_x, back.origin_y) == (snap.origin_x, snap.origin_y)
         assert np.array_equal(back.classes, snap.classes)
         assert np.array_equal(back.observed, snap.observed)
-        np.testing.assert_allclose(back.elevation, snap.elevation, atol=0.005 + 1e-9)
+        assert 0 < snap.observed.sum() < snap.observed.size
+        # header, one class byte per cell, then ceil(153 / 8) bytes of bits
+        assert len(data) == 36 + 17 * 9 + 20
         # canonical bytes: encoding a decoded snapshot reproduces the bytes
         assert encode_snapshot(back) == data
 
@@ -264,7 +237,6 @@ class TestMapOnlyGrows:
             width=n,
             height=n,
             classes=classes,
-            elevation=rng.uniform(0, 5, size=(n, n)),
             observed=np.ones((n, n), dtype=bool),
             version=1,
         )

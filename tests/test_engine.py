@@ -6,12 +6,21 @@ import json
 import numpy as np
 import pytest
 
+from semteam.aerial import MapAccumulator, decode_snapshot, encode_snapshot, full_view_keyframe
 from semteam.config import ConfigError, ScenarioConfig
 from semteam.engine import POSE_PERIOD, Simulation, resolve_world
 from semteam.standard import build_standard_world
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, world_to_text
 
-STANDARD_WORLD_SHA256 = "09a1cf1ed5674ec98596321d54e85c0c8be7f258fe6dc202680a97a340904a79"
+STANDARD_WORLD_SHA256 = "1366f5bc4fa144b4290d116ab954e5a4a275b9a418b42dd851c9668a6d5c5913"
+
+#: sha256 of each output file of the small-world run at seed 0
+SMALL_RUN_SHA256 = {
+    "events.jsonl": "87d6f719c3f2a25c70f05bacaa0063d79667061bc8d49ad5b9d4477cf29f25e6",
+    "poses.csv": "2f5ab2f19d074ab5c820ef84f07b16665c515abd88e5a1cf36d19f1943588860",
+    "metrics.csv": "17d837515bd41476d480b0d0b7080927ec5dfdc36a2fea1ee947bb0c3e44e763",
+    "map_final.bin": "4ca51a47b0d30d24309b90b108b3d74c8cee921fbd0f1f1d107f00fe7a095021",
+}
 
 
 def small_world(n=40):
@@ -24,7 +33,7 @@ def small_world(n=40):
     cls[28:30, 28:30] = SemanticClass.VEHICLE
     grid = SemanticGridMap(
         origin_x=0.0, origin_y=0.0, resolution=1.0, width=n, height=n,
-        classes=cls, elevation=np.zeros((n, n)),
+        classes=cls,
         observed=np.ones((n, n), dtype=bool), version=1,
     )
     return WorldModel.from_map(grid)
@@ -59,6 +68,11 @@ class TestRun:
         _, ((a, _), (b, _)) = two_runs
         for name in ("events.jsonl", "poses.csv", "metrics.csv", "map_final.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", sorted(SMALL_RUN_SHA256))
+    def test_output_matches_golden_digest(self, two_runs, name):
+        _, ((out, _), _) = two_runs
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == SMALL_RUN_SHA256[name]
 
     def test_mission_completes_before_tick_cap(self, two_runs):
         cfg, ((out, report), _) = two_runs
@@ -129,6 +143,15 @@ class TestStandardWorld:
         text = world_to_text(build_standard_world())
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == STANDARD_WORLD_SHA256
 
+    def test_full_snapshot_size_and_round_trip(self):
+        truth = build_standard_world().truth
+        acc = MapAccumulator.like(truth)
+        acc.fuse_keyframe(full_view_keyframe(truth))
+        data = encode_snapshot(acc.snapshot())
+        # header, one class byte per cell, one observed bit per cell
+        assert len(data) == 36 + 200 * 200 + 200 * 200 // 8 == 45036
+        assert encode_snapshot(decode_snapshot(data)) == data
+
     def test_resolved_by_name(self):
         world = resolve_world("standard")
         assert world_to_text(world) == world_to_text(build_standard_world())
@@ -195,6 +218,11 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"localizer": {name: [0.05, -0.05, 0.01]}})
         assert err.value.problems == [f"localizer.{name} components must be >= 0, got (0.05, -0.05, 0.01)"]
+
+    def test_removed_lam_key_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"planner": {"lam": 1.0}})
+        assert err.value.problems == ["unknown field planner.'lam'"]
 
     def test_zero_localizer_spread_accepted(self):
         cfg = ScenarioConfig.from_dict({"localizer": {"process_noise": [0.0, 0.0, 0.0]}})

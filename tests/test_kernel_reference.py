@@ -175,7 +175,6 @@ def make_map(classes, resolution=1.0, origin=(0.0, 0.0)):
         width=w,
         height=h,
         classes=classes,
-        elevation=np.zeros((h, w)),
         observed=classes != SemanticClass.UNKNOWN,
         version=1,
     )

@@ -28,7 +28,6 @@ def make_map(classes, resolution=1.0, origin=(0.0, 0.0), observed=None):
         width=w,
         height=h,
         classes=classes,
-        elevation=np.zeros((h, w)),
         observed=np.ones((h, w), dtype=bool) if observed is None else observed,
         version=1,
     )
@@ -294,7 +293,6 @@ class TestMatchCost:
             width=g1.width,
             height=g1.height,
             classes=g1.classes.copy(),
-            elevation=g1.elevation.copy(),
             observed=g1.observed.copy(),
             version=1,
         )

@@ -34,7 +34,6 @@ def class_map(classes, resolution=1.0, observed=None):
         width=w,
         height=h,
         classes=classes,
-        elevation=np.zeros((h, w)),
         observed=observed,
         version=1,
     )
@@ -207,13 +206,13 @@ class TestEdgeWeight:
 
     def test_printed_formula(self):
         field = self.field_const(4.0)
-        w = edge_weight((0, 0), (3, 4), field, lam=1.0)
+        w = edge_weight((0, 0), (3, 4), field)
         assert w == pytest.approx(5 + 16 + 2)
 
     def test_grazing_clearance_vanishes(self):
         field = self.field_const(0.0)
-        w = edge_weight((0, 0), (3, 4), field, lam=2.0)
-        assert w == pytest.approx(2.0 * 5.0)
+        w = edge_weight((0, 0), (3, 4), field)
+        assert w == pytest.approx(5.0)
 
     def test_lambda_zero_matches_sampler_oracle(self):
         rng = np.random.default_rng(7)
@@ -222,10 +221,11 @@ class TestEdgeWeight:
         for _ in range(50):
             u = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
             v = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
-            w = edge_weight(u, v, field, lam=0.0)
+            w = edge_weight(u, v, field)
+            length = math.hypot(u[0] - v[0], u[1] - v[1])
             cells = supercover_oracle(u, v)
             m = min(dist[iy, ix] for ix, iy in cells)
-            assert w == pytest.approx(m * m + math.sqrt(m))
+            assert w - length == pytest.approx(m * m + math.sqrt(m))
 
 
 def build_roadmap(free, radius, close_radius=0):
@@ -261,8 +261,16 @@ class TestRoadmapConstruction:
         # oracle: free space is one flood-fill component
         assert _flood_components(free) == 1
         assert (vis.cover[free] > 0).all()
-        comps = rm.components()
-        assert len(set(comps.values())) == 1
+        # every node is reachable from one node over the roadmap's edges
+        first = min(rm.nodes)
+        seen, stack = {first}, [first]
+        while stack:
+            for nb in rm.adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        assert len(rm.nodes) > 1
+        assert seen == set(rm.nodes)
 
     def test_visibility_invariant_and_symmetry(self):
         rng = np.random.default_rng(8)
@@ -417,7 +425,7 @@ def _flood_components(free):
     return comps
 
 
-def grid_dijkstra_cost(free, field, start, goal, lam=1.0):
+def grid_dijkstra_cost(free, field, start, goal):
     """8-connected oracle with per-step distance+clearance weights."""
     h, w = free.shape
     dist = {start: 0.0}
@@ -440,7 +448,7 @@ def grid_dijkstra_cost(free, field, start, goal, lam=1.0):
                 if dx != 0 and dy != 0 and not (free[y, nx] and free[ny, x]):
                     continue
                 m = min(field.dist[y, x], field.dist[ny, nx])
-                nd = d + lam * math.hypot(dx, dy) + m * m + math.sqrt(m)
+                nd = d + math.hypot(dx, dy) + m * m + math.sqrt(m)
                 if nd < dist.get((nx, ny), math.inf):
                     dist[(nx, ny)] = nd
                     counter += 1

@@ -26,7 +26,7 @@ def class_map(classes):
     h, w = classes.shape
     return SemanticGridMap(
         origin_x=0.0, origin_y=0.0, resolution=1.0, width=w, height=h,
-        classes=classes, elevation=np.zeros((h, w)),
+        classes=classes,
         observed=np.ones((h, w), dtype=bool), version=1,
     )
 

@@ -30,7 +30,6 @@ def make_map(classes, resolution=1.0, origin=(0.0, 0.0)):
         width=w,
         height=h,
         classes=classes,
-        elevation=np.zeros((h, w)),
         observed=np.ones((h, w), dtype=bool),
         version=1,
     )
@@ -103,6 +102,18 @@ class TestWorldFile:
         world = parse_world(text)
         assert world.truth.elevation[0, 1] == 2.0
         assert world.truth.elevation[1, 0] == 3.0
+
+    def test_elevation_block_optional(self):
+        text = "2 2 1.0 0.0 0.0\nRR\nRC\n"
+        world = parse_world(text)
+        assert world.truth.elevation is None
+        assert world_to_text(world) == text
+        # an all-zero block carries nothing and is not written back
+        assert world_to_text(parse_world(text + "0.0 0.0\n0.0 0.0\n")) == text
+
+    def test_malformed_elevation_row_names_row(self):
+        with pytest.raises(WorldFormatError, match="elevation row 1"):
+            parse_world("2 2 1.0 0.0 0.0\nRR\nRR\n1.0 2.0\n3.0\n")
 
 
 class TestAerialFootprint:
