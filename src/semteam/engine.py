@@ -4,7 +4,9 @@ Every tick runs a fixed order: kinematics, noisy odometry, sensing,
 per-agent autonomy in ascending robot id, pairwise gossip syncs over the
 fixed-range communication topology, event logging. All randomness flows
 from counter-based Philox streams keyed by (master seed, robot, purpose),
-so identical (config, seed) reproduce byte-identical event logs.
+so identical (config, seed) reproduce byte-identical event logs. The
+ground robots share one decode of each map record and the planning
+products built from it (``TeamMaps``).
 """
 
 from __future__ import annotations
@@ -73,6 +75,99 @@ def boustrophedon(world: WorldModel, altitude: float, fov_half_angle: float, mar
 
 MAP_KEY = "map"
 POSE_PERIOD = 10  # ticks between poses.csv rows
+
+Source = tuple[int, int]  # (origin, seq) of a gossiped map record
+
+
+@dataclass(eq=False)
+class MapProducts:
+    """What a ground robot plans on after rebuilding on a chain of map
+    versions: the traversability grid, distance field and ROIs of the
+    chain's last version, and the roadmap grown over the whole chain.
+    Robots with the same chain share one and only read it."""
+
+    chain: tuple[Source, ...]
+    grid: pln.TraversabilityGrid
+    field: pln.DistanceField
+    rois: list[msn.ROI]
+    roadmap: pln.Roadmap
+    vis: pln.VisibilityMap
+
+
+class TeamMaps:
+    """The ground team's decoded map versions and planning products, each
+    built once and shared by the robots that hold it.
+
+    Decoded maps are keyed by the gossip record ``(origin, seq)`` they come
+    from, and products by the chain of records a robot rebuilt on: a robot
+    cut off from gossip can skip a version, and its roadmap then differs.
+    Every entry counts the robots holding it and is dropped when none does,
+    so a long flight with many versions keeps only what the robots hold.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.maps: dict[Source, list] = {}  # source -> [map, holders]
+        self.products: dict[tuple[Source, ...], list] = {}  # chain -> [MapProducts, holders]
+
+    def take_map(self, rec: gossip.DbRecord) -> SemanticGridMap:
+        """The map a record carries, decoded once for the team."""
+        entry = self.maps.get((rec.origin, rec.seq))
+        if entry is None:
+            entry = self.maps[rec.origin, rec.seq] = [am.decode_snapshot(rec.payload), 0]
+        entry[1] += 1
+        return entry[0]
+
+    def drop_map(self, grid_map: SemanticGridMap) -> None:
+        source = next(s for s, (m, _) in self.maps.items() if m is grid_map)
+        self.maps[source][1] -= 1
+        if not self.maps[source][1]:
+            del self.maps[source]
+
+    def rebuild(self, held: MapProducts | None, source: Source) -> MapProducts:
+        """The products of ``held``'s chain extended by ``source``, whose map
+        the caller holds. The caller's hold moves from ``held`` to the result.
+
+        A cached result is adopted. Otherwise the roadmap grows in place when
+        no other robot holds ``held``, and on a copy when one does.
+        """
+        chain = (held.chain if held is not None else ()) + (source,)
+        entry = self.products.get(chain)
+        if entry is None:
+            entry = self.products[chain] = [self._extend(held, chain), 0]
+        entry[1] += 1
+        if held is not None:
+            self.products[held.chain][1] -= 1
+            if not self.products[held.chain][1]:
+                del self.products[held.chain]
+        return entry[0]
+
+    def _extend(self, held: MapProducts | None, chain: tuple[Source, ...]) -> MapProducts:
+        source = chain[-1]
+        peer = next((e[0] for c, e in self.products.items() if c[-1] == source), None)
+        if peer is not None:
+            grid, field, rois = peer.grid, peer.field, peer.rois
+        else:
+            cfg = self.cfg
+            snap = self.maps[source][0]
+            grid = pln.extract_traversability(snap, cfg.planner.close_radius)
+            field = pln.distance_transform(grid)
+            rois = msn.extract_rois(
+                snap,
+                cfg.mission.cluster_radius,
+                dilation_radius=cfg.mission.dilation_radius,
+                close_radius=cfg.planner.close_radius,
+                grid=grid,
+                field_=field,
+            )
+        if held is None:
+            roadmap, vis = pln.Roadmap(radius=self.cfg.planner.node_radius), None
+        elif self.products[held.chain][1] == 1:
+            roadmap, vis = held.roadmap, held.vis
+        else:
+            roadmap, vis = held.roadmap.copy(), held.vis.copy()
+        roadmap, vis = pln.update_roadmap(roadmap, vis, grid, field)
+        return MapProducts(chain, grid, field, rois, roadmap, vis)
 
 
 class AerialAgent:
@@ -153,10 +248,11 @@ class GroundAgent:
 
     kind = "ground"
 
-    def __init__(self, robot_id: int, cfg: ScenarioConfig, world: WorldModel, seed: int):
+    def __init__(self, robot_id: int, cfg: ScenarioConfig, world: WorldModel, seed: int, team_maps: TeamMaps):
         self.id = robot_id
         self.cfg = cfg
         self.world = world
+        self.team_maps = team_maps
         g = cfg.ground
 
         # staging: an L around the start corner so every robot keeps nearby
@@ -209,13 +305,8 @@ class GroundAgent:
         self.tracker_state: trk.TrackerState | None = None
         self.mission = msn.MissionController(robot_id=robot_id, reselect_period=cfg.mission.reselect_period)
         self.map: SemanticGridMap | None = None
-        self.map_version = 0
-        self.map_source: tuple[int, int] | None = None  # (origin, seq) consumed
-        self.grid = None
-        self.field = None
-        self.roadmap = pln.Roadmap(radius=cfg.planner.node_radius)
-        self.vis = None
-        self.rois: list[msn.ROI] = []
+        self.map_source: Source | None = None  # the last map record looked at
+        self.products: MapProducts | None = None  # set with the first map
         self.backtracks = 0
         self.cancellations = 0
         self.events: list[dict] = []
@@ -341,55 +432,48 @@ class GroundAgent:
         if self.map_source == (best.origin, best.seq):
             return
         self.map_source = (best.origin, best.seq)
-        snap = am.decode_snapshot(best.payload)
+        snap = self.team_maps.take_map(best)
         if self.map is not None and snap.version <= self.map.version:
+            self.team_maps.drop_map(snap)
             return
         unchanged = (
             self.map is not None
             and np.array_equal(snap.classes, self.map.classes)
             and np.array_equal(snap.observed, self.map.observed)
         )
+        if self.map is not None:
+            self.team_maps.drop_map(self.map)
         self.map = snap
-        self.map_version = snap.version
         if unchanged:
             return
-        self.grid = pln.extract_traversability(snap, self.cfg.planner.close_radius)
-        self.field = pln.distance_transform(self.grid)
-        self.roadmap, self.vis = pln.update_roadmap(self.roadmap, self.vis, self.grid, self.field)
-        self.rois = msn.extract_rois(
-            snap,
-            self.cfg.mission.cluster_radius,
-            dilation_radius=self.cfg.mission.dilation_radius,
-            close_radius=self.cfg.planner.close_radius,
-            grid=self.grid,
-            field_=self.field,
-        )
+        self.products = self.team_maps.rebuild(self.products, self.map_source)
         self.events.append(
             {
                 "tick": tick,
                 "ev": "map_ingested",
                 "robot": self.id,
                 "version": snap.version,
-                "nodes": len(self.roadmap.nodes),
-                "rois": len(self.rois),
+                "nodes": len(self.products.roadmap.nodes),
+                "rois": len(self.products.rois),
             }
         )
 
     def _plan_to(self, goal_cell):
-        if self.grid is None:
+        if self.products is None:
             return pln.PlanResult(ok=False, reason="unmapped")
         start = self.map.cell_of(self.believed[0], self.believed[1])
         if not self.map.in_bounds(*start):
             return pln.PlanResult(ok=False, reason="unmapped")
-        return pln.plan(self.roadmap, self.vis, self.grid, self.field, start, goal_cell)
+        p = self.products
+        return pln.plan(p.roadmap, p.vis, p.grid, p.field, start, goal_cell)
 
     def _roi_mission(self, tick: int) -> None:
         tracker_phase = self.tracker_state.phase if self.tracker_state is not None else None
         events = self.mission.tick(
             tick,
             self.db,
-            self.map_version,
-            self.rois,
+            self.map.version if self.map is not None else 0,
+            self.products.rois if self.products is not None else [],
             self._plan_to,
             tracker_phase,
         )
@@ -478,11 +562,12 @@ class Simulation:
         self.dt = config.tick_seconds
         self.tick_count = 0
 
+        self.team_maps = TeamMaps(config)
         self.agents: list = []
         for rid in range(config.n_aerial):
             self.agents.append(AerialAgent(rid, config, self.world))
         for k in range(config.n_ground):
-            self.agents.append(GroundAgent(config.n_aerial + k, config, self.world, config.seed))
+            self.agents.append(GroundAgent(config.n_aerial + k, config, self.world, config.seed, self.team_maps))
 
         if config.initial_map == "full":
             # the aerial robot's own map starts complete, so that none of the

@@ -9,6 +9,7 @@ the aerial map is still unknown.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,20 +97,14 @@ class PolarObservation:
         the struck cell. ``free_stride`` thins the free evidence (adjacent
         radial bins on one beam carry largely redundant information).
         """
-        n_beams = len(scan)
-        az_width = 2.0 * math.pi / n_azimuth
         rng_width = max_range / n_range
         ranges = np.array([r for r, _ in scan], dtype=np.float64)
         classes = np.array([c for _, c in scan], dtype=np.int64)
-        offset = 2.0 * math.pi * np.arange(n_beams) / n_beams
-        cos, sin = np.cos(offset), np.sin(offset)
-        ia = (offset / az_width).astype(np.int64) % n_azimuth
+        cos, sin, ia, ks, r_k = _beam_layout(len(scan), n_azimuth, n_range, max_range, free_stride)
         hit = classes != SemanticClass.UNKNOWN
 
         # free samples in beam-major, then outward order; radii only grow
         # along a beam, so the samples short of r_stop are a prefix of it
-        ks = np.arange(0, n_range, max(1, free_stride))
-        r_k = (ks + 0.5) * rng_width
         r_stop = np.where(hit, ranges - free_margin, max_range)
         beam, k = np.nonzero(r_k[None, :] <= r_stop[:, None])
 
@@ -130,6 +125,19 @@ class PolarObservation:
             free_dx=r_k[k[free]] * cos[beam[free]],
             free_dy=r_k[k[free]] * sin[beam[free]],
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _beam_layout(n_beams: int, n_azimuth: int, n_range: int, max_range: float, free_stride: int):
+    """Read-only arrays of one scan layout: each beam's cos and sin and its
+    azimuth bin, then the radial bin of each free sample and its radius."""
+    offset = 2.0 * math.pi * np.arange(n_beams) / n_beams
+    ia = (offset / (2.0 * math.pi / n_azimuth)).astype(np.int64) % n_azimuth
+    ks = np.arange(0, n_range, max(1, free_stride))
+    layout = (np.cos(offset), np.sin(offset), ia, ks, (ks + 0.5) * (max_range / n_range))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 @dataclass

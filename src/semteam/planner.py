@@ -141,6 +141,12 @@ class VisibilityMap:
         self.node_cells.setdefault(nid, set()).update(flats)
         self.cover.reshape(-1)[np.fromiter(flats, dtype=np.int64, count=len(flats))] = True
 
+    def copy(self) -> "VisibilityMap":
+        out = VisibilityMap(self.width, self.height)
+        out.node_cells = {nid: set(cells) for nid, cells in self.node_cells.items()}
+        out.cover = self.cover.copy()
+        return out
+
 
 class Roadmap:
     """Spatial graph of high-clearance nodes and obstacle-free edges."""
@@ -161,6 +167,20 @@ class Roadmap:
 
     def neighbors(self, nid: int):
         return self.adj.get(nid, set())
+
+    def copy(self) -> "Roadmap":
+        """An independent roadmap with the same state. The previous version's
+        arrays are shared: updates replace them and never write into them.
+        A copied adjacency set may list its nodes in another order, which
+        ``plan`` sees only between routes of exactly equal cost."""
+        out = Roadmap(self.radius)
+        out.nodes = dict(self.nodes)
+        out.edges = dict(self.edges)
+        out.adj = {nid: set(nbrs) for nid, nbrs in self.adj.items()}
+        out._next_id = self._next_id
+        out._prev_free = self._prev_free
+        out._prev_dist = self._prev_dist
+        return out
 
 
 def update_roadmap(

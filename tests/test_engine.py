@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from semteam import aerial, mission, planner
 from semteam.aerial import MapAccumulator, decode_snapshot, encode_snapshot, full_view_keyframe
 from semteam.config import ConfigError, ScenarioConfig
-from semteam.engine import POSE_PERIOD, Simulation, resolve_world
+from semteam.engine import MAP_KEY, POSE_PERIOD, Simulation, resolve_world
+from semteam.gossip import DbRecord
 from semteam.standard import build_standard_world
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, world_to_text
 
@@ -119,6 +121,140 @@ class TestReplicas:
         sim, _ = stepped
         for agent in sim.agents:
             assert {key for _, key in agent.db.records} == {"map", "claims"}, agent.id
+
+
+def roadmap_state_hash(roadmap, vis) -> str:
+    """sha256 over nodes, edges with weights, adjacency, visible cells and cover."""
+    state = (
+        sorted(roadmap.nodes.items()),
+        sorted(roadmap.edges.items()),
+        sorted((n, sorted(a)) for n, a in roadmap.adj.items()),
+        sorted((n, sorted(c)) for n, c in vis.node_cells.items()),
+        np.flatnonzero(vis.cover).tolist(),
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+def cache_matches_holders(sim) -> bool:
+    """Every cached map and product is held, by exactly its count of robots."""
+    team = sim.team_maps
+    for table, held in ((team.maps, [g.map for g in sim.ground_agents]),
+                        (team.products, [g.products for g in sim.ground_agents])):
+        counts = {id(value): holders for value, holders in table.values()}
+        if counts != {id(v): sum(h is v for h in held) for v in held if v is not None}:
+            return False
+    return True
+
+
+class TestTeamMaps:
+    """Ground robots share one decode per map record and one roadmap per
+    chain of records rebuilt on."""
+
+    @staticmethod
+    def map_records(truth, bounds=(14, 26, 40)):
+        """Records of three growing versions: columns below each bound seen."""
+        records = {}
+        for seq, bound in enumerate(bounds, start=1):
+            observed = np.zeros(truth.classes.shape, dtype=bool)
+            observed[:, :bound] = True
+            snap = SemanticGridMap(
+                origin_x=truth.origin_x, origin_y=truth.origin_y, resolution=truth.resolution,
+                width=truth.width, height=truth.height,
+                classes=np.where(observed, truth.classes, np.int8(SemanticClass.UNKNOWN)).astype(np.int8),
+                observed=observed, version=seq,
+            )
+            records[seq] = DbRecord(origin=0, key=MAP_KEY, seq=seq, payload=encode_snapshot(snap))
+        return records
+
+    def test_divergent_chains_match_solo_builds(self):
+        world = small_world()
+        cfg = small_config(n_ground=3, initial_map="none")
+        sim = Simulation(cfg, world=world)
+        records = self.map_records(world.truth)
+        solo = {}  # chain of seqs -> state hash of one roadmap grown over it
+
+        def solo_hash(seqs):
+            if seqs not in solo:
+                rm, vis = planner.Roadmap(radius=cfg.planner.node_radius), None
+                for seq in seqs:
+                    grid = planner.extract_traversability(decode_snapshot(records[seq].payload), 0)
+                    rm, vis = planner.update_roadmap(rm, vis, grid, planner.distance_transform(grid))
+                solo[seqs] = roadmap_state_hash(rm, vis)
+            return solo[seqs]
+
+        a, b, c = sim.ground_agents
+        # a and c take every version; b misses version 2 while out of range.
+        # The steps fork a shared state (a: 2, a: 3), adopt a cached one
+        # (c: 2, c: 3) and grow one no other robot holds (b: 3).
+        steps = [(a, 1), (b, 1), (c, 1), (a, 2), (c, 2), (b, 3), (a, 3), (c, 3)]
+        for tick, (robot, seq) in enumerate(steps):
+            others = [g for g in (a, b, c) if g is not robot and g.products is not None]
+            before = {g.id: roadmap_state_hash(g.products.roadmap, g.products.vis) for g in others}
+            robot.db.merge([records[seq]])
+            robot._ingest_map(tick)
+            for g in others:
+                assert roadmap_state_hash(g.products.roadmap, g.products.vis) == before[g.id], (tick, g.id)
+            for g in (a, b, c):
+                if g.products is not None:
+                    seqs = tuple(seq_ for _, seq_ in g.products.chain)
+                    assert roadmap_state_hash(g.products.roadmap, g.products.vis) == solo_hash(seqs), (tick, g.id)
+            assert cache_matches_holders(sim), tick
+        full, skipped = ((0, 1), (0, 2), (0, 3)), ((0, 1), (0, 3))
+        assert [g.products.chain for g in (a, b, c)] == [full, skipped, full]
+        assert a.products is c.products
+        assert a.map is b.map is c.map
+        # grid, field and ROIs of version 3 were built once, for both chains
+        assert a.products.field is b.products.field
+
+    @pytest.fixture(scope="class")
+    def loop_flight(self):
+        """Three ground robots in range of each other and of a looping aerial
+        robot that publishes a map version every other tick. The cache is
+        checked after every tick, and planner, mission and decode calls are
+        counted."""
+        cfg = small_config(
+            n_ground=3, initial_map="none", comm_range=100.0,
+            aerial={"altitude": 15.0, "speed": 3.0, "snapshot_period_ticks": 2, "loop": True},
+        )
+        sim = Simulation(cfg, world=small_world())
+        calls = {"update_roadmap": 0, "extract_rois": 0, "decode_snapshot": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "update_roadmap", counted(planner, "update_roadmap"))
+            mp.setattr(mission, "extract_rois", counted(mission, "extract_rois"))
+            mp.setattr(aerial, "decode_snapshot", counted(aerial, "decode_snapshot"))
+            consistent = []
+            while sim.tick_count < cfg.max_ticks and not sim.mission_complete():
+                sim.tick()
+                consistent.append(cache_matches_holders(sim))
+        events = [json.loads(line) for line in sim.events]
+        return sim, events, calls, consistent
+
+    def test_one_build_per_content_changing_version(self, loop_flight):
+        sim, events, calls, _ = loop_flight
+        ingested = [(ev["robot"], ev["version"]) for ev in events if ev["ev"] == "map_ingested"]
+        versions = sorted({v for _, v in ingested})
+        assert len(versions) >= 5
+        # every robot rebuilt on every one of them, yet each was built once
+        assert sorted(ingested) == sorted((g.id, v) for g in sim.ground_agents for v in versions)
+        assert calls["update_roadmap"] == calls["extract_rois"] == len(versions)
+        published = sum(ev["ev"] == "map" and ev["tick"] < sim.tick_count - 1 for ev in events)
+        assert published > 100
+        assert calls["decode_snapshot"] == published
+
+    def test_cache_holds_only_what_robots_hold(self, loop_flight):
+        sim, _, _, consistent = loop_flight
+        assert len(consistent) == sim.tick_count and all(consistent)
+        assert len(sim.team_maps.maps) == len(sim.team_maps.products) == 1
 
 
 class TestWaypointMission:
