@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,55 +102,42 @@ class TeamMaps:
     Decoded maps are keyed by the gossip record ``(origin, seq)`` they come
     from, and products by the chain of records a robot rebuilt on: a robot
     cut off from gossip can skip a version, and its roadmap then differs.
-    Every entry counts the robots holding it and is dropped when none does,
-    so a long flight with many versions keeps only what the robots hold.
+    Both tables hold their values weakly, so an entry goes when the last
+    robot drops it and a long flight with many versions keeps only what the
+    robots hold.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.maps: dict[Source, list] = {}  # source -> [map, holders]
-        self.products: dict[tuple[Source, ...], list] = {}  # chain -> [MapProducts, holders]
+        self.maps: weakref.WeakValueDictionary[Source, SemanticGridMap] = weakref.WeakValueDictionary()
+        self.products: weakref.WeakValueDictionary[tuple[Source, ...], MapProducts] = weakref.WeakValueDictionary()
 
     def take_map(self, rec: gossip.DbRecord) -> SemanticGridMap:
         """The map a record carries, decoded once for the team."""
-        entry = self.maps.get((rec.origin, rec.seq))
-        if entry is None:
-            entry = self.maps[rec.origin, rec.seq] = [am.decode_snapshot(rec.payload), 0]
-        entry[1] += 1
-        return entry[0]
-
-    def drop_map(self, grid_map: SemanticGridMap) -> None:
-        source = next(s for s, (m, _) in self.maps.items() if m is grid_map)
-        self.maps[source][1] -= 1
-        if not self.maps[source][1]:
-            del self.maps[source]
+        snap = self.maps.get((rec.origin, rec.seq))
+        if snap is None:
+            snap = self.maps[rec.origin, rec.seq] = am.decode_snapshot(rec.payload)
+        return snap
 
     def rebuild(self, held: MapProducts | None, source: Source) -> MapProducts:
         """The products of ``held``'s chain extended by ``source``, whose map
-        the caller holds. The caller's hold moves from ``held`` to the result.
-
-        A cached result is adopted. Otherwise the roadmap grows in place when
-        no other robot holds ``held``, and on a copy when one does.
-        """
+        the caller holds. A cached result is adopted; otherwise the roadmap
+        grows on a copy of ``held``'s, so every state is a function of its
+        chain alone."""
         chain = (held.chain if held is not None else ()) + (source,)
-        entry = self.products.get(chain)
-        if entry is None:
-            entry = self.products[chain] = [self._extend(held, chain), 0]
-        entry[1] += 1
-        if held is not None:
-            self.products[held.chain][1] -= 1
-            if not self.products[held.chain][1]:
-                del self.products[held.chain]
-        return entry[0]
+        products = self.products.get(chain)
+        if products is None:
+            products = self.products[chain] = self._extend(held, chain)
+        return products
 
     def _extend(self, held: MapProducts | None, chain: tuple[Source, ...]) -> MapProducts:
         source = chain[-1]
-        peer = next((e[0] for c, e in self.products.items() if c[-1] == source), None)
+        peer = next((p for c, p in self.products.items() if c[-1] == source), None)
         if peer is not None:
             grid, field, rois = peer.grid, peer.field, peer.rois
         else:
             cfg = self.cfg
-            snap = self.maps[source][0]
+            snap = self.maps[source]
             grid = pln.extract_traversability(snap, cfg.planner.close_radius)
             field = pln.distance_transform(grid)
             rois = msn.extract_rois(
@@ -162,8 +150,6 @@ class TeamMaps:
             )
         if held is None:
             roadmap, vis = pln.Roadmap(radius=self.cfg.planner.node_radius), None
-        elif self.products[held.chain][1] == 1:
-            roadmap, vis = held.roadmap, held.vis
         else:
             roadmap, vis = held.roadmap.copy(), held.vis.copy()
         roadmap, vis = pln.update_roadmap(roadmap, vis, grid, field)
@@ -434,15 +420,12 @@ class GroundAgent:
         self.map_source = (best.origin, best.seq)
         snap = self.team_maps.take_map(best)
         if self.map is not None and snap.version <= self.map.version:
-            self.team_maps.drop_map(snap)
             return
         unchanged = (
             self.map is not None
             and np.array_equal(snap.classes, self.map.classes)
             and np.array_equal(snap.observed, self.map.observed)
         )
-        if self.map is not None:
-            self.team_maps.drop_map(self.map)
         self.map = snap
         if unchanged:
             return

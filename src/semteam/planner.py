@@ -170,9 +170,7 @@ class Roadmap:
 
     def copy(self) -> "Roadmap":
         """An independent roadmap with the same state. The previous version's
-        arrays are shared: updates replace them and never write into them.
-        A copied adjacency set may list its nodes in another order, which
-        ``plan`` sees only between routes of exactly equal cost."""
+        arrays are shared: updates replace them and never write into them."""
         out = Roadmap(self.radius)
         out.nodes = dict(self.nodes)
         out.edges = dict(self.edges)
@@ -469,7 +467,9 @@ def plan(
             total = d + w_of(roadmap.nodes[nid], goal)
             if best_goal is None or total < best_goal[0]:
                 best_goal = (total, nid)
-        for other in roadmap.neighbors(nid):
+        # ascending ids, so ties between equal-cost routes break the same
+        # way whatever order an adjacency set iterates in
+        for other in sorted(roadmap.neighbors(nid)):
             weight, _ = roadmap.edges[roadmap.edge_key(nid, other)]
             nd = d + weight
             if nd < dist.get(other, math.inf):

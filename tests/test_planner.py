@@ -12,6 +12,7 @@ from semteam.planner import (
     DistanceField,
     Roadmap,
     TraversabilityGrid,
+    VisibilityMap,
     _window_obstacles,
     distance_transform,
     edge_weight,
@@ -516,6 +517,32 @@ class TestPlan:
         res = plan(rm, vis, grid, field, (4, 4), (30, 16))
         m = min(segment_min_value(a, b, field.dist) for a, b in zip(res.waypoints, res.waypoints[1:]))
         assert res.min_clearance == pytest.approx(m)
+
+    def test_equal_cost_tie_ignores_adjacency_set_order(self):
+        # a block between start and goal, passed above via node 2 or below
+        # via node 10 at exactly equal cost; ids 2 and 10 share a slot of a
+        # small set's table, so the set lists them in insertion order
+        free = np.ones((21, 21), dtype=bool)
+        free[8:13, 8:13] = False
+        grid = grid_from_free(free)
+        field = distance_transform(grid)
+        start, goal = (2, 10), (18, 10)
+        waypoints = []
+        for order in ([2, 10], [10, 2]):
+            rm = Roadmap(radius=30.0)
+            rm.nodes = {0: start, 1: goal, 2: (10, 3), 10: (10, 17)}
+            rm.edges = {(0, 2): (10.0, 1.0), (0, 10): (10.0, 1.0), (1, 2): (10.0, 1.0), (1, 10): (10.0, 1.0)}
+            rm.adj = {0: set(), 1: {2, 10}, 2: {0, 1}, 10: {0, 1}}
+            for nid in order:
+                rm.adj[0].add(nid)
+            assert list(rm.adj[0]) == order
+            vis = VisibilityMap(21, 21)
+            vis.add_cells(0, {vis.flat(start)})
+            vis.add_cells(1, {vis.flat(goal)})
+            res = plan(rm, vis, grid, field, start, goal)
+            assert res.ok
+            waypoints.append(res.waypoints)
+        assert waypoints[0] == waypoints[1] == [start, (10, 3), goal]
 
     def test_random_queries_collision_free_and_bounded(self):
         rng = np.random.default_rng(10)
