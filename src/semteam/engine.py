@@ -82,12 +82,14 @@ Source = tuple[int, int]  # (origin, seq) of a gossiped map record
 
 @dataclass(eq=False)
 class MapProducts:
-    """What a ground robot plans on after rebuilding on a chain of map
-    versions: the traversability grid, distance field and ROIs of the
-    chain's last version, and the roadmap grown over the whole chain.
-    Robots with the same chain share one and only read it."""
+    """What a ground robot plans and localizes on after rebuilding on a
+    chain of map versions: the traversability grid, distance field, ROIs
+    and particle-filter match table of the chain's last version, and the
+    roadmap grown over the whole chain. Robots with the same chain share
+    one and only read it."""
 
     chain: tuple[Source, ...]
+    match_table: np.ndarray
     grid: pln.TraversabilityGrid
     field: pln.DistanceField
     rois: list[msn.ROI]
@@ -134,10 +136,11 @@ class TeamMaps:
         source = chain[-1]
         peer = next((p for c, p in self.products.items() if c[-1] == source), None)
         if peer is not None:
-            grid, field, rois = peer.grid, peer.field, peer.rois
+            table, grid, field, rois = peer.match_table, peer.grid, peer.field, peer.rois
         else:
             cfg = self.cfg
             snap = self.maps[source]
+            table = localize.match_table(snap)
             grid = pln.extract_traversability(snap, cfg.planner.close_radius)
             field = pln.distance_transform(grid)
             rois = msn.extract_rois(
@@ -153,7 +156,7 @@ class TeamMaps:
         else:
             roadmap, vis = held.roadmap.copy(), held.vis.copy()
         roadmap, vis = pln.update_roadmap(roadmap, vis, grid, field)
-        return MapProducts(chain, grid, field, rois, roadmap, vis)
+        return MapProducts(chain, table, grid, field, rois, roadmap, vis)
 
 
 class AerialAgent:
@@ -310,9 +313,14 @@ class GroundAgent:
 
     def integrate(self, dt: float) -> None:
         v, w = self.command
-        x, y, _, yaw = self.true_pose
-        self.true_pose[0] = x + v * math.cos(yaw) * dt
-        self.true_pose[1] = y + v * math.sin(yaw) * dt
+        x, y, _, yaw = self.true_pose.tolist()
+        nx, ny = x + v * math.cos(yaw) * dt, y + v * math.sin(yaw) * dt
+        truth = self.world.truth
+        # the map edge stops the robot as a wall would: it turns in place
+        if not truth.in_bounds(*truth.cell_of(nx, ny)):
+            nx, ny, v = x, y, 0.0
+        self.true_pose[0] = nx
+        self.true_pose[1] = ny
         self.true_pose[3] = wrap_angle(yaw + w * dt)
         self.distance += abs(v) * dt
         self.moving = abs(v) > 1e-6 or abs(w) > 1e-6
@@ -369,7 +377,12 @@ class GroundAgent:
             # collapse the cloud onto corridor aliases
             if self.map is not None and self.moving:
                 self.particles, est, self.last_update = localize.update_and_resample(
-                    self.particles, obs, self.map, self.filter_params, self.filter_rng
+                    self.particles,
+                    obs,
+                    self.map,
+                    self.filter_params,
+                    self.filter_rng,
+                    self.products.match_table,
                 )
                 self.believed = np.array(est)
             trk.integrate_scan(
@@ -427,7 +440,7 @@ class GroundAgent:
             and np.array_equal(snap.observed, self.map.observed)
         )
         self.map = snap
-        if unchanged:
+        if unchanged:  # the held products, match table included, still fit
             return
         self.products = self.team_maps.rebuild(self.products, self.map_source)
         self.events.append(

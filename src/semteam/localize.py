@@ -202,9 +202,11 @@ def match_costs(
     obs: PolarObservation,
     grid: SemanticGridMap,
     unknown_cost: float,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Normalized semantic mismatch between the observation and the map,
-    one cost per particle."""
+    one cost per particle. ``table`` is the map's ``match_table``, built
+    here when the caller does not hold it."""
     if obs.n_filled == 0:
         return np.zeros(particles.n)
     # bin-by-particle layout: every numpy loop runs along the particles
@@ -234,7 +236,9 @@ def match_costs(
     v += (obs.all_layer * ((grid.height + 2) * stride) + stride + 1)[:, None]
     flat = scratch.view(np.intp)
     np.copyto(flat, v, casting="unsafe")
-    codes = _match_table(grid).ravel().take(flat)
+    if table is None:
+        table = match_table(grid)
+    codes = table.ravel().take(flat)
     # particle-by-bin costs, in u's buffer, so each particle's sum runs
     # over one row
     per_bin = u.reshape(particles.n, obs.n_filled)
@@ -245,7 +249,7 @@ def match_costs(
 _DRIVABLE_BITS = (1 << int(SemanticClass.ROAD)) | (1 << int(SemanticClass.DIRT_GRAVEL))
 
 
-def _match_table(grid: SemanticGridMap) -> np.ndarray:
+def match_table(grid: SemanticGridMap) -> np.ndarray:
     """Per-map cost codes, shape ``(FREE_LAYER + 1, H + 2, W + 2)`` int8.
 
     Layer ``c`` scores a bin expecting class ``c``, layer ``FREE_LAYER`` a
@@ -255,9 +259,6 @@ def _match_table(grid: SemanticGridMap) -> np.ndarray:
     than the observation itself. Otherwise it mismatches (code 1). UNKNOWN
     cells and the one-cell border around the map give code 2.
     """
-    cached = getattr(grid, "_match_table", None)
-    if cached is not None:
-        return cached
     h, w = grid.height, grid.width
     # bit c of near: class c occurs within one cell; no layer reads the
     # UNKNOWN bit, so UNKNOWN cells give no evidence to their neighbors
@@ -272,7 +273,6 @@ def _match_table(grid: SemanticGridMap) -> np.ndarray:
     for layer, mask in enumerate([1 << int(c) for c in SemanticClass] + [_DRIVABLE_BITS]):
         table[layer, 1:-1, 1:-1] = np.where(known, (near & mask) == 0, 2)
     table.setflags(write=False)
-    object.__setattr__(grid, "_match_table", table)
     return table
 
 
@@ -289,13 +289,14 @@ def update_and_resample(
     grid: SemanticGridMap,
     params: FilterParams,
     rng: np.random.Generator,
+    table: np.ndarray | None = None,
 ) -> tuple[ParticleSet, tuple[float, float, float], UpdateInfo]:
     """Likelihood weighting, ESS-triggered systematic resampling, estimate.
 
     The estimate is the weighted mean of (x, y) and the circular mean of
-    yaw, taken before resampling.
+    yaw, taken before resampling. ``table`` is passed to ``match_costs``.
     """
-    costs = match_costs(particles, obs, grid, params.unknown_cost)
+    costs = match_costs(particles, obs, grid, params.unknown_cost, table)
     evidence = max(obs.n_filled, 1) / params.reference_bins
     logw = np.log(np.maximum(particles.weights, 1e-300)) - costs * evidence / params.temperature
     logw -= logw.max()

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from semteam.geometry import segment_free, segment_min_value, visible_from
 from semteam.world import SemanticClass, SemanticGridMap, traversable_mask
@@ -84,16 +83,47 @@ def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> Trav
 def _close(mask: np.ndarray, radius: int) -> np.ndarray:
     if radius <= 0 or not mask.any() or mask.all():
         return mask.copy()
-    dist_to_free = distance_transform_edt(~mask)
+    dist_to_free = _edt(~mask)
     dilated = dist_to_free <= radius
     if dilated.all():
         return dilated
-    dist_to_bg = distance_transform_edt(dilated)
+    dist_to_bg = _edt(dilated)
     return dist_to_bg > radius
 
 
+def _edt(mask: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance, in cells, from each cell to the nearest
+    False cell of ``mask``, which must hold one.
+
+    Separable (Felzenszwalb & Huttenlocher, Theory of Computing 2012): a
+    column pass finds each cell's vertical distance ``g`` to the nearest
+    False cell in its column; a row pass takes the least ``g[x']**2 +
+    (x - x')**2`` over growing column offsets ``k``, and stops once ``k*k``
+    exceeds every squared distance found so far, since no farther column can
+    lower one. Each result is the correctly rounded square root of an exact
+    integer, so it is the float any exact Euclidean transform returns.
+    """
+    h, w = mask.shape
+    rows = np.arange(h, dtype=np.int64)[:, None]
+    far = h + w  # a column without a False cell is farther than any real one
+    bg = ~mask
+    above = np.maximum.accumulate(np.where(bg, rows, -far), axis=0)
+    below = np.minimum.accumulate(np.where(bg, rows, h + far)[::-1], axis=0)[::-1]
+    g = np.minimum(rows - above, below - rows)
+    g2 = g * g
+    d2 = g2.copy()
+    k = 1
+    while k < w and k * k <= d2.max():
+        kk = k * k
+        np.minimum(d2[:, k:], g2[:, :-k] + kk, out=d2[:, k:])
+        np.minimum(d2[:, :-k], g2[:, k:] + kk, out=d2[:, :-k])
+        k += 1
+    return np.sqrt(d2)
+
+
 def distance_transform(grid: TraversabilityGrid) -> DistanceField:
-    """Exact Euclidean distance to the nearest obstacle cell, in meters.
+    """Exact Euclidean distance to the nearest obstacle cell, in meters
+    (``_edt`` times the resolution).
 
     With no obstacles at all, every cell carries the finite sentinel
     (width + height) * resolution so downstream arithmetic stays total.
@@ -104,7 +134,7 @@ def distance_transform(grid: TraversabilityGrid) -> DistanceField:
     if not obstacles.any():
         dist = np.full((h, w), sentinel)
     else:
-        dist = distance_transform_edt(grid.free) * grid.resolution
+        dist = _edt(grid.free) * grid.resolution
     return DistanceField(dist=dist, resolution=grid.resolution, sentinel=sentinel)
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from semteam.geometry import wrap_angle
 from semteam.world import SemanticClass
@@ -23,9 +22,9 @@ OBSTACLE_CELL = 2
 class LocalObstacleGrid:
     """Rolling robot-centered grid of {unknown, free, obstacle}.
 
-    ``cells`` changes only through ``integrate_scan`` and ``recenter``, which
-    drop the cached clearance; code that writes ``cells`` directly sets
-    ``clearance_cache`` to None.
+    Local-goal selection reads clearance at a few dozen candidate cells, so
+    ``clearance_at`` computes it there from ``cells`` on each call instead of
+    transforming the whole grid.
     """
 
     side: float
@@ -34,7 +33,6 @@ class LocalObstacleGrid:
     cells: np.ndarray
     origin_x: float
     origin_y: float
-    clearance_cache: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def create(cls, side: float, resolution: float) -> "LocalObstacleGrid":
@@ -62,16 +60,15 @@ class LocalObstacleGrid:
             return UNKNOWN_CELL
         return int(self.cells[iy, ix])
 
-    def clearance(self) -> np.ndarray:
-        """Per-cell distance to the nearest obstacle cell (2 * side when the
-        grid holds none), computed once per change of ``cells``."""
-        if self.clearance_cache is None:
-            if (self.cells == OBSTACLE_CELL).any():
-                free = self.cells != OBSTACLE_CELL
-                self.clearance_cache = distance_transform_edt(free) * self.resolution
-            else:
-                self.clearance_cache = np.full((self.n, self.n), 2.0 * self.side)
-        return self.clearance_cache
+    def clearance_at(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """Distance in meters from each cell ``(ix[i], iy[i])`` to the nearest
+        obstacle cell, the value an exact Euclidean distance transform of the
+        grid holds there; 2 * side everywhere when the grid holds none."""
+        oy, ox = np.nonzero(self.cells == OBSTACLE_CELL)
+        if ox.size == 0:
+            return np.full(len(ix), 2.0 * self.side)
+        d2 = ((ix[:, None] - ox) ** 2 + (iy[:, None] - oy) ** 2).min(axis=1)
+        return np.sqrt(d2) * self.resolution
 
     def recenter(self, x: float, y: float) -> None:
         """Shift the window so the pose sits in the center cell; cells are
@@ -93,7 +90,6 @@ class LocalObstacleGrid:
                 src_y0 : src_y0 + h, src_x0 : src_x0 + w
             ]
         self.cells = fresh
-        self.clearance_cache = None
         self.origin_x, self.origin_y = new_ox, new_oy
 
 
@@ -106,7 +102,6 @@ def integrate_scan(
     """Carve free space along each beam and mark the hit cell; latest wins."""
     x, y, yaw = pose
     grid.recenter(x, y)
-    grid.clearance_cache = None
     res = grid.resolution
     n_beams = len(scan)
     ranges = np.array([r for r, _ in scan])
@@ -183,7 +178,7 @@ def _select_local_goal_ex(
     if gx.size == 0:
         return None, march_reach
 
-    scores = grid.clearance()[gy, gx]
+    scores = grid.clearance_at(gx, gy)
     d2 = (gx - cand_ix) ** 2 + (gy - cand_iy) ** 2
     flats = gy * grid.n + gx
     best = np.lexsort((flats, d2, -scores))[0]

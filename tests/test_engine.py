@@ -1,12 +1,18 @@
 """Engine and scenario config: determinism, output files, config loading."""
 
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semteam import aerial, mission, planner
+import semteam
+from semteam import aerial, localize, mission, planner
 from semteam.aerial import MapAccumulator, decode_snapshot, encode_snapshot, full_view_keyframe
 from semteam.config import ConfigError, ScenarioConfig
 from semteam.engine import MAP_KEY, POSE_PERIOD, Simulation, resolve_world
@@ -209,14 +215,14 @@ class TestTeamMaps:
     def loop_flight(self):
         """Three ground robots in range of each other and of a looping aerial
         robot that publishes a map version every other tick. The cache is
-        checked after every tick, and planner, mission and decode calls are
-        counted."""
+        checked after every tick, and planner, mission, decode and match-table
+        calls are counted."""
         cfg = small_config(
             n_ground=3, initial_map="none", comm_range=100.0,
             aerial={"altitude": 15.0, "speed": 3.0, "snapshot_period_ticks": 2, "loop": True},
         )
         sim = Simulation(cfg, world=small_world())
-        calls = {"update_roadmap": 0, "extract_rois": 0, "decode_snapshot": 0}
+        calls = {"update_roadmap": 0, "extract_rois": 0, "decode_snapshot": 0, "match_table": 0}
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -231,6 +237,7 @@ class TestTeamMaps:
             mp.setattr(planner, "update_roadmap", counted(planner, "update_roadmap"))
             mp.setattr(mission, "extract_rois", counted(mission, "extract_rois"))
             mp.setattr(aerial, "decode_snapshot", counted(aerial, "decode_snapshot"))
+            mp.setattr(localize, "match_table", counted(localize, "match_table"))
             consistent = []
             while sim.tick_count < cfg.max_ticks and not sim.mission_complete():
                 sim.tick()
@@ -245,7 +252,7 @@ class TestTeamMaps:
         assert len(versions) >= 5
         # every robot rebuilt on every one of them, yet each was built once
         assert sorted(ingested) == sorted((g.id, v) for g in sim.ground_agents for v in versions)
-        assert calls["update_roadmap"] == calls["extract_rois"] == len(versions)
+        assert calls["update_roadmap"] == calls["extract_rois"] == calls["match_table"] == len(versions)
         published = sum(ev["ev"] == "map" and ev["tick"] < sim.tick_count - 1 for ev in events)
         assert published > 100
         assert calls["decode_snapshot"] == published
@@ -254,6 +261,39 @@ class TestTeamMaps:
         sim, _, _, consistent = loop_flight
         assert len(consistent) == sim.tick_count and all(consistent)
         assert len(sim.team_maps.maps) == len(sim.team_maps.products) == 1
+
+
+class TestMapEdge:
+    def test_robots_stay_on_a_map_without_border(self, tmp_path):
+        """On an all-road map with no border the shake-out leg heads off the
+        map; its edge stops the robot, and no scan is taken off the map."""
+        n = 6
+        truth = SemanticGridMap(
+            origin_x=0.0, origin_y=0.0, resolution=1.0, width=n, height=n,
+            classes=np.full((n, n), int(SemanticClass.ROAD), dtype=np.int8),
+            observed=np.ones((n, n), dtype=bool), version=1,
+        )
+        cfg = ScenarioConfig.from_dict(
+            {"max_ticks": 300, "start": [1.5, 1.5], "initial_map": "full", "aerial": {"altitude": 5.0}}
+        )
+        sim = Simulation(cfg, world=WorldModel.from_map(truth))
+        sim.run(tmp_path)
+        assert sim.tick_count == 300
+        with open(tmp_path / "poses.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 300 // POSE_PERIOD * cfg.n_ground
+        for row in rows:
+            assert truth.in_bounds(*truth.cell_of(float(row["true_x"]), float(row["true_y"]))), row
+
+
+def test_engine_import_loads_no_scipy():
+    src = str(Path(semteam.__file__).resolve().parents[1])
+    code = "import sys, semteam.engine; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestWaypointMission:

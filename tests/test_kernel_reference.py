@@ -1,5 +1,6 @@
 """The array kernels of the scan and filter hot path give exactly the floats
-of their step-by-step loop versions, which are kept here as references.
+of their step-by-step loop versions, which are kept here as references, and
+the planner's distance transform gives exactly SciPy's.
 
 The array code does the same arithmetic in the same order, so every result
 is compared for equality (bit for bit where floats are involved), never
@@ -10,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
+from semteam import planner
 from semteam.localize import ParticleSet, PolarObservation, match_costs
 from semteam.world import SemanticClass, SemanticGridMap, ground_scan, traversable, traversable_mask
 
@@ -159,6 +162,17 @@ def ref_match_costs(particles, obs, grid, unknown_cost):
     mismatch = np.where(is_free_bin, ~drivable_near, ~cls_near).astype(np.float64)
     per_bin = np.where(~inside | (cls == SemanticClass.UNKNOWN), unknown_cost, mismatch)
     return per_bin.sum(axis=1) / obs.n_filled
+
+
+def ref_close(mask, radius):
+    """Morphological close by a Euclidean disc, from SciPy's distance
+    transform: the planner's close as it was written against SciPy."""
+    if radius <= 0 or not mask.any() or mask.all():
+        return mask.copy()
+    dilated = distance_transform_edt(~mask) <= radius
+    if dilated.all():
+        return dilated
+    return distance_transform_edt(dilated) > radius
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +482,74 @@ class TestMatchCostsMatchesLoop:
         particles = particles_around(rng, 20, (5.0, 5.0), spread=2.0)
         got = match_costs(particles, obs, grid, 0.4)
         assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# distance transform and close
+
+
+def assert_edt_matches_scipy(mask):
+    got = planner._edt(mask)
+    assert got.dtype == np.float64 and got.shape == mask.shape
+    assert bits(got) == bits(distance_transform_edt(mask))
+
+
+class TestDistanceTransformMatchesScipy:
+    DENSITIES = (0.0005, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 1.0)
+
+    def test_random_shapes_at_every_density(self):
+        rng = np.random.default_rng(20)
+        for density in self.DENSITIES:
+            for _ in range(30):
+                h, w = (int(v) for v in rng.integers(1, 71, size=2))
+                mask = rng.random((h, w)) >= density  # True = free
+                mask[rng.integers(h), rng.integers(w)] = False
+                assert_edt_matches_scipy(mask)
+
+    def test_single_rows_and_columns(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 7, 70, 199):
+            for density in self.DENSITIES:
+                row = rng.random((1, n)) >= density
+                row[0, rng.integers(n)] = False
+                assert_edt_matches_scipy(row)
+                assert_edt_matches_scipy(np.ascontiguousarray(row.T))
+
+    @pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+    def test_single_corner_obstacle_on_200x200(self, corner):
+        mask = np.ones((200, 200), dtype=bool)
+        mask[corner] = False
+        assert_edt_matches_scipy(mask)
+
+    def test_all_obstacle_grids(self):
+        for shape in ((1, 1), (1, 9), (9, 1), (13, 8), (70, 70)):
+            mask = np.zeros(shape, dtype=bool)
+            assert_edt_matches_scipy(mask)
+            assert not planner._edt(mask).any()
+
+    def test_distance_field_in_meters(self):
+        rng = np.random.default_rng(22)
+        truth = make_map(cluttered_classes(rng, 47, 31), resolution=0.5, origin=(-3.0, 2.0))
+        grid = planner.extract_traversability(truth, 0)
+        field = planner.distance_transform(grid)
+        assert bits(field.dist) == bits(distance_transform_edt(grid.free) * 0.5)
+
+
+class TestCloseMatchesScipy:
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_random_masks(self, radius):
+        rng = np.random.default_rng(30 + radius)
+        for density in (0.02, 0.2, 0.5, 0.8, 0.98):
+            for _ in range(12):
+                h, w = (int(v) for v in rng.integers(1, 50, size=2))
+                mask = rng.random((h, w)) < density
+                got = planner._close(mask, radius)
+                assert got.dtype == bool
+                assert np.array_equal(got, ref_close(mask, radius))
+
+    def test_road_network_with_holes(self):
+        rng = np.random.default_rng(33)
+        classes = cluttered_classes(rng, 60, 60, blocked=0.08)
+        mask = traversable_mask(classes)
+        for radius in (1, 2, 3):
+            assert np.array_equal(planner._close(mask, radius), ref_close(mask, radius))

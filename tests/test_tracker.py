@@ -150,16 +150,50 @@ class TestSelectLocalGoal:
         assert got[1] > 13.0
 
 
-def fresh_clearance(grid):
+def edt_clearance(grid):
+    """Every cell's clearance from SciPy's exact Euclidean distance transform;
+    2 * side everywhere when the grid holds no obstacle."""
+    if not (grid.cells == OBSTACLE_CELL).any():
+        return np.full((grid.n, grid.n), 2.0 * grid.side)
     return distance_transform_edt(grid.cells != OBSTACLE_CELL) * grid.resolution
 
 
-class TestClearanceCache:
+def assert_clearance_is_edt(grid):
+    """``clearance_at`` over the whole grid equals the EDT bit for bit."""
+    iy, ix = np.indices((grid.n, grid.n)).reshape(2, -1)
+    got = grid.clearance_at(ix, iy).reshape(grid.n, grid.n)
+    assert got.tobytes() == edt_clearance(grid).tobytes()
+
+
+def select_checking_reads(grid, pose, waypoint, radius):
+    """The local goal and the number of cells whose clearance the selection
+    read, each checked against the EDT at that cell."""
+    reads = []
+    raw = grid.clearance_at
+
+    def spy(ix, iy):
+        out = raw(ix, iy)
+        reads.append((ix.copy(), iy.copy(), out))
+        return out
+
+    grid.clearance_at = spy
+    try:
+        goal, _ = _select_local_goal_ex(grid, pose, waypoint, radius)
+    finally:
+        del grid.clearance_at
+    want = edt_clearance(grid)
+    for ix, iy, got in reads:
+        assert got.tobytes() == want[iy, ix].tobytes()
+    return goal, sum(ix.size for ix, _, _ in reads)
+
+
+class TestClearanceAt:
     def test_follows_scans_and_recenters(self):
         rng = np.random.default_rng(2)
         world = class_map(corridor_world_classes(rng, size=40))
         ys, xs = np.nonzero(world.classes == SemanticClass.ROAD)
         grid = LocalObstacleGrid.create(16.0, 0.5)
+        n_read = 0
         for i in rng.permutation(xs.size)[:12]:
             pose = (xs[i] + 0.5, ys[i] + 0.5, float(rng.uniform(-3, 3)))
             integrate_scan(grid, ground_scan(world, pose, 10.0, 36), pose, 10.0)
@@ -167,12 +201,15 @@ class TestClearanceCache:
                 # small shifts keep the window, larger ones slide it
                 grid.recenter(pose[0] + shift, pose[1] - shift)
                 here = (pose[0] + shift, pose[1] - shift, pose[2])
-                goal, _ = _select_local_goal_ex(grid, here, (here[0] + 4.0, here[1] + 1.0), 3.0)
-                assert np.array_equal(grid.clearance(), fresh_clearance(grid))
+                waypoint = (here[0] + 4.0, here[1] + 1.0)
+                goal, n = select_checking_reads(grid, here, waypoint, 3.0)
+                n_read += n
+                assert_clearance_is_edt(grid)
                 twin = LocalObstacleGrid(
                     grid.side, grid.resolution, grid.n, grid.cells.copy(), grid.origin_x, grid.origin_y
                 )
-                assert goal == _select_local_goal_ex(twin, here, (here[0] + 4.0, here[1] + 1.0), 3.0)[0]
+                assert goal == _select_local_goal_ex(twin, here, waypoint, 3.0)[0]
+        assert n_read > 0
 
     def test_scan_in_place_refreshes(self):
         # the second scan keeps the window where it is
@@ -182,16 +219,20 @@ class TestClearanceCache:
             world = open_map()
             world.classes[10, wall_x] = SemanticClass.BUILDING
             integrate_scan(grid, ground_scan(world, pose, 12.0, 36), pose, 12.0)
-            assert np.array_equal(grid.clearance(), fresh_clearance(grid))
+            assert_clearance_is_edt(grid)
+            assert select_checking_reads(grid, pose, (wall_x + 0.5, 13.5), 3.0)[1] > 0
 
     def test_grid_without_obstacles(self):
         grid = LocalObstacleGrid.create(24.0, 1.0)
         pose = (100.5, 100.5, 0.0)
         integrate_scan(grid, [(8.0, SemanticClass.UNKNOWN)] * 16, pose, 8.0)
-        assert np.array_equal(grid.clearance(), np.full((24, 24), 48.0))
+        assert not (grid.cells == OBSTACLE_CELL).any()
+        assert_clearance_is_edt(grid)
+        assert select_checking_reads(grid, pose, (104.5, 100.5), 3.0)[1] > 0
         integrate_scan(grid, [(3.0, SemanticClass.BUILDING)] * 16, pose, 8.0)
-        assert np.array_equal(grid.clearance(), fresh_clearance(grid))
-        assert grid.clearance().max() < 48.0
+        assert_clearance_is_edt(grid)
+        assert edt_clearance(grid).max() < 48.0
+        assert select_checking_reads(grid, pose, (101.5, 100.5), 3.0)[1] > 0
 
 
 class TestStep:
