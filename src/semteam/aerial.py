@@ -19,23 +19,15 @@ from semteam.world import SemanticClass, SemanticGridMap, WorldModel, footprint_
 
 
 @dataclass
-class CellObservations:
-    """Per-cell payload of one keyframe (parallel arrays)."""
+class Keyframe:
+    """One keyframe's id and its observed cells, as parallel arrays: cell
+    indices, class, and planar distance from the image center."""
 
+    id: int
     ixs: np.ndarray
     iys: np.ndarray
     classes: np.ndarray
     center_dist: np.ndarray
-
-
-@dataclass
-class Keyframe:
-    id: int
-    observed_cells: CellObservations
-
-
-def planar_distance(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def maybe_create_keyframe(
@@ -56,21 +48,21 @@ def maybe_create_keyframe(
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    if last_keyframe_pose is not None:
-        if planar_distance(pose, last_keyframe_pose) < threshold:
-            return None
+    last = last_keyframe_pose
+    if last is not None and math.hypot(pose[0] - last[0], pose[1] - last[1]) < threshold:
+        return None
     truth = world.truth
     ixs, iys = footprint_indices(truth, pose, fov_half_angle)
     cx = truth.origin_x + (ixs + 0.5) * truth.resolution
     cy = truth.origin_y + (iys + 0.5) * truth.resolution
     dist = np.hypot(cx - pose[0], cy - pose[1])
-    cells = CellObservations(
+    return Keyframe(
+        id=kf_id,
         ixs=ixs,
         iys=iys,
         classes=truth.classes[iys, ixs].copy(),
         center_dist=dist,
     )
-    return Keyframe(id=kf_id, observed_cells=cells)
 
 
 def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
@@ -80,13 +72,13 @@ def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
     its classes (distance 0, lowest id).
     """
     iys, ixs = np.indices((grid.height, grid.width)).reshape(2, -1)
-    cells = CellObservations(
+    return Keyframe(
+        id=-1,
         ixs=ixs,
         iys=iys,
         classes=grid.classes[iys, ixs],
         center_dist=np.zeros(ixs.size),
     )
-    return Keyframe(id=-1, observed_cells=cells)
 
 
 class MapAccumulator:
@@ -116,15 +108,14 @@ class MapAccumulator:
         return cls(grid.width, grid.height, grid.resolution, grid.origin_x, grid.origin_y)
 
     def fuse_keyframe(self, kf: Keyframe) -> None:
-        obs = kf.observed_cells
-        ok = (obs.ixs >= 0) & (obs.ixs < self.width) & (obs.iys >= 0) & (obs.iys < self.height)
-        ixs, iys = obs.ixs[ok], obs.iys[ok]
+        ok = (kf.ixs >= 0) & (kf.ixs < self.width) & (kf.iys >= 0) & (kf.iys < self.height)
+        ixs, iys = kf.ixs[ok], kf.iys[ok]
         self.observed[iys, ixs] = True
-        dist = obs.center_dist[ok]
+        dist = kf.center_dist[ok]
         cur_dist = self.best_dist[iys, ixs]
         cur_kf = self.best_kf[iys, ixs]
         take = (dist < cur_dist) | ((dist == cur_dist) & (kf.id < cur_kf))
-        self.best_class[iys[take], ixs[take]] = obs.classes[ok][take]
+        self.best_class[iys[take], ixs[take]] = kf.classes[ok][take]
         self.best_dist[iys[take], ixs[take]] = dist[take]
         self.best_kf[iys[take], ixs[take]] = kf.id
 

@@ -4,7 +4,8 @@ JSON (de)serialization, and validation that enumerates every bad field."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 
@@ -108,25 +109,17 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError([f"config must be an object, got {type(data).__name__}"])
         problems: list[str] = []
-        sections = {
-            "aerial": AerialConfig,
-            "ground": GroundConfig,
-            "localizer": LocalizerConfig,
-            "planner": PlannerConfig,
-            "tracker": TrackerConfig,
-            "mission": MissionSpec,
-        }
         kwargs = {}
-        top_fields = {f for f in cls.__dataclass_fields__}
         for key, value in data.items():
-            if key not in top_fields:
+            f = cls.__dataclass_fields__.get(key)
+            if f is None:
                 problems.append(f"unknown field {key!r}")
                 continue
-            if key in sections:
+            if f.default_factory is not MISSING:  # a section, made by its class
                 if not isinstance(value, dict):
                     problems.append(f"{key} must be an object, got {type(value).__name__}")
                     continue
-                sec_cls = sections[key]
+                sec_cls = f.default_factory
                 sec_fields = set(sec_cls.__dataclass_fields__)
                 sec_kwargs = {}
                 for k, v in value.items():
@@ -210,6 +203,8 @@ class ScenarioConfig:
         non_negative("planner.close_radius")
         positive("planner.node_radius")
 
+        positive("tracker.k_yaw")
+        require("tracker.align_threshold", lambda v: 0 < v <= math.pi, "must be in (0, pi]")
         positive("tracker.arrival_tolerance")
         positive("tracker.search_radius")
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +181,7 @@ class AerialAgent:
         self.true_pose = np.array([x, y, a.altitude, 0.0])
         self.distance = 0.0
         self.db = gossip.Database(owner=robot_id)
-        truth = world.truth
-        self.acc = am.MapAccumulator(
-            truth.width, truth.height, truth.resolution, truth.origin_x, truth.origin_y
-        )
+        self.acc = am.MapAccumulator.like(world.truth)
         self.last_kf_pose = None
         self.kf_count = 0
         self.events: list[dict] = []
@@ -274,11 +271,6 @@ class GroundAgent:
         )
         self.believed = np.array(guess)
         self.dr_pose = np.array(guess)
-        self.filter_params = localize.FilterParams(
-            unknown_cost=cfg.localizer.unknown_cost,
-            temperature=cfg.localizer.temperature,
-            ess_fraction=cfg.localizer.ess_fraction,
-        )
         self.last_update = localize.UpdateInfo(ess=float(cfg.localizer.n_particles), resampled=False, diverged=False)
 
         self.db = gossip.Database(owner=robot_id)
@@ -380,7 +372,7 @@ class GroundAgent:
                     self.particles,
                     obs,
                     self.map,
-                    self.filter_params,
+                    cfg.localizer,
                     self.filter_rng,
                     self.products.match_table,
                 )
@@ -455,8 +447,7 @@ class GroundAgent:
         )
 
     def _plan_to(self, goal_cell):
-        if self.products is None:
-            return pln.PlanResult(ok=False, reason="unmapped")
+        """Plan on the held products; only their ROIs call this, so they exist."""
         start = self.map.cell_of(self.believed[0], self.believed[1])
         if not self.map.in_bounds(*start):
             return pln.PlanResult(ok=False, reason="unmapped")
@@ -483,8 +474,7 @@ class GroundAgent:
             self.tracker_state = trk.TrackerState(waypoints=waypoints)
             self.mission.pending_plan = None
         if self.mission.current_roi is None and self.mission.phase in ("idle", "selecting"):
-            if self.tracker_state is not None:
-                self.tracker_state = None
+            self.tracker_state = None
 
     def _waypoint_mission(self, tick: int) -> None:
         """Drive the script once from the believed pose; retry it if cancelled."""
@@ -529,25 +519,25 @@ class RunReport:
     db_records_mean: float
 
     def metrics_row(self) -> dict:
-        return {
-            "seed": self.seed,
-            "team_size": self.team_size,
-            "comm_range": self.comm_range,
-            "ticks": self.ticks,
-            "duration_s": "" if self.duration_s is None else round(self.duration_s, 3),
-            "targets_visited": self.targets_visited,
-            "n_targets": self.n_targets,
-            "total_distance_m": round(self.total_distance_m, 3),
-            "loc_err_mean": round(self.loc_err_mean, 4),
-            "loc_err_max": round(self.loc_err_max, 4),
-            "loc_err_early_mean": round(self.loc_err_early_mean, 4),
-            "loc_err_late_mean": round(self.loc_err_late_mean, 4),
-            "dr_err_late_mean": round(self.dr_err_late_mean, 4),
-            "backtracks": self.backtracks,
-            "cancellations": self.cancellations,
-            "failures_reported": self.failures_reported,
-            "db_records_mean": round(self.db_records_mean, 2),
-        }
+        """The ``metrics.csv`` row: every field, floats rounded; a run that
+        did not finish has an empty ``duration_s``."""
+        row = asdict(self)
+        for name, digits in METRIC_DIGITS.items():
+            row[name] = "" if row[name] is None else round(row[name], digits)
+        return row
+
+
+#: decimal digits of the rounded ``metrics.csv`` columns
+METRIC_DIGITS = {
+    "duration_s": 3,
+    "total_distance_m": 3,
+    "loc_err_mean": 4,
+    "loc_err_max": 4,
+    "loc_err_early_mean": 4,
+    "loc_err_late_mean": 4,
+    "dr_err_late_mean": 4,
+    "db_records_mean": 2,
+}
 
 
 class Simulation:

@@ -24,25 +24,14 @@ def segment_cells(u: tuple[int, int], v: tuple[int, int]) -> tuple[np.ndarray, n
     ax = np.arange(min(u[0], v[0]), max(u[0], v[0]) + 1)
     ay = np.arange(min(u[1], v[1]), max(u[1], v[1]) + 1)
 
-    tx_lo, tx_hi = _axis_intervals(x0, x1 - x0, ax)
-    ty_lo, ty_hi = _axis_intervals(y0, y1 - y0, ay)
+    # one direction: a (1, columns) row of x slabs, a (1, rows) row of y slabs
+    tx_lo, tx_hi = _axis_intervals(x0, np.array([x1 - x0]), ax)
+    ty_lo, ty_hi = _axis_intervals(y0, np.array([y1 - y0]), ay)
 
-    lo = np.maximum(np.maximum(tx_lo[None, :], ty_lo[:, None]), 0.0)
-    hi = np.minimum(np.minimum(tx_hi[None, :], ty_hi[:, None]), 1.0)
+    lo = np.maximum(np.maximum(tx_lo, ty_lo.T), 0.0)
+    hi = np.minimum(np.minimum(tx_hi, ty_hi.T), 1.0)
     iyy, ixx = np.nonzero(lo <= hi)
     return ax[ixx], ay[iyy]
-
-
-def _axis_intervals(p0: float, d: float, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter interval in which the point p0 + t*d lies in [cell, cell+1]."""
-    if d == 0.0:
-        inside = (cells <= p0) & (p0 <= cells + 1)
-        lo = np.where(inside, -np.inf, np.inf)
-        hi = np.where(inside, np.inf, -np.inf)
-        return lo, hi
-    t1 = (cells - p0) / d
-    t2 = (cells + 1 - p0) / d
-    return np.minimum(t1, t2), np.maximum(t1, t2)
 
 
 def segment_free(u: tuple[int, int], v: tuple[int, int], free: np.ndarray) -> bool:
@@ -82,8 +71,8 @@ def visible_from(
     dx = (cand_ix + 0.5) - px
     dy = (cand_iy + 0.5) - py
 
-    tx_lo, tx_hi = _axis_intervals_batched(px, dx, obst_ix)
-    ty_lo, ty_hi = _axis_intervals_batched(py, dy, obst_iy)
+    tx_lo, tx_hi = _axis_intervals(px, dx, obst_ix)
+    ty_lo, ty_hi = _axis_intervals(py, dy, obst_iy)
 
     lo = np.maximum(np.maximum(tx_lo, ty_lo), 0.0)
     hi = np.minimum(np.minimum(tx_hi, ty_hi), 1.0)
@@ -91,21 +80,20 @@ def visible_from(
     return ~blocked
 
 
-def _axis_intervals_batched(
+def _axis_intervals(
     p0: float, d: np.ndarray, cells: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(J, K) slab intervals for J segment directions and K cells."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (cells[None, :] - p0) / d[:, None]
-        t2 = (cells[None, :] + 1 - p0) / d[:, None]
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
-    zero = d == 0.0
-    if zero.any():
-        inside = (cells <= p0) & (p0 <= cells + 1)
-        lo[zero, :] = np.where(inside, -np.inf, np.inf)[None, :]
-        hi[zero, :] = np.where(inside, np.inf, -np.inf)[None, :]
-    return lo, hi
+    """(J, K) parameter intervals in which the point p0 + t*d[j] lies in
+    [cell k, cell k + 1], for J segment directions and K cells.
+
+    p0 is a cell center, so ``cells - p0`` is never 0, and a zero direction
+    gives infinite bounds: (-inf, inf) for the cell holding p0, and bounds
+    of one sign, an interval that misses [0, 1], for every other cell.
+    """
+    with np.errstate(divide="ignore"):
+        t1 = (cells - p0) / d[:, None]
+        t2 = (cells + 1 - p0) / d[:, None]
+    return np.minimum(t1, t2), np.maximum(t1, t2)
 
 
 def wrap_angle(a):

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from semteam.config import LocalizerConfig
 from semteam.geometry import wrap_angle
 from semteam.world import SemanticClass, SemanticGridMap
 
 #: match-table layer of free-evidence bins; layers below it are classes
 FREE_LAYER = len(SemanticClass)
+
+#: bin count at which ``temperature`` applies to the normalized cost;
+#: evidence scales with the number of filled bins, so observations that saw
+#: more keep proportionally more weight
+REFERENCE_BINS = 36
 
 
 @dataclass
@@ -35,9 +41,6 @@ class ParticleSet:
     @property
     def n(self) -> int:
         return int(self.xs.size)
-
-    def copy(self) -> "ParticleSet":
-        return ParticleSet(self.xs.copy(), self.ys.copy(), self.yaws.copy(), self.weights.copy())
 
 
 @dataclass
@@ -138,17 +141,6 @@ def _beam_layout(n_beams: int, n_azimuth: int, n_range: int, max_range: float, f
     for a in layout:
         a.setflags(write=False)
     return layout
-
-
-@dataclass
-class FilterParams:
-    unknown_cost: float = 0.4
-    temperature: float = 0.2
-    ess_fraction: float = 0.5
-    #: bin count at which ``temperature`` applies to the normalized cost;
-    #: evidence scales with the number of filled bins, so observations that
-    #: saw more keep proportionally more weight
-    reference_bins: int = 36
 
 
 def init_filter(
@@ -287,7 +279,7 @@ def update_and_resample(
     particles: ParticleSet,
     obs: PolarObservation,
     grid: SemanticGridMap,
-    params: FilterParams,
+    params: LocalizerConfig,
     rng: np.random.Generator,
     table: np.ndarray | None = None,
 ) -> tuple[ParticleSet, tuple[float, float, float], UpdateInfo]:
@@ -297,7 +289,7 @@ def update_and_resample(
     yaw, taken before resampling. ``table`` is passed to ``match_costs``.
     """
     costs = match_costs(particles, obs, grid, params.unknown_cost, table)
-    evidence = max(obs.n_filled, 1) / params.reference_bins
+    evidence = max(obs.n_filled, 1) / REFERENCE_BINS
     logw = np.log(np.maximum(particles.weights, 1e-300)) - costs * evidence / params.temperature
     logw -= logw.max()
     w = np.exp(logw)
@@ -308,7 +300,7 @@ def update_and_resample(
     else:
         w = w / total
 
-    estimate = _weighted_mean(particles.xs, particles.ys, particles.yaws, w)
+    estimate = weighted_mean_pose(ParticleSet(particles.xs, particles.ys, particles.yaws, w))
 
     ess = float(1.0 / (w**2).sum())
     resampled = ess < params.ess_fraction * particles.n
@@ -329,13 +321,10 @@ def update_and_resample(
 
 
 def weighted_mean_pose(particles: ParticleSet) -> tuple[float, float, float]:
-    return _weighted_mean(particles.xs, particles.ys, particles.yaws, particles.weights)
-
-
-def _weighted_mean(xs, ys, yaws, w) -> tuple[float, float, float]:
     """Weighted mean of (x, y) and circular mean of yaw."""
+    w, yaws = particles.weights, particles.yaws
     return (
-        float((w * xs).sum()),
-        float((w * ys).sum()),
+        float((w * particles.xs).sum()),
+        float((w * particles.ys).sum()),
         float(math.atan2((w * np.sin(yaws)).sum(), (w * np.cos(yaws)).sum())),
     )

@@ -37,12 +37,12 @@ CLAIMS_KEY = "claims"
 
 @dataclass(frozen=True)
 class ROI:
-    """A cluster of vehicle cells plus the goal point used to inspect it."""
+    """A cluster of vehicle cells plus the goal point used to inspect it;
+    ``goal_cell`` is None when no traversable cell lies near the cluster."""
 
     roi_id: str
     member_cells: tuple[tuple[int, int], ...]
     goal_cell: tuple[int, int] | None
-    unreachable: bool = False
 
 
 def roi_id_for(member_cells) -> str:
@@ -57,8 +57,9 @@ def roi_id_for(member_cells) -> str:
 def extract_rois(
     grid_map: SemanticGridMap,
     cluster_radius: float,
-    dilation_radius: float = 5.0,
-    close_radius: int = 2,
+    *,
+    dilation_radius: float,
+    close_radius: int,
     grid: TraversabilityGrid | None = None,
     field_: DistanceField | None = None,
 ) -> list[ROI]:
@@ -66,8 +67,8 @@ def extract_rois(
 
     The goal point is the traversable cell within dilation_radius of the
     cluster with the largest obstacle clearance (vehicle cells themselves
-    are not traversable). Clusters with no nearby traversable cell are
-    flagged unreachable.
+    are not traversable). Clusters with no nearby traversable cell get no
+    goal point.
     """
     if grid_map.version < 1:
         raise ValueError("map version must be >= 1")
@@ -101,19 +102,19 @@ def extract_rois(
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
 
-    h, w = grid.shape
     rois = []
     for members in clusters.values():
         cells = tuple(sorted((int(ixs[i]), int(iys[i])) for i in members))
-        goal, unreachable = _goal_for_cluster(cells, grid, field_, dilation_radius)
-        rois.append(ROI(roi_id=roi_id_for(cells), member_cells=cells, goal_cell=goal, unreachable=unreachable))
+        goal = _goal_for_cluster(cells, grid, field_, dilation_radius)
+        rois.append(ROI(roi_id=roi_id_for(cells), member_cells=cells, goal_cell=goal))
     rois.sort(key=lambda r: r.roi_id)
     return rois
 
 
 def _goal_for_cluster(cells, grid, field_, dilation_radius):
-    res = grid.resolution
-    r_cells = dilation_radius / res
+    """The highest-clearance free cell within ``dilation_radius`` of the
+    cluster, lowest flat index first on ties; None when there is none."""
+    r_cells = dilation_radius / grid.resolution
     h, w = grid.shape
     xs = [c[0] for c in cells]
     ys = [c[1] for c in cells]
@@ -121,23 +122,19 @@ def _goal_for_cluster(cells, grid, field_, dilation_radius):
     x_hi = min(w - 1, int(math.ceil(max(xs) + r_cells)))
     y_lo = max(0, int(math.floor(min(ys) - r_cells)))
     y_hi = min(h - 1, int(math.ceil(max(ys) + r_cells)))
-    best = None
     sub_free = grid.free[y_lo : y_hi + 1, x_lo : x_hi + 1]
     fy, fx = np.nonzero(sub_free)
     gx, gy = fx + x_lo, fy + y_lo
-    if gx.size:
-        near = np.zeros(gx.size, dtype=bool)
-        for cx, cy in cells:
-            near |= (gx - cx) ** 2 + (gy - cy) ** 2 <= r_cells**2
-        gx, gy = gx[near], gy[near]
-        if gx.size:
-            flats = gy * w + gx
-            scores = field_.dist[gy, gx]
-            order = np.lexsort((flats, -scores))
-            best = (int(gx[order[0]]), int(gy[order[0]]))
-    if best is None:
-        return None, True
-    return best, False
+    near = np.zeros(gx.size, dtype=bool)
+    for cx, cy in cells:
+        near |= (gx - cx) ** 2 + (gy - cy) ** 2 <= r_cells**2
+    gx, gy = gx[near], gy[near]
+    if not gx.size:
+        return None
+    flats = gy * w + gx
+    scores = field_.dist[gy, gx]
+    order = np.lexsort((flats, -scores))
+    return int(gx[order[0]]), int(gy[order[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +165,7 @@ def merged_claim_view(db: Database) -> dict[str, list[tuple[int, str, int]]]:
 def roi_open_for(robot_id: int, roi_id: str, view: dict[str, list[tuple[int, str, int]]]) -> bool:
     """Open = not claimed or visited by anyone, not failed by this robot."""
     for other, status, _ in view.get(roi_id, []):
-        if status == VISITED:
-            return False
-        if status == CLAIMED:
+        if status in (VISITED, CLAIMED):
             return False
         if status == FAILED and other == robot_id:
             return False
@@ -190,7 +185,7 @@ def choose_goal(
     """
     best = None
     for roi in rois:
-        if roi.goal_cell is None or roi.unreachable:
+        if roi.goal_cell is None:
             continue
         if not roi_open_for(robot_id, roi.roi_id, view):
             continue

@@ -6,11 +6,11 @@ highest-clearance cell not yet visible to the graph, until every free cell
 sees at least one node. A node is linked to every earlier node its own
 visible region contains. Pairs of nearby nodes whose regions overlap but
 that share neither an edge nor a neighbor are then bridged through a new
-node, taken from a worklist of candidate pairs in a fixed order. Edge
-weights trade distance against clearance with the printed heuristic at
-lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min clearance along the edge.
-A new map version recomputes only the weights of edges whose bounding box
-holds a cell where the distance field changed.
+node, taken from a worklist of candidate pairs in a fixed order. An edge
+stores only its weight, which trades distance against clearance with the
+printed heuristic at lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min
+clearance along the edge. A new map version recomputes only the weights of
+edges whose bounding box holds a cell where the distance field changed.
 
 Map versions only add free cells. The aerial robot maps at its exact pose,
 so every keyframe copies the true class of each footprint cell; the map
@@ -41,8 +41,6 @@ class TraversabilityGrid:
     free: np.ndarray
     unknown: np.ndarray
     resolution: float
-    origin_x: float
-    origin_y: float
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -55,7 +53,6 @@ class DistanceField:
 
     dist: np.ndarray
     resolution: float
-    sentinel: float
 
 
 def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> TraversabilityGrid:
@@ -75,8 +72,6 @@ def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> Trav
         free=free,
         unknown=np.asarray(unknown),
         resolution=grid_map.resolution,
-        origin_x=grid_map.origin_x,
-        origin_y=grid_map.origin_y,
     )
 
 
@@ -129,25 +124,17 @@ def distance_transform(grid: TraversabilityGrid) -> DistanceField:
     (width + height) * resolution so downstream arithmetic stays total.
     """
     h, w = grid.shape
-    sentinel = (w + h) * grid.resolution
-    obstacles = ~grid.free
-    if not obstacles.any():
-        dist = np.full((h, w), sentinel)
+    if grid.free.all():
+        dist = np.full((h, w), (w + h) * grid.resolution)
     else:
         dist = _edt(grid.free) * grid.resolution
-    return DistanceField(dist=dist, resolution=grid.resolution, sentinel=sentinel)
+    return DistanceField(dist=dist, resolution=grid.resolution)
 
 
 def edge_weight(u: tuple[int, int], v: tuple[int, int], field: DistanceField) -> float:
     """Distance/clearance edge weight; assumes the segment is obstacle-free."""
-    return _edge_value(u, v, field)[0]
-
-
-def _edge_value(u, v, field: DistanceField) -> tuple[float, float]:
-    """The printed heuristic and the min clearance ``m`` of the edge u-v, as
-    the roadmap stores them."""
     m = segment_min_value(u, v, field.dist)
-    return math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution + (m * m + math.sqrt(m)), m
+    return math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution + (m * m + math.sqrt(m))
 
 
 class VisibilityMap:
@@ -186,17 +173,11 @@ class Roadmap:
             raise ValueError("radius must be > 0")
         self.radius = radius
         self.nodes: dict[int, tuple[int, int]] = {}
-        self.edges: dict[tuple[int, int], tuple[float, float]] = {}
+        self.edges: dict[tuple[int, int], float] = {}  # (a, b), a < b -> weight
         self.adj: dict[int, set[int]] = {}
         self._next_id = 0
         self._prev_free: np.ndarray | None = None
         self._prev_dist: np.ndarray | None = None
-
-    def edge_key(self, a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def neighbors(self, nid: int):
-        return self.adj.get(nid, set())
 
     def copy(self) -> "Roadmap":
         """An independent roadmap with the same state. The previous version's
@@ -363,7 +344,7 @@ def _refresh_weights(roadmap: Roadmap, field: DistanceField) -> None:
         hits = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
         keys = [key for key, hit in zip(keys, hits) if hit]
     for key in keys:
-        roadmap.edges[key] = _edge_value(roadmap.nodes[key[0]], roadmap.nodes[key[1]], field)
+        roadmap.edges[key] = edge_weight(roadmap.nodes[key[0]], roadmap.nodes[key[1]], field)
 
 
 def _window_obstacles(free, node, cand_ix, cand_iy):
@@ -423,7 +404,7 @@ def _add_node(
     # only grow, so every other node's id is below nid.
     for other, (ox, oy) in roadmap.nodes.items():
         if other != nid and oy * w + ox in flats:
-            roadmap.edges[(other, nid)] = _edge_value((ox, oy), (nx, ny), field)
+            roadmap.edges[(other, nid)] = edge_weight((ox, oy), (nx, ny), field)
             roadmap.adj[nid].add(other)
             roadmap.adj[other].add(nid)
     return nid
@@ -438,7 +419,6 @@ class PlanResult:
     ok: bool
     waypoints: list[tuple[int, int]] = dc_field(default_factory=list)
     cost: float = 0.0
-    min_clearance: float = math.inf
     reason: str | None = None  # "unmapped" | "unreachable" on failure
 
 
@@ -471,42 +451,33 @@ def plan(
     if not start_nodes or not goal_nodes:
         return PlanResult(ok=False, reason="unreachable")
 
-    def w_of(u, v):
-        return edge_weight(u, v, field)
-
-    # Dijkstra over the roadmap plus virtual start/goal connectors
+    # Dijkstra over the roadmap plus virtual start/goal connectors. A node's
+    # pushes carry strictly falling costs, so only its last one is current.
     dist: dict[int, float] = {}
     prev: dict[int, int | None] = {}
-    counter = 0
+    order = itertools.count()
     heap: list[tuple[float, int, int]] = []
     for nid in start_nodes:
-        d = w_of(start, roadmap.nodes[nid])
-        if d < dist.get(nid, math.inf):
-            dist[nid] = d
-            prev[nid] = None
-            heapq.heappush(heap, (d, counter, nid))
-            counter += 1
+        d = dist[nid] = edge_weight(start, roadmap.nodes[nid], field)
+        prev[nid] = None
+        heapq.heappush(heap, (d, next(order), nid))
     best_goal: tuple[float, int] | None = None
-    done: set[int] = set()
     while heap:
         d, _, nid = heapq.heappop(heap)
-        if nid in done or d > dist.get(nid, math.inf):
+        if d > dist[nid]:
             continue
-        done.add(nid)
         if nid in goal_nodes:
-            total = d + w_of(roadmap.nodes[nid], goal)
+            total = d + edge_weight(roadmap.nodes[nid], goal, field)
             if best_goal is None or total < best_goal[0]:
                 best_goal = (total, nid)
         # ascending ids, so ties between equal-cost routes break the same
         # way whatever order an adjacency set iterates in
-        for other in sorted(roadmap.neighbors(nid)):
-            weight, _ = roadmap.edges[roadmap.edge_key(nid, other)]
-            nd = d + weight
+        for other in sorted(roadmap.adj[nid]):
+            nd = d + roadmap.edges[(nid, other) if nid < other else (other, nid)]
             if nd < dist.get(other, math.inf):
                 dist[other] = nd
                 prev[other] = nid
-                heapq.heappush(heap, (nd, counter, other))
-                counter += 1
+                heapq.heappush(heap, (nd, next(order), other))
     if best_goal is None:
         return PlanResult(ok=False, reason="unreachable")
 
@@ -516,12 +487,10 @@ def plan(
         chain.append(at)
         at = prev[at]
     chain.reverse()
-    waypoints = [start] + [roadmap.nodes[n] for n in chain] + [goal]
-    out: list[tuple[int, int]] = [waypoints[0]]
-    for p in waypoints[1:]:
-        if p != out[-1]:
-            out.append(p)
-    waypoints = out
+    waypoints = [start]
+    for p in [roadmap.nodes[n] for n in chain] + [goal]:
+        if p != waypoints[-1]:
+            waypoints.append(p)
 
     # prune: drop a waypoint when a direct clear edge is no more expensive
     changed = True
@@ -529,14 +498,15 @@ def plan(
         changed = False
         for i in range(1, len(waypoints) - 1):
             a, mid, b = waypoints[i - 1], waypoints[i], waypoints[i + 1]
-            if segment_free(a, b, grid.free) and w_of(a, b) <= w_of(a, mid) + w_of(mid, b):
+            if segment_free(a, b, grid.free) and edge_weight(a, b, field) <= (
+                edge_weight(a, mid, field) + edge_weight(mid, b, field)
+            ):
                 del waypoints[i]
                 changed = True
                 break
 
+    # a left fold: from Python 3.12, sum() rounds a float sum differently
     cost = 0.0
-    clearance = math.inf
     for a, b in zip(waypoints, waypoints[1:]):
-        cost += w_of(a, b)
-        clearance = min(clearance, segment_min_value(a, b, field.dist))
-    return PlanResult(ok=True, waypoints=waypoints, cost=cost, min_clearance=clearance)
+        cost += edge_weight(a, b, field)
+    return PlanResult(ok=True, waypoints=waypoints, cost=cost)

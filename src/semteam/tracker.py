@@ -78,7 +78,7 @@ class LocalObstacleGrid:
         new_oy = (math.floor(y / res) - self.n // 2) * res
         shift_x = int(round((new_ox - self.origin_x) / res))
         shift_y = int(round((new_oy - self.origin_y) / res))
-        if shift_x == 0 and shift_y == 0 and (self.origin_x or self.origin_y):
+        if shift_x == 0 and shift_y == 0:
             return
         fresh = np.full((self.n, self.n), UNKNOWN_CELL, dtype=np.int8)
         src_x0, src_y0 = max(0, shift_x), max(0, shift_y)

@@ -45,10 +45,9 @@ def kf_at(world, x, y, kf_id, alt=10.0):
 
 def cells_of(kf):
     """(cell, class, center distance) per observed cell."""
-    obs = kf.observed_cells
     return [
         ((int(ix), int(iy)), SemanticClass(int(c)), float(d))
-        for ix, iy, c, d in zip(obs.ixs, obs.iys, obs.classes, obs.center_dist)
+        for ix, iy, c, d in zip(kf.ixs, kf.iys, kf.classes, kf.center_dist)
     ]
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -393,6 +394,28 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"localizer": {name: [0.05, -0.05, 0.01]}})
         assert err.value.problems == [f"localizer.{name} components must be >= 0, got (0.05, -0.05, 0.01)"]
+
+    @pytest.mark.parametrize(
+        "tracker, problem",
+        [
+            ({"k_yaw": 0.0}, "tracker.k_yaw must be > 0, got 0.0"),
+            ({"k_yaw": -2.0}, "tracker.k_yaw must be > 0, got -2.0"),
+            ({"align_threshold": 0.0}, "tracker.align_threshold must be in (0, pi], got 0.0"),
+            ({"align_threshold": -0.6}, "tracker.align_threshold must be in (0, pi], got -0.6"),
+            ({"align_threshold": 3.2}, "tracker.align_threshold must be in (0, pi], got 3.2"),
+        ],
+    )
+    def test_stalling_tracker_gains_rejected(self, tracker, problem):
+        # each of these stalls the default scenario: the team drives 0.0 m
+        # at align_threshold 0 and 5.4 m at k_yaw -2 in 1500 ticks
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict({"tracker": tracker})
+        assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize("align_threshold", [1e-3, math.pi])
+    def test_align_threshold_range_is_closed_at_pi(self, align_threshold):
+        cfg = ScenarioConfig.from_dict({"tracker": {"align_threshold": align_threshold}})
+        assert cfg.tracker.align_threshold == align_threshold
 
     def test_removed_lam_key_rejected(self):
         with pytest.raises(ConfigError) as err:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from semteam.config import LocalizerConfig
 from semteam.localize import (
-    FilterParams,
     OdomDelta,
     ParticleSet,
     PolarObservation,
@@ -87,7 +87,7 @@ def run_loop_sim(
     world = ring_world()
     grid = world.truth
     rng = np.random.default_rng(seed)
-    params = FilterParams()
+    params = LocalizerConfig()
 
     true_pose = rect_path_pose(0.0)
     guess = (true_pose[0] + init_offset[0], true_pose[1] + init_offset[1], true_pose[2])
@@ -314,7 +314,7 @@ class TestUpdateResample:
         ps = init_filter((16, 16, 0), 64, (2, 2, 0.2), rng)
         ps.weights = rng.random(64)
         ps.weights /= ps.weights.sum()
-        out, _, info = update_and_resample(ps, obs, grid, FilterParams(), rng)
+        out, _, info = update_and_resample(ps, obs, grid, LocalizerConfig(), rng)
         if not info.resampled:
             np.testing.assert_allclose(out.weights, ps.weights, atol=1e-12)
 
@@ -331,7 +331,7 @@ class TestUpdateResample:
         xs[17], ys[17], yaws[17] = true_pose
         ps = ParticleSet(xs, ys, yaws, np.full(n, 1.0 / n))
         out, est, info = update_and_resample(
-            ps, obs, grid, FilterParams(temperature=0.05), np.random.default_rng(13)
+            ps, obs, grid, LocalizerConfig(temperature=0.05), np.random.default_rng(13)
         )
         assert est[0] == pytest.approx(true_pose[0], abs=0.5)
         assert est[1] == pytest.approx(true_pose[1], abs=0.5)
@@ -345,7 +345,7 @@ class TestUpdateResample:
             pose = rect_path_pose(k * 0.5)
             obs = scan_obs(grid, pose)
             ps = predict(ps, OdomDelta(0.5, 0, 0), (0.05, 0.05, 0.01), rng)
-            ps, _, _ = update_and_resample(ps, obs, grid, FilterParams(), rng)
+            ps, _, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng)
             assert ps.n == 200
             assert ps.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -372,7 +372,7 @@ class TestUpdateResample:
                 )
                 ps = predict(ps, delta, (0.02, 0.02, 0.005), rng)
                 obs = scan_obs(grid, cur)
-                ps, est, _ = update_and_resample(ps, obs, grid, FilterParams(), rng)
+                ps, est, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng)
                 errs.append(math.hypot(est[0] - cur[0], est[1] - cur[1]))
             if errs[-1] < 1.0:
                 passed += 1

