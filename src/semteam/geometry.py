@@ -4,11 +4,20 @@ A segment between two cell centers "touches" every cell whose closed unit
 square it intersects (the supercover of the segment). Touch tests are done
 as exact slab intersections, vectorized over cells, which makes them
 symmetric in the endpoints and free of stepping artifacts.
+
+The batched kernels, ``visible_from`` over candidate cells and
+``segments_min_value`` over many segments, work in blocks of at most
+``BLOCK`` cells, so a call's temporaries stay small whatever its size.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: most elements in one block of a batched kernel's temporaries: at 64 KiB
+#: of float64 a block stays below the size at which the allocator maps
+#: fresh pages from the kernel on every call
+BLOCK = 8192
 
 
 def segment_cells(u: tuple[int, int], v: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -25,8 +34,9 @@ def segment_cells(u: tuple[int, int], v: tuple[int, int]) -> tuple[np.ndarray, n
     ay = np.arange(min(u[1], v[1]), max(u[1], v[1]) + 1)
 
     # one direction: a (1, columns) row of x slabs, a (1, rows) row of y slabs
-    tx_lo, tx_hi = _axis_intervals(x0, np.array([x1 - x0]), ax)
-    ty_lo, ty_hi = _axis_intervals(y0, np.array([y1 - y0]), ay)
+    with np.errstate(divide="ignore"):
+        tx_lo, tx_hi = _axis_intervals(x0, np.array([[x1 - x0]]), ax)
+        ty_lo, ty_hi = _axis_intervals(y0, np.array([[y1 - y0]]), ay)
 
     lo = np.maximum(np.maximum(tx_lo, ty_lo.T), 0.0)
     hi = np.minimum(np.minimum(tx_hi, ty_hi.T), 1.0)
@@ -44,8 +54,78 @@ def segment_min_value(
     u: tuple[int, int], v: tuple[int, int], field: np.ndarray
 ) -> float:
     """Minimum of a per-cell field over the cells the segment touches."""
-    ixs, iys = segment_cells(u, v)
-    return float(field[iys, ixs].min())
+    return float(segments_min_value(np.array([[*u, *v]]), field)[0])
+
+
+def segments_min_value(ends: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Minimum of a per-cell field over each segment's supercover, for an
+    (N, 4) integer array of segments ``(ux, uy, vx, vy)``.
+
+    A segment is tested cell by cell along its major axis, on the ``BAND``
+    cells across it that can touch the segment, with exactly the floats of
+    ``segment_cells``: every minimum is the one a single-segment call gives.
+    Segments are sorted by length and taken in blocks of at most ``BLOCK``
+    tested cells, or one segment, which may test more.
+    """
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 4)
+    d = ends[:, 2:] - ends[:, :2]
+    # start from the lesser (x, y) end, as segment_cells does
+    swap = ((d[:, 0] < 0) | ((d[:, 0] == 0) & (d[:, 1] < 0)))[:, None]
+    u = np.where(swap, ends[:, 2:], ends[:, :2])
+    d = np.where(swap, -d, d)
+    # (major, minor) axis columns: x first unless steeper than 45 degrees
+    flip = (np.abs(d[:, 1]) > np.abs(d[:, 0]))[:, None]
+    u = np.where(flip, u[:, ::-1], u)
+    d = np.where(flip, d[:, ::-1], d)
+    stride = np.where(flip, [field.shape[1], 1], [1, field.shape[1]])
+    steps = np.abs(d[:, 0]) + 1
+    width = int(steps.max(initial=0))
+    if len(ends) * width * BAND <= BLOCK:
+        return _band_min(u, d, stride, width, field)
+    out = np.empty(len(ends))
+    order = np.argsort(steps)
+    start = 0
+    for k, width in enumerate(steps[order].tolist()):
+        if k > start and (k + 1 - start) * width * BAND > BLOCK:
+            sel = order[start:k]
+            out[sel] = _band_min(u[sel], d[sel], stride[sel], int(steps[sel].max()), field)
+            start = k
+    sel = order[start:]
+    out[sel] = _band_min(u[sel], d[sel], stride[sel], int(steps[sel].max()), field)
+    return out
+
+
+#: cells tested across a segment at each cell along its major axis
+BAND = 3
+
+
+def _band_min(u: np.ndarray, d: np.ndarray, stride: np.ndarray, width: int, field: np.ndarray) -> np.ndarray:
+    """Supercover minima of segments from cells ``u`` by ``d``, both in
+    (major, minor) axis order, at most ``width`` cells long in the major
+    axis; ``stride`` holds the field's strides in that order.
+
+    With a slope of at most 1, the line moves at most one cell across over
+    one cell along, so every supercover cell lies within one cell of
+    ``mid``, the line's cell at the middle of that cell along; the rest of
+    the box is at least half a cell away. ``mid`` is an exact integer floor.
+    Cells past a segment's own box, off the map included, fail the slab
+    test, so the field value read for them does not count.
+    """
+    along = u[:, :1] + np.minimum(d[:, :1], 0) + np.arange(width)
+    # floor(u1 + 0.5 + (along - u0) * d1 / d0), in integers
+    mid = u[:, 1:] + (d[:, :1] + 2 * (along - u[:, :1]) * d[:, 1:]) // np.where(d[:, :1] == 0, 1, 2 * d[:, :1])
+    across = mid[:, :, None] + np.arange(-(BAND // 2), BAND // 2 + 1)
+    with np.errstate(divide="ignore"):
+        lo, hi = _axis_intervals(u[:, :1] + 0.5, d[:, :1], along)
+        t_lo, t_hi = _axis_intervals(u[:, 1:, None] + 0.5, d[:, 1:, None], across)
+    np.maximum(t_lo, lo[:, :, None], out=t_lo)
+    np.maximum(t_lo, 0.0, out=t_lo)
+    np.minimum(t_hi, hi[:, :, None], out=t_hi)
+    np.minimum(t_hi, 1.0, out=t_hi)
+    across *= stride[:, 1:, None]
+    across += (along * stride[:, :1])[:, :, None]
+    vals = field.ravel().take(across, mode="clip")
+    return np.minimum.reduce(vals, axis=(1, 2), where=t_lo <= t_hi, initial=np.inf)
 
 
 def visible_from(
@@ -60,39 +140,48 @@ def visible_from(
     Batched supercover test: candidate j is blocked iff the segment from the
     node center to candidate j's center intersects any obstacle cell square.
     All obstacle cells that could possibly intersect any of these segments
-    must be included by the caller (any superset is fine).
+    must be included by the caller (any superset is fine). Candidates and
+    obstacles are taken in blocks of at most ``BLOCK`` pairs.
     """
-    n = cand_ix.size
+    n, k = cand_ix.size, obst_ix.size
     if n == 0:
         return np.zeros(0, dtype=bool)
-    if obst_ix.size == 0:
+    if k == 0:
         return np.ones(n, dtype=bool)
     px, py = node[0] + 0.5, node[1] + 0.5
     dx = (cand_ix + 0.5) - px
     dy = (cand_iy + 0.5) - py
-
-    tx_lo, tx_hi = _axis_intervals(px, dx, obst_ix)
-    ty_lo, ty_hi = _axis_intervals(py, dy, obst_iy)
-
-    lo = np.maximum(np.maximum(tx_lo, ty_lo), 0.0)
-    hi = np.minimum(np.minimum(tx_hi, ty_hi), 1.0)
-    blocked = (lo <= hi).any(axis=1)
+    blocked = np.zeros(n, dtype=bool)
+    k_step = min(k, BLOCK)
+    j_step = BLOCK // k_step
+    with np.errstate(divide="ignore"):
+        for k0 in range(0, k, k_step):
+            ox, oy = obst_ix[k0 : k0 + k_step], obst_iy[k0 : k0 + k_step]
+            for j0 in range(0, n, j_step):
+                lo, hi = _axis_intervals(px, dx[j0 : j0 + j_step, None], ox)
+                ty_lo, ty_hi = _axis_intervals(py, dy[j0 : j0 + j_step, None], oy)
+                np.maximum(lo, ty_lo, out=lo)
+                np.maximum(lo, 0.0, out=lo)
+                np.minimum(hi, ty_hi, out=hi)
+                np.minimum(hi, 1.0, out=hi)
+                blocked[j0 : j0 + j_step] |= (lo <= hi).any(axis=1)
     return ~blocked
 
 
 def _axis_intervals(
-    p0: float, d: np.ndarray, cells: np.ndarray
+    p0, d: np.ndarray, cells: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(J, K) parameter intervals in which the point p0 + t*d[j] lies in
-    [cell k, cell k + 1], for J segment directions and K cells.
+    """Parameter intervals in which the point p0 + t*d lies in [cell, cell +
+    1], broadcast over p0, d and cells: (J, K) for J directions d of shape
+    (J, 1) and K cells.
 
     p0 is a cell center, so ``cells - p0`` is never 0, and a zero direction
     gives infinite bounds: (-inf, inf) for the cell holding p0, and bounds
     of one sign, an interval that misses [0, 1], for every other cell.
+    Callers ignore division by zero.
     """
-    with np.errstate(divide="ignore"):
-        t1 = (cells - p0) / d[:, None]
-        t2 = (cells + 1 - p0) / d[:, None]
+    t1 = (cells - p0) / d
+    t2 = (cells + 1 - p0) / d
     return np.minimum(t1, t2), np.maximum(t1, t2)
 
 

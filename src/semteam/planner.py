@@ -11,6 +11,10 @@ stores only its weight, which trades distance against clearance with the
 printed heuristic at lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min
 clearance along the edge. A new map version recomputes only the weights of
 edges whose bounding box holds a cell where the distance field changed.
+Weights are computed in batches by ``geometry.segments_min_value``, which
+tests at most ``geometry.BLOCK`` cells at a time: every edge a new node
+makes, every edge a new version recomputes, and a plan's connectors and
+pruning candidates.
 
 Map versions only add free cells. The aerial robot maps at its exact pose,
 so every keyframe copies the true class of each footprint cell; the map
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from semteam.geometry import segment_free, segment_min_value, visible_from
+from semteam.geometry import segment_free, segments_min_value, visible_from
 from semteam.world import SemanticClass, SemanticGridMap, traversable_mask
 
 
@@ -133,8 +137,17 @@ def distance_transform(grid: TraversabilityGrid) -> DistanceField:
 
 def edge_weight(u: tuple[int, int], v: tuple[int, int], field: DistanceField) -> float:
     """Distance/clearance edge weight; assumes the segment is obstacle-free."""
-    m = segment_min_value(u, v, field.dist)
-    return math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution + (m * m + math.sqrt(m))
+    return edge_weights([(*u, *v)], field)[0]
+
+
+def edge_weights(ends: list[tuple[int, int, int, int]], field: DistanceField) -> list[float]:
+    """``edge_weight`` of each segment ``(ux, uy, vx, vy)``, with one batched
+    supercover minimum for all of them."""
+    res = field.resolution
+    mins = segments_min_value(np.array(ends, dtype=np.int64).reshape(-1, 4), field.dist).tolist()
+    return [
+        math.hypot(ux - vx, uy - vy) * res + (m * m + math.sqrt(m)) for (ux, uy, vx, vy), m in zip(ends, mins)
+    ]
 
 
 class VisibilityMap:
@@ -343,8 +356,8 @@ def _refresh_weights(roadmap: Roadmap, field: DistanceField) -> None:
         y1 = np.maximum(ends[:, 1], ends[:, 3]) + 1
         hits = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
         keys = [key for key, hit in zip(keys, hits) if hit]
-    for key in keys:
-        roadmap.edges[key] = edge_weight(roadmap.nodes[key[0]], roadmap.nodes[key[1]], field)
+    nodes = roadmap.nodes
+    roadmap.edges.update(zip(keys, edge_weights([nodes[a] + nodes[b] for a, b in keys], field)))
 
 
 def _window_obstacles(free, node, cand_ix, cand_iy):
@@ -402,11 +415,12 @@ def _add_node(
     # segment_free are the same closed-square slab test, and every slab value
     # is a correctly rounded quotient of small integers, so they agree. Ids
     # only grow, so every other node's id is below nid.
-    for other, (ox, oy) in roadmap.nodes.items():
-        if other != nid and oy * w + ox in flats:
-            roadmap.edges[(other, nid)] = edge_weight((ox, oy), (nx, ny), field)
-            roadmap.adj[nid].add(other)
-            roadmap.adj[other].add(nid)
+    others = [other for other, (ox, oy) in roadmap.nodes.items() if other != nid and oy * w + ox in flats]
+    weights = edge_weights([roadmap.nodes[other] + (nx, ny) for other in others], field)
+    for other, weight in zip(others, weights):
+        roadmap.edges[(other, nid)] = weight
+        roadmap.adj[nid].add(other)
+        roadmap.adj[other].add(nid)
     return nid
 
 
@@ -457,17 +471,19 @@ def plan(
     prev: dict[int, int | None] = {}
     order = itertools.count()
     heap: list[tuple[float, int, int]] = []
-    for nid in start_nodes:
-        d = dist[nid] = edge_weight(start, roadmap.nodes[nid], field)
+    nodes = roadmap.nodes
+    for nid, d in zip(start_nodes, edge_weights([(*start, *nodes[nid]) for nid in start_nodes], field)):
+        dist[nid] = d
         prev[nid] = None
         heapq.heappush(heap, (d, next(order), nid))
+    to_goal = dict(zip(goal_nodes, edge_weights([(*nodes[nid], *goal) for nid in goal_nodes], field)))
     best_goal: tuple[float, int] | None = None
     while heap:
         d, _, nid = heapq.heappop(heap)
         if d > dist[nid]:
             continue
         if nid in goal_nodes:
-            total = d + edge_weight(roadmap.nodes[nid], goal, field)
+            total = d + to_goal[nid]
             if best_goal is None or total < best_goal[0]:
                 best_goal = (total, nid)
         # ascending ids, so ties between equal-cost routes break the same
@@ -492,21 +508,26 @@ def plan(
         if p != waypoints[-1]:
             waypoints.append(p)
 
-    # prune: drop a waypoint when a direct clear edge is no more expensive
-    changed = True
-    while changed and len(waypoints) > 2:
-        changed = False
-        for i in range(1, len(waypoints) - 1):
-            a, mid, b = waypoints[i - 1], waypoints[i], waypoints[i + 1]
-            if segment_free(a, b, grid.free) and edge_weight(a, b, field) <= (
-                edge_weight(a, mid, field) + edge_weight(mid, b, field)
+    # prune: drop the first waypoint whose neighbors a clear direct edge
+    # joins at no more cost, until none is left; each round weighs the
+    # segments no earlier round did, in one batch
+    weight: dict[tuple[int, int, int, int], float] = {}
+    while True:
+        steps = [(*a, *b) for a, b in zip(waypoints, waypoints[1:])]
+        skips = [(*a, *b) for a, b in zip(waypoints, waypoints[2:])]
+        fresh = [seg for seg in steps + skips if seg not in weight]
+        weight.update(zip(fresh, edge_weights(fresh, field)))
+        for i, skip in enumerate(skips, 1):
+            if weight[skip] <= weight[steps[i - 1]] + weight[steps[i]] and segment_free(
+                waypoints[i - 1], waypoints[i + 1], grid.free
             ):
                 del waypoints[i]
-                changed = True
                 break
+        else:
+            break
 
     # a left fold: from Python 3.12, sum() rounds a float sum differently
     cost = 0.0
-    for a, b in zip(waypoints, waypoints[1:]):
-        cost += edge_weight(a, b, field)
+    for step in steps:
+        cost += weight[step]
     return PlanResult(ok=True, waypoints=waypoints, cost=cost)

@@ -1,6 +1,7 @@
 """The array kernels of the scan and filter hot path give exactly the floats
-of their step-by-step loop versions, which are kept here as references, and
-the planner's distance transform gives exactly SciPy's.
+of their step-by-step loop versions, which are kept here as references, the
+batched supercover minimum gives exactly the per-segment one, and the
+planner's distance transform gives exactly SciPy's.
 
 The array code does the same arithmetic in the same order, so every result
 is compared for equality (bit for bit where floats are involved), never
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
-from semteam import planner
-from semteam.localize import ParticleSet, PolarObservation, match_costs
+from semteam import geometry, planner
+from semteam.config import PlannerConfig
+from semteam.geometry import segment_cells, segments_min_value
+from semteam.localize import ParticleSet, PolarObservation, match_costs, match_table
 from semteam.world import SemanticClass, SemanticGridMap, ground_scan, traversable, traversable_mask
 
 # ---------------------------------------------------------------------------
@@ -162,6 +165,18 @@ def ref_match_costs(particles, obs, grid, unknown_cost):
     mismatch = np.where(is_free_bin, ~drivable_near, ~cls_near).astype(np.float64)
     per_bin = np.where(~inside | (cls == SemanticClass.UNKNOWN), unknown_cost, mismatch)
     return per_bin.sum(axis=1) / obs.n_filled
+
+
+def ref_segment_min_value(u, v, field):
+    """Field minimum over one segment's supercover, one segment per call."""
+    ixs, iys = segment_cells(u, v)
+    return float(field[iys, ixs].min())
+
+
+def ref_edge_weight(u, v, field):
+    """Roadmap edge weight from the one-segment minimum."""
+    m = ref_segment_min_value(u, v, field.dist)
+    return math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution + (m * m + math.sqrt(m))
 
 
 def ref_close(mask, radius):
@@ -455,7 +470,7 @@ class TestMatchCostsMatchesLoop:
             particles = particles_around(rng, 300, pose, spread=w * res / 2)
             cost = float(rng.choice([0.0, 0.4, 0.9]))
             for grid in (truth, seen):
-                got = match_costs(particles, obs, grid, cost)
+                got = match_costs(particles, obs, grid, cost, match_table(grid))
                 assert got.tobytes() == ref_match_costs(particles, obs, grid, cost).tobytes()
 
     def test_particles_far_off_the_map(self):
@@ -463,7 +478,7 @@ class TestMatchCostsMatchesLoop:
         grid = make_map(cluttered_classes(rng, 20, 20))
         obs = PolarObservation.from_scan(ground_scan(grid, (10.5, 10.5, 0.0), 15.0, 36), 36, 10, 15.0)
         particles = particles_around(rng, 50, (10.0, 10.0), spread=1e6)
-        got = match_costs(particles, obs, grid, 0.4)
+        got = match_costs(particles, obs, grid, 0.4, match_table(grid))
         assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
 
     def test_all_unknown_map(self):
@@ -472,16 +487,120 @@ class TestMatchCostsMatchesLoop:
         obs = PolarObservation.from_scan(ground_scan(truth, (15.5, 15.5, 0.4), 15.0, 36), 36, 10, 15.0)
         grid = SemanticGridMap.unknown(30, 30)
         particles = particles_around(rng, 100, (15.0, 15.0), spread=10.0)
-        got = match_costs(particles, obs, grid, 0.4)
+        got = match_costs(particles, obs, grid, 0.4, match_table(grid))
         assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
+
+    def test_calls_whose_bin_count_grows_and_shrinks(self):
+        # every call reuses the workspace of the last, at a larger or smaller
+        # bins-by-particles size; no row left from an earlier call may count
+        rng = np.random.default_rng(13)
+        truth = make_map(cluttered_classes(rng, 40, 40, blocked=0.1))
+        grid = make_map(cluttered_classes(rng, 40, 40, blocked=0.1, unknown=0.3))
+        table = match_table(grid)
+        filled = []
+        for n_range, stride, n in [(10, 1, 400), (2, 3, 50), (10, 2, 500), (4, 1, 120), (1, 1, 10), (10, 1, 700), (3, 3, 200)]:
+            pose = (float(rng.uniform(10, 30)), float(rng.uniform(10, 30)), float(rng.uniform(-3, 3)))
+            scan = ground_scan(truth, pose, 15.0, 36)
+            obs = PolarObservation.from_scan(scan, 36, n_range, 15.0, free_stride=stride)
+            particles = particles_around(rng, n, pose, spread=4.0)
+            got = match_costs(particles, obs, grid, 0.4, table)
+            assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
+            filled.append(obs.n_filled)
+        steps = np.diff(filled)
+        assert (steps > 0).any() and (steps < 0).any(), filled
 
     def test_empty_observation(self):
         rng = np.random.default_rng(12)
         obs = PolarObservation.from_scan([], 36, 10, 15.0)
         grid = make_map(cluttered_classes(rng, 10, 10))
         particles = particles_around(rng, 20, (5.0, 5.0), spread=2.0)
-        got = match_costs(particles, obs, grid, 0.4)
+        got = match_costs(particles, obs, grid, 0.4, match_table(grid))
         assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# batched supercover minimum
+
+
+def assert_batch_matches(segs, field):
+    got = segments_min_value(np.array(segs, dtype=np.int64).reshape(-1, 4), field)
+    assert bits(got) == bits([ref_segment_min_value(s[:2], s[2:], field) for s in segs])
+
+
+def random_segment(rng, w, h, reach):
+    """A segment of length at most reach inside a w x h grid: zero-length,
+    axis-aligned or in any direction."""
+    kind = rng.integers(4)
+    if kind == 0:
+        dx = dy = 0
+    elif kind == 1:
+        dx, dy = int(rng.integers(-reach, reach + 1)), 0
+    elif kind == 2:
+        dx, dy = 0, int(rng.integers(-reach, reach + 1))
+    else:
+        while True:
+            dx, dy = (int(d) for d in rng.integers(-reach, reach + 1, size=2))
+            if dx * dx + dy * dy <= reach * reach:
+                break
+    ux = int(rng.integers(max(0, -dx), min(w, w - dx)))
+    uy = int(rng.integers(max(0, -dy), min(h, h - dy)))
+    return (ux, uy, ux + dx, uy + dy)
+
+
+class TestSupercoverMinimumMatchesPerSegment:
+    def test_random_segments_both_endpoint_orders(self):
+        rng = np.random.default_rng(40)
+        reach = int(2 * PlannerConfig().node_radius)
+        h, w = 2 * reach + 5, 2 * reach + 11
+        for trial in range(20):
+            field = rng.uniform(0.0, 10.0, size=(h, w))
+            if trial % 2:
+                field = np.floor(field)  # ties, like a distance field's
+            segs = [random_segment(rng, w, h, reach) for _ in range(int(rng.integers(1, 150)))]
+            segs += [s[2:] + s[:2] for s in segs]
+            assert_batch_matches(segs, field)
+
+    PER_BLOCK = geometry.BLOCK // (16 * geometry.BAND)
+
+    @pytest.mark.parametrize("count, blocks", [(1, 1), (PER_BLOCK, 1), (PER_BLOCK + 1, 2)])
+    def test_batch_sizes_at_the_block_bound(self, count, blocks, monkeypatch):
+        # every segment is 16 cells long in both axes, so PER_BLOCK of them
+        # fill one block
+        sizes = []
+        band_min = geometry._band_min
+
+        def counted(ends, *args):
+            sizes.append(len(ends))
+            return band_min(ends, *args)
+
+        monkeypatch.setattr(geometry, "_band_min", counted)
+        rng = np.random.default_rng(41)
+        field = rng.uniform(0.0, 10.0, size=(40, 40))
+        segs = []
+        for _ in range(count):
+            sx, sy = (int(d) for d in rng.choice([-15, 15], size=2))
+            ux = int(rng.integers(max(0, -sx), min(40, 40 - sx)))
+            uy = int(rng.integers(max(0, -sy), min(40, 40 - sy)))
+            segs.append((ux, uy, ux + sx, uy + sy))
+        assert_batch_matches(segs, field)
+        assert len(sizes) == blocks and sum(sizes) == count
+
+    def test_every_edge_of_the_golden_roadmap(self):
+        from test_planner import TestIncrementalRoadmap, grid_from_free, incremental_versions
+
+        rm, vis = planner.Roadmap(radius=TestIncrementalRoadmap.RADIUS), None
+        checked = 0
+        for free in incremental_versions():
+            grid = grid_from_free(free)
+            field = planner.distance_transform(grid)
+            rm, vis = planner.update_roadmap(rm, vis, grid, field)
+            segs = [rm.nodes[a] + rm.nodes[b] for a, b in rm.edges]
+            assert_batch_matches(segs, field.dist)
+            want = [ref_edge_weight(rm.nodes[a], rm.nodes[b], field) for a, b in rm.edges]
+            assert bits(list(rm.edges.values())) == bits(want)
+            assert bits(planner.edge_weights(segs, field)) == bits(want)
+            checked += len(segs)
+        assert checked > 100
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from semteam.localize import (
     PolarObservation,
     init_filter,
     match_costs,
+    match_table,
     predict,
     update_and_resample,
 )
@@ -88,6 +89,7 @@ def run_loop_sim(
     grid = world.truth
     rng = np.random.default_rng(seed)
     params = LocalizerConfig()
+    table = match_table(grid)
 
     true_pose = rect_path_pose(0.0)
     guess = (true_pose[0] + init_offset[0], true_pose[1] + init_offset[1], true_pose[2])
@@ -114,7 +116,7 @@ def run_loop_sim(
         if tick % scan_every == 0:
             scan = ground_scan(grid, true_pose, 15.0, 36)
             obs = PolarObservation.from_scan(scan, 36, 10, 15.0)
-            particles, est, _ = update_and_resample(particles, obs, grid, params, rng)
+            particles, est, _ = update_and_resample(particles, obs, grid, params, rng, table)
         filter_err.append(math.hypot(est[0] - true_pose[0], est[1] - true_pose[1]))
         dr_err.append(math.hypot(dr[0] - true_pose[0], dr[1] - true_pose[1]))
     return np.array(filter_err), np.array(dr_err)
@@ -190,20 +192,20 @@ class TestMatchCost:
         pose = (11.5, 11.5, 0.3)
         obs = scan_obs(world.truth, pose)
         assert obs.n_filled > 0
-        assert match_costs(one_particle(pose), obs, world.truth, 0.4)[0] == 0.0
+        assert match_costs(one_particle(pose), obs, world.truth, 0.4, match_table(world.truth))[0] == 0.0
 
     def test_all_unknown_map_gives_fixed_cost(self):
         world = ring_world()
         pose = (11.5, 11.5, 0.0)
         obs = scan_obs(world.truth, pose)
         unknown = SemanticGridMap.unknown(64, 64)
-        assert match_costs(one_particle(pose), obs, unknown, 0.4)[0] == pytest.approx(0.4)
+        assert match_costs(one_particle(pose), obs, unknown, 0.4, match_table(unknown))[0] == pytest.approx(0.4)
 
     def test_empty_observation_zero_cost(self):
         obs = PolarObservation.from_scan([], 8, 4, 5.0)
         grid = SemanticGridMap.unknown(8, 8)
         assert obs.n_filled == 0
-        assert match_costs(one_particle((1, 1, 0)), obs, grid, 0.7)[0] == 0.0
+        assert match_costs(one_particle((1, 1, 0)), obs, grid, 0.7, match_table(grid))[0] == 0.0
 
     def test_all_miss_scan_yields_free_evidence(self):
         obs = PolarObservation.from_scan([(5.0, SemanticClass.UNKNOWN)] * 8, 8, 4, 5.0)
@@ -217,13 +219,14 @@ class TestMatchCost:
     def test_recount_oracle(self):
         world = ring_world()
         grid = world.truth
+        table = match_table(grid)
         rng = np.random.default_rng(10)
         n_az, n_rng_bins, max_range = 36, 10, 15.0
         for _ in range(20):
             pose_eval = (float(rng.uniform(9, 55)), float(rng.uniform(9, 12)), float(rng.uniform(0, 6.3)))
             scan = ground_scan(grid, (11.5, 11.5, 0.0), max_range, 36)
             obs = PolarObservation.from_scan(scan, n_az, n_rng_bins, max_range)
-            got = match_costs(one_particle(pose_eval), obs, grid, 0.4)[0]
+            got = match_costs(one_particle(pose_eval), obs, grid, 0.4, table)[0]
 
             # independent recount: re-bin the raw scan (hits, then free
             # evidence) and score every filled bin by hand
@@ -297,11 +300,12 @@ class TestMatchCost:
             version=1,
         )
         rng = np.random.default_rng(11)
+        t1, t2 = match_table(g1), match_table(g2)
         for _ in range(10):
             pose = (float(rng.uniform(9, 54)), float(rng.uniform(9, 54)), float(rng.uniform(0, 6.3)))
             obs = scan_obs(g1, (11.5, 11.5, 0.0))
-            c1 = match_costs(one_particle(pose), obs, g1, 0.4)[0]
-            c2 = match_costs(one_particle((pose[0] + 37.0, pose[1] - 12.0, pose[2])), obs, g2, 0.4)[0]
+            c1 = match_costs(one_particle(pose), obs, g1, 0.4, t1)[0]
+            c2 = match_costs(one_particle((pose[0] + 37.0, pose[1] - 12.0, pose[2])), obs, g2, 0.4, t2)[0]
             assert c1 == c2
 
 
@@ -314,7 +318,7 @@ class TestUpdateResample:
         ps = init_filter((16, 16, 0), 64, (2, 2, 0.2), rng)
         ps.weights = rng.random(64)
         ps.weights /= ps.weights.sum()
-        out, _, info = update_and_resample(ps, obs, grid, LocalizerConfig(), rng)
+        out, _, info = update_and_resample(ps, obs, grid, LocalizerConfig(), rng, match_table(grid))
         if not info.resampled:
             np.testing.assert_allclose(out.weights, ps.weights, atol=1e-12)
 
@@ -331,7 +335,7 @@ class TestUpdateResample:
         xs[17], ys[17], yaws[17] = true_pose
         ps = ParticleSet(xs, ys, yaws, np.full(n, 1.0 / n))
         out, est, info = update_and_resample(
-            ps, obs, grid, LocalizerConfig(temperature=0.05), np.random.default_rng(13)
+            ps, obs, grid, LocalizerConfig(temperature=0.05), np.random.default_rng(13), match_table(grid)
         )
         assert est[0] == pytest.approx(true_pose[0], abs=0.5)
         assert est[1] == pytest.approx(true_pose[1], abs=0.5)
@@ -339,19 +343,21 @@ class TestUpdateResample:
     def test_weights_sum_one_and_count_preserved(self, loop_runs):
         world = ring_world()
         grid = world.truth
+        table = match_table(grid)
         rng = np.random.default_rng(14)
         ps = init_filter((11.5, 11.5, 0), 200, (4, 4, 0.3), rng)
         for k in range(30):
             pose = rect_path_pose(k * 0.5)
             obs = scan_obs(grid, pose)
             ps = predict(ps, OdomDelta(0.5, 0, 0), (0.05, 0.05, 0.01), rng)
-            ps, _, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng)
+            ps, _, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng, table)
             assert ps.n == 200
             assert ps.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_noise_convergence_within_50_steps(self):
         world = ring_world()
         grid = world.truth
+        table = match_table(grid)
         passed = 0
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
@@ -372,7 +378,7 @@ class TestUpdateResample:
                 )
                 ps = predict(ps, delta, (0.02, 0.02, 0.005), rng)
                 obs = scan_obs(grid, cur)
-                ps, est, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng)
+                ps, est, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng, table)
                 errs.append(math.hypot(est[0] - cur[0], est[1] - cur[1]))
             if errs[-1] < 1.0:
                 passed += 1
