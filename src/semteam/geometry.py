@@ -50,13 +50,6 @@ def segment_free(u: tuple[int, int], v: tuple[int, int], free: np.ndarray) -> bo
     return bool(free[iys, ixs].all())
 
 
-def segment_min_value(
-    u: tuple[int, int], v: tuple[int, int], field: np.ndarray
-) -> float:
-    """Minimum of a per-cell field over the cells the segment touches."""
-    return float(segments_min_value(np.array([[*u, *v]]), field)[0])
-
-
 def segments_min_value(ends: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Minimum of a per-cell field over each segment's supercover, for an
     (N, 4) integer array of segments ``(ux, uy, vx, vy)``.

@@ -19,7 +19,7 @@ import numpy as np
 
 from semteam.config import LocalizerConfig
 from semteam.geometry import wrap_angle
-from semteam.world import SemanticClass, SemanticGridMap
+from semteam.world import Scan, SemanticClass, SemanticGridMap, beam_offsets
 
 #: match-table layer of free-evidence bins; layers below it are classes
 FREE_LAYER = len(SemanticClass)
@@ -62,31 +62,24 @@ class PolarObservation:
     or by traversable evidence: a beam that reached farther than a bin
     proves the ground there was drivable, the way lidar ground returns
     populate the real polar map. Both kinds of bins are scored by matching.
+
+    One entry per filled bin, hit bins first: its robot-frame offset
+    ``(dx, dy)`` and its ``layer`` of the map's match table, the hit class
+    or ``FREE_LAYER`` for free evidence.
     """
 
-    local_dx: np.ndarray
-    local_dy: np.ndarray
-    bin_classes: np.ndarray
-    free_dx: np.ndarray
-    free_dy: np.ndarray
-
-    def __post_init__(self) -> None:
-        # combined projection arrays and, per bin, its layer of the map's
-        # match table: the expected class, or FREE_LAYER for free evidence
-        self.all_dx = np.concatenate([self.local_dx, self.free_dx])
-        self.all_dy = np.concatenate([self.local_dy, self.free_dy])
-        self.all_layer = np.concatenate(
-            [self.bin_classes, np.full(self.free_dx.size, FREE_LAYER, dtype=np.int64)]
-        )
+    dx: np.ndarray
+    dy: np.ndarray
+    layer: np.ndarray
 
     @property
     def n_filled(self) -> int:
-        return int(self.bin_classes.size + self.free_dx.size)
+        return int(self.layer.size)
 
     @classmethod
     def from_scan(
         cls,
-        scan: list[tuple[float, SemanticClass]],
+        scan: Scan,
         n_azimuth: int = 36,
         n_range: int = 10,
         max_range: float = 20.0,
@@ -102,9 +95,8 @@ class PolarObservation:
         radial bins on one beam carry largely redundant information).
         """
         rng_width = max_range / n_range
-        ranges = np.array([r for r, _ in scan], dtype=np.float64)
-        classes = np.array([c for _, c in scan], dtype=np.int64)
-        cos, sin, ia, ks, r_k = _beam_layout(len(scan), n_azimuth, n_range, max_range, free_stride)
+        ranges, classes = scan.ranges, scan.classes
+        cos, sin, ia, ks, r_k = _beam_layout(ranges.size, n_azimuth, n_range, max_range, free_stride)
         hit = classes != SemanticClass.UNKNOWN
 
         # free samples in beam-major, then outward order; radii only grow
@@ -122,12 +114,12 @@ class PolarObservation:
         split = np.searchsorted(first, hits.size)
         free = first[split:] - hits.size
         hits = hits[first[:split]]
+        beams = np.concatenate([hits, beam[free]])
+        radii = np.concatenate([ranges[hits], r_k[k[free]]])
         return cls(
-            local_dx=ranges[hits] * cos[hits],
-            local_dy=ranges[hits] * sin[hits],
-            bin_classes=classes[hits],
-            free_dx=r_k[k[free]] * cos[beam[free]],
-            free_dy=r_k[k[free]] * sin[beam[free]],
+            dx=radii * cos[beams],
+            dy=radii * sin[beams],
+            layer=np.concatenate([classes[hits], np.full(free.size, FREE_LAYER, dtype=np.int64)]),
         )
 
 
@@ -135,7 +127,7 @@ class PolarObservation:
 def _beam_layout(n_beams: int, n_azimuth: int, n_range: int, max_range: float, free_stride: int):
     """Read-only arrays of one scan layout: each beam's cos and sin and its
     azimuth bin, then the radial bin of each free sample and its radius."""
-    offset = 2.0 * math.pi * np.arange(n_beams) / n_beams
+    offset = beam_offsets(n_beams)
     ia = (offset / (2.0 * math.pi / n_azimuth)).astype(np.int64) % n_azimuth
     ks = np.arange(0, n_range, max(1, free_stride))
     layout = (np.cos(offset), np.sin(offset), ia, ks, (ks + 0.5) * (max_range / n_range))
@@ -153,7 +145,7 @@ def init_filter(
     """Gaussian cloud around the guess with uniform weights."""
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    sx, sy, syaw = _spread3(init_spread)
+    sx, sy, syaw = init_spread
     if n_particles > 1 and (sx <= 0 or sy <= 0 or syaw <= 0):
         warnings.warn("non-positive init spread with multiple particles: identical particles")
     x0, y0, yaw0 = initial_pose_guess
@@ -164,13 +156,6 @@ def init_filter(
     return ParticleSet(xs, ys, np.atleast_1d(yaws), weights)
 
 
-def _spread3(spread):
-    if np.isscalar(spread):
-        return float(spread), float(spread), float(spread)
-    sx, sy, syaw = spread
-    return float(sx), float(sy), float(syaw)
-
-
 def predict(
     particles: ParticleSet,
     delta: OdomDelta,
@@ -179,7 +164,7 @@ def predict(
 ) -> ParticleSet:
     """Advance every particle by the delta in its own frame plus noise."""
     n = particles.n
-    sx, sy, syaw = _spread3(process_noise)
+    sx, sy, syaw = process_noise
     f = delta.forward + (rng.normal(0.0, sx, n) if sx > 0 else 0.0)
     l = delta.lateral + (rng.normal(0.0, sy, n) if sy > 0 else 0.0)
     dyaw = delta.dyaw + (rng.normal(0.0, syaw, n) if syaw > 0 else 0.0)
@@ -213,7 +198,7 @@ def match_costs(
     codes = codes[: n * bins].reshape(bins, n)
     # bin-by-particle layout: every numpy loop runs along the particles
     c, s = np.cos(particles.yaws), np.sin(particles.yaws)
-    dx, dy = obs.all_dx[:, None], obs.all_dy[:, None]
+    dx, dy = obs.dx[:, None], obs.dy[:, None]
     inv_res = 1.0 / grid.resolution
     # u = (x - origin_x) * inv_res + (c * dx - s * dy) * inv_res, and v the
     # same in y, evaluated in place; a product is a copy of its row operand
@@ -241,7 +226,7 @@ def match_costs(
     stride = grid.width + 2
     v *= stride
     v += u
-    v += (obs.all_layer * ((grid.height + 2) * stride) + stride + 1)[:, None]
+    v += (obs.layer * ((grid.height + 2) * stride) + stride + 1)[:, None]
     flat = scratch.view(np.intp)
     np.copyto(flat, v, casting="unsafe")
     # every index is in range; take buffers its output in the default mode

@@ -135,14 +135,10 @@ def distance_transform(grid: TraversabilityGrid) -> DistanceField:
     return DistanceField(dist=dist, resolution=grid.resolution)
 
 
-def edge_weight(u: tuple[int, int], v: tuple[int, int], field: DistanceField) -> float:
-    """Distance/clearance edge weight; assumes the segment is obstacle-free."""
-    return edge_weights([(*u, *v)], field)[0]
-
-
 def edge_weights(ends: list[tuple[int, int, int, int]], field: DistanceField) -> list[float]:
-    """``edge_weight`` of each segment ``(ux, uy, vx, vy)``, with one batched
-    supercover minimum for all of them."""
+    """Distance/clearance edge weight of each segment ``(ux, uy, vx, vy)``,
+    assumed obstacle-free, with one batched supercover minimum for all of
+    them."""
     res = field.resolution
     mins = segments_min_value(np.array(ends, dtype=np.int64).reshape(-1, 4), field.dist).tolist()
     return [

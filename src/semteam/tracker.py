@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semteam.geometry import wrap_angle
-from semteam.world import SemanticClass
+from semteam.world import Scan, SemanticClass, beam_offsets
 
 UNKNOWN_CELL = 0
 FREE_CELL = 1
@@ -95,7 +95,7 @@ class LocalObstacleGrid:
 
 def integrate_scan(
     grid: LocalObstacleGrid,
-    scan: list[tuple[float, SemanticClass]],
+    scan: Scan,
     pose: tuple[float, float, float],
     max_range: float,
 ) -> LocalObstacleGrid:
@@ -103,10 +103,9 @@ def integrate_scan(
     x, y, yaw = pose
     grid.recenter(x, y)
     res = grid.resolution
-    n_beams = len(scan)
-    ranges = np.array([r for r, _ in scan])
-    hit = np.array([c != SemanticClass.UNKNOWN for _, c in scan])
-    az = yaw + 2.0 * math.pi * np.arange(n_beams) / n_beams
+    ranges = scan.ranges
+    hit = scan.classes != SemanticClass.UNKNOWN
+    az = yaw + beam_offsets(ranges.size)
     dirx, diry = np.cos(az), np.sin(az)
     # free space ends just short of each hit so the struck cell stays marked
     free_to = np.where(hit, ranges - 0.75 * res, np.minimum(ranges, max_range))

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -288,9 +289,27 @@ def footprint_indices(
     return ix[rx], iy[ry]
 
 
+@dataclass(frozen=True)
+class Scan:
+    """One ground scan, one entry per beam in ``beam_offsets`` order:
+    ``ranges`` (float64) and the struck ``classes`` (int64, UNKNOWN where
+    nothing was hit)."""
+
+    ranges: np.ndarray
+    classes: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def beam_offsets(n_beams: int) -> np.ndarray:
+    """Read-only azimuth of each beam of an ``n_beams`` scan relative to the
+    robot's yaw: beam ``i`` leaves at ``2*pi*i/n_beams``."""
+    offsets = 2.0 * math.pi * np.arange(n_beams) / n_beams
+    offsets.setflags(write=False)
+    return offsets
+
+
 #: ground_scan's cell code for the ring of cells around the map
 _OUTSIDE = 255
-_CLASSES = tuple(SemanticClass)
 
 
 def ground_scan(
@@ -298,7 +317,7 @@ def ground_scan(
     pose: tuple[float, float, float],
     max_range: float,
     n_beams: int,
-) -> list[tuple[float, SemanticClass]]:
+) -> Scan:
     """Horizontal lidar-like scan against the ground-truth class layer.
 
     Beam ``i`` leaves at azimuth ``yaw + 2*pi*i/n_beams``; its range is the
@@ -317,18 +336,20 @@ def ground_scan(
 
     start_cls = grid.class_at(ix0, iy0)
     if not traversable(start_cls):
-        return [(0.0, start_cls)] * n_beams
+        return Scan(np.zeros(n_beams), np.full(n_beams, int(start_cls), dtype=np.int64))
 
     # padded cell codes: 0 traversable, 1 + class blocking, _OUTSIDE on the
-    # ring of cells around the map
+    # ring of cells around the map; kept on the map only once it is frozen,
+    # since a writable map's classes may change between scans
     codes = getattr(grid, "_scan_codes", None)
     if codes is None:
         codes = np.full((grid.height + 2, grid.width + 2), _OUTSIDE, dtype=np.uint8)
         codes[1:-1, 1:-1] = np.where(traversable_mask(grid.classes), 0, grid.classes + 1)
-        object.__setattr__(grid, "_scan_codes", codes)
+        if not grid.classes.flags.writeable:
+            grid._scan_codes = codes
 
     res = grid.resolution
-    az = yaw + 2.0 * math.pi * np.arange(n_beams) / n_beams
+    az = yaw + beam_offsets(n_beams)
     dirs = np.array([np.cos(az), np.sin(az)])  # rows: x, y
     steps = np.sign(dirs).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -376,4 +397,4 @@ def ground_scan(
     # chord midpoint inside the struck cell
     ranges[blocked] = 0.5 * (t_enter[hit_beams, k] + t_enter[hit_beams, k + 1])
     hit_cls[blocked] = code_k[blocked] - 1
-    return list(zip(ranges.tolist(), map(_CLASSES.__getitem__, hit_cls.tolist())))
+    return Scan(ranges, hit_cls)

@@ -17,8 +17,8 @@ from scipy.ndimage import distance_transform_edt
 from semteam import geometry, planner
 from semteam.config import PlannerConfig
 from semteam.geometry import segment_cells, segments_min_value
-from semteam.localize import ParticleSet, PolarObservation, match_costs, match_table
-from semteam.world import SemanticClass, SemanticGridMap, ground_scan, traversable, traversable_mask
+from semteam.localize import FREE_LAYER, ParticleSet, PolarObservation, match_costs, match_table
+from semteam.world import Scan, SemanticClass, SemanticGridMap, ground_scan, traversable, traversable_mask
 
 # ---------------------------------------------------------------------------
 # reference loop versions
@@ -84,12 +84,13 @@ def ref_ground_scan(grid, pose, max_range, n_beams):
 
 def ref_from_scan(scan, n_azimuth=36, n_range=10, max_range=20.0, free_margin=1.0, free_stride=2):
     """Polar binning beam by beam: (local_dx, local_dy, bin_classes, free_dx, free_dy)."""
+    pairs = pairs_of(scan)
     filled = np.zeros((n_azimuth, n_range), dtype=bool)
-    n_beams = len(scan)
+    n_beams = len(pairs)
     az_width = 2.0 * math.pi / n_azimuth
     rng_width = max_range / n_range
     dxs, dys, classes = [], [], []
-    for i, (rng, hit_cls) in enumerate(scan):
+    for i, (rng, hit_cls) in enumerate(pairs):
         if hit_cls == SemanticClass.UNKNOWN:
             continue
         offset = 2.0 * math.pi * i / n_beams
@@ -101,7 +102,7 @@ def ref_from_scan(scan, n_azimuth=36, n_range=10, max_range=20.0, free_margin=1.
             dys.append(rng * math.sin(offset))
             classes.append(int(hit_cls))
     fxs, fys = [], []
-    for i, (rng, hit_cls) in enumerate(scan):
+    for i, (rng, hit_cls) in enumerate(pairs):
         offset = 2.0 * math.pi * i / n_beams
         ia = int(offset / az_width) % n_azimuth
         r_stop = max_range if hit_cls == SemanticClass.UNKNOWN else rng - free_margin
@@ -142,9 +143,9 @@ def ref_match_costs(particles, obs, grid, unknown_cost):
     """Mismatch per particle from bitmask neighborhoods and full-size masks."""
     if obs.n_filled == 0:
         return np.zeros(particles.n)
-    all_expected = np.concatenate([obs.bin_classes, np.full(obs.free_dx.size, -1, dtype=np.int64)])
+    all_expected = np.where(obs.layer == FREE_LAYER, -1, obs.layer)
     c, s = np.cos(particles.yaws)[:, None], np.sin(particles.yaws)[:, None]
-    dx, dy = obs.all_dx[None, :], obs.all_dy[None, :]
+    dx, dy = obs.dx[None, :], obs.dy[None, :]
     inv_res = 1.0 / grid.resolution
     u = (particles.xs[:, None] - grid.origin_x) * inv_res + (c * dx - s * dy) * inv_res
     v = (particles.ys[:, None] - grid.origin_y) * inv_res + (s * dx + c * dy) * inv_res
@@ -219,16 +220,31 @@ def cluttered_classes(rng, w, h, blocked=0.15, unknown=0.0):
     return classes.astype(np.int8)
 
 
+def scan_of(pairs):
+    """A Scan from a list of (range, class) pairs, one per beam."""
+    return Scan(
+        np.array([r for r, _ in pairs], dtype=np.float64),
+        np.array([int(c) for _, c in pairs], dtype=np.int64),
+    )
+
+
+def pairs_of(scan):
+    """A Scan's (range, class) pairs, one per beam, as Python scalars."""
+    return list(zip(scan.ranges.tolist(), scan.classes.tolist()))
+
+
 def bits(a):
     """Bytes of a float array, so that -0.0 and 0.0 differ too."""
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
 def assert_same_scan(got, want):
-    assert len(got) == len(want)
-    for (r1, c1), (r2, c2) in zip(got, want):
-        assert type(r1) is float and type(c1) is SemanticClass
-        assert (bits([r1]), c1) == (bits([r2]), c2)
+    """``got`` is a Scan; ``want`` the reference's (range, class) pairs."""
+    assert type(got) is Scan
+    assert got.ranges.dtype == np.float64 and got.classes.dtype == np.int64
+    assert got.ranges.shape == got.classes.shape == (len(want),)
+    assert bits(got.ranges) == bits([r for r, _ in want])
+    assert got.classes.tobytes() == np.array([int(c) for _, c in want], dtype=np.int64).tobytes()
 
 
 def crossing_ties(grid, pose, max_range, n_beams):
@@ -307,7 +323,7 @@ class TestGroundScanMatchesLoop:
         grid = make_map(classes)
         pose = (3.0, 3.0, 3.5)
         got = ground_scan(grid, pose, 4.0, 1)
-        assert got == [(0.0, SemanticClass.BUILDING)] and math.copysign(1.0, got[0][0]) == 1.0
+        assert pairs_of(got) == [(0.0, SemanticClass.BUILDING)] and math.copysign(1.0, got.ranges[0]) == 1.0
         for yaw in (0.0, 0.1, math.pi, 3.5, 4.0):
             for n_beams in (1, 4, 8, 36):
                 pose = (3.0, 3.0, yaw)
@@ -322,7 +338,7 @@ class TestGroundScanMatchesLoop:
         grid = make_map(classes)
         pose = (10.5, 10.5, math.pi / 4)
         got = ground_scan(grid, pose, 15.0, 8)
-        assert got[0][1] == SemanticClass.VEHICLE
+        assert got.classes[0] == SemanticClass.VEHICLE
         assert_same_scan(got, ref_ground_scan(grid, pose, 15.0, 8))
 
     def test_axis_aligned_beam(self):
@@ -352,7 +368,7 @@ class TestGroundScanMatchesLoop:
             for max_range in (2.0, 15.0):
                 got = ground_scan(grid, pose, max_range, 36)
                 assert_same_scan(got, ref_ground_scan(grid, pose, max_range, 36))
-        assert all(c == SemanticClass.UNKNOWN for _, c in ground_scan(grid, (0.5, 0.5, 0.0), 15.0, 36))
+        assert all(c == SemanticClass.UNKNOWN for c in ground_scan(grid, (0.5, 0.5, 0.0), 15.0, 36).classes)
 
     def test_non_traversable_start(self):
         rng = np.random.default_rng(6)
@@ -361,7 +377,7 @@ class TestGroundScanMatchesLoop:
         grid = make_map(classes)
         got = ground_scan(grid, (4.5, 4.5, 0.2), 5.0, 12)
         assert_same_scan(got, ref_ground_scan(grid, (4.5, 4.5, 0.2), 5.0, 12))
-        assert got == [(0.0, SemanticClass.VEGETATION)] * 12
+        assert pairs_of(got) == [(0.0, SemanticClass.VEGETATION)] * 12
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +385,15 @@ class TestGroundScanMatchesLoop:
 
 
 def assert_same_observation(obs, want):
-    fields = (obs.local_dx, obs.local_dy, obs.bin_classes, obs.free_dx, obs.free_dy)
-    for got, ref in zip(fields, want):
+    """``want`` is the reference's split arrays; hit bins come first."""
+    local_dx, local_dy, bin_classes, free_dx, free_dy = want
+    fields = (obs.dx, obs.dy, obs.layer)
+    refs = (
+        np.concatenate([local_dx, free_dx]),
+        np.concatenate([local_dy, free_dy]),
+        np.concatenate([bin_classes, np.full(free_dx.size, FREE_LAYER, dtype=np.int64)]),
+    )
+    for got, ref in zip(fields, refs):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
@@ -383,7 +406,7 @@ def random_scan(rng, n_beams, max_range, p_unknown=0.3):
         else:
             cls = SemanticClass(int(rng.integers(2, 6)))
             scan.append((float(rng.choice([rng.uniform(0, max_range), 0.0, max_range])), cls))
-    return scan
+    return scan_of(scan)
 
 
 class TestFromScanMatchesLoop:
@@ -401,28 +424,28 @@ class TestFromScanMatchesLoop:
 
     def test_colliding_hit_bins(self):
         # 72 beams into 36 azimuth bins; equal ranges land in the same bin
-        scan = [(4.2, SemanticClass(2 + i % 4)) for i in range(72)]
+        scan = scan_of([(4.2, SemanticClass(2 + i % 4)) for i in range(72)])
         obs = PolarObservation.from_scan(scan, 36, 10, 15.0)
-        assert obs.bin_classes.size == 36
+        assert np.count_nonzero(obs.layer != FREE_LAYER) == 36
         assert_same_observation(obs, ref_from_scan(scan, 36, 10, 15.0))
 
     def test_all_unknown_scan(self):
-        scan = [(15.0, SemanticClass.UNKNOWN)] * 36
+        scan = scan_of([(15.0, SemanticClass.UNKNOWN)] * 36)
         for stride in (1, 3):
             obs = PolarObservation.from_scan(scan, 36, 10, 15.0, free_stride=stride)
-            assert obs.bin_classes.size == 0
+            assert np.count_nonzero(obs.layer != FREE_LAYER) == 0
             assert_same_observation(obs, ref_from_scan(scan, 36, 10, 15.0, free_stride=stride))
 
     def test_blocked_start_scan(self):
-        scan = [(0.0, SemanticClass.GRASS)] * 36
+        scan = scan_of([(0.0, SemanticClass.GRASS)] * 36)
         obs = PolarObservation.from_scan(scan, 36, 10, 15.0)
-        assert obs.free_dx.size == 0
+        assert np.count_nonzero(obs.layer == FREE_LAYER) == 0
         assert_same_observation(obs, ref_from_scan(scan, 36, 10, 15.0))
 
     def test_empty_scan(self):
-        obs = PolarObservation.from_scan([], 8, 4, 5.0)
+        obs = PolarObservation.from_scan(scan_of([]), 8, 4, 5.0)
         assert obs.n_filled == 0
-        assert_same_observation(obs, ref_from_scan([], 8, 4, 5.0))
+        assert_same_observation(obs, ref_from_scan(scan_of([]), 8, 4, 5.0))
 
     def test_ground_scans(self):
         rng = np.random.default_rng(8)
@@ -511,7 +534,7 @@ class TestMatchCostsMatchesLoop:
 
     def test_empty_observation(self):
         rng = np.random.default_rng(12)
-        obs = PolarObservation.from_scan([], 36, 10, 15.0)
+        obs = PolarObservation.from_scan(scan_of([]), 36, 10, 15.0)
         grid = make_map(cluttered_classes(rng, 10, 10))
         particles = particles_around(rng, 20, (5.0, 5.0), spread=2.0)
         got = match_costs(particles, obs, grid, 0.4, match_table(grid))

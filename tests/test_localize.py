@@ -7,6 +7,7 @@ import pytest
 
 from semteam.config import LocalizerConfig
 from semteam.localize import (
+    FREE_LAYER,
     OdomDelta,
     ParticleSet,
     PolarObservation,
@@ -17,6 +18,7 @@ from semteam.localize import (
     update_and_resample,
 )
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, ground_scan
+from test_kernel_reference import pairs_of, scan_of
 
 
 def make_map(classes, resolution=1.0, origin=(0.0, 0.0), observed=None):
@@ -129,7 +131,7 @@ def loop_runs():
 
 class TestInit:
     def test_single_particle_zero_spread(self):
-        ps = init_filter((3.0, 4.0, 0.5), 1, 0.0, np.random.default_rng(0))
+        ps = init_filter((3.0, 4.0, 0.5), 1, (0.0, 0.0, 0.0), np.random.default_rng(0))
         assert ps.n == 1
         assert (ps.xs[0], ps.ys[0], ps.yaws[0]) == (3.0, 4.0, 0.5)
         assert ps.weights[0] == 1.0
@@ -147,7 +149,7 @@ class TestInit:
 
     def test_zero_spread_many_particles_warns(self):
         with pytest.warns(UserWarning):
-            ps = init_filter((1, 2, 0.3), 10, 0.0, np.random.default_rng(3))
+            ps = init_filter((1, 2, 0.3), 10, (0.0, 0.0, 0.0), np.random.default_rng(3))
         assert np.all(ps.xs == 1.0)
 
 
@@ -168,7 +170,7 @@ class TestPredict:
     def test_law_of_large_numbers(self):
         n = 100_000
         sigma = 0.05
-        ps = init_filter((0, 0, 0), n, 0.0, np.random.default_rng(8))
+        ps = init_filter((0, 0, 0), n, (0.0, 0.0, 0.0), np.random.default_rng(8))
         out = predict(ps, OdomDelta(1.0, 0, 0), (sigma, sigma, 0.0), np.random.default_rng(9))
         tol = 3 * sigma / math.sqrt(n)
         assert abs(out.xs.mean() - 1.0) < tol
@@ -202,19 +204,18 @@ class TestMatchCost:
         assert match_costs(one_particle(pose), obs, unknown, 0.4, match_table(unknown))[0] == pytest.approx(0.4)
 
     def test_empty_observation_zero_cost(self):
-        obs = PolarObservation.from_scan([], 8, 4, 5.0)
+        obs = PolarObservation.from_scan(scan_of([]), 8, 4, 5.0)
         grid = SemanticGridMap.unknown(8, 8)
         assert obs.n_filled == 0
         assert match_costs(one_particle((1, 1, 0)), obs, grid, 0.7, match_table(grid))[0] == 0.0
 
     def test_all_miss_scan_yields_free_evidence(self):
-        obs = PolarObservation.from_scan([(5.0, SemanticClass.UNKNOWN)] * 8, 8, 4, 5.0)
-        assert obs.bin_classes.size == 0
-        assert obs.free_dx.size == 8 * 2  # default stride samples every other bin
-        dense = PolarObservation.from_scan(
-            [(5.0, SemanticClass.UNKNOWN)] * 8, 8, 4, 5.0, free_stride=1
-        )
-        assert dense.free_dx.size == 8 * 4
+        scan = scan_of([(5.0, SemanticClass.UNKNOWN)] * 8)
+        obs = PolarObservation.from_scan(scan, 8, 4, 5.0)
+        assert np.count_nonzero(obs.layer != FREE_LAYER) == 0
+        assert np.count_nonzero(obs.layer == FREE_LAYER) == 8 * 2  # default stride samples every other bin
+        dense = PolarObservation.from_scan(scan, 8, 4, 5.0, free_stride=1)
+        assert np.count_nonzero(dense.layer == FREE_LAYER) == 8 * 4
 
     def test_recount_oracle(self):
         world = ring_world()
@@ -232,10 +233,11 @@ class TestMatchCost:
             # evidence) and score every filled bin by hand
             rng_width = max_range / n_rng_bins
             filled: dict[tuple[int, int], tuple[float, float, int | None]] = {}
-            for i, (rng_i, hit_cls) in enumerate(scan):
+            pairs = pairs_of(scan)
+            for i, (rng_i, hit_cls) in enumerate(pairs):
                 if hit_cls == SemanticClass.UNKNOWN:
                     continue
-                offset = 2 * math.pi * i / len(scan)
+                offset = 2 * math.pi * i / len(pairs)
                 ia = int(offset / (2 * math.pi / n_az)) % n_az
                 ir = min(int(rng_i / rng_width), n_rng_bins - 1)
                 if (ia, ir) not in filled:
@@ -244,8 +246,8 @@ class TestMatchCost:
                         rng_i * math.sin(offset),
                         int(hit_cls),
                     )
-            for i, (rng_i, hit_cls) in enumerate(scan):
-                offset = 2 * math.pi * i / len(scan)
+            for i, (rng_i, hit_cls) in enumerate(pairs):
+                offset = 2 * math.pi * i / len(pairs)
                 ia = int(offset / (2 * math.pi / n_az)) % n_az
                 r_stop = max_range if hit_cls == SemanticClass.UNKNOWN else rng_i - 1.0
                 for k in range(0, n_rng_bins, 2):

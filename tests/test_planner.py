@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from semteam.geometry import segment_cells, segment_free, segment_min_value, visible_from
+from semteam.geometry import segment_cells, segment_free, segments_min_value, visible_from
 from semteam.planner import (
     DistanceField,
     Roadmap,
@@ -15,7 +15,7 @@ from semteam.planner import (
     VisibilityMap,
     _window_obstacles,
     distance_transform,
-    edge_weight,
+    edge_weights,
     extract_traversability,
     plan,
     update_roadmap,
@@ -201,12 +201,12 @@ class TestEdgeWeight:
 
     def test_printed_formula(self):
         field = self.field_const(4.0)
-        w = edge_weight((0, 0), (3, 4), field)
+        w = edge_weights([(0, 0, 3, 4)], field)[0]
         assert w == pytest.approx(5 + 16 + 2)
 
     def test_grazing_clearance_vanishes(self):
         field = self.field_const(0.0)
-        w = edge_weight((0, 0), (3, 4), field)
+        w = edge_weights([(0, 0, 3, 4)], field)[0]
         assert w == pytest.approx(5.0)
 
     def test_lambda_zero_matches_sampler_oracle(self):
@@ -216,7 +216,7 @@ class TestEdgeWeight:
         for _ in range(50):
             u = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
             v = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
-            w = edge_weight(u, v, field)
+            w = edge_weights([(*u, *v)], field)[0]
             length = math.hypot(u[0] - v[0], u[1] - v[1])
             cells = supercover_oracle(u, v)
             m = min(dist[iy, ix] for ix, iy in cells)
@@ -285,7 +285,7 @@ class TestRoadmapConstruction:
         rm, vis, grid, field = build_roadmap(free, radius=10.0)
         for (a, b), w in rm.edges.items():
             assert segment_free(rm.nodes[a], rm.nodes[b], free)
-            assert w == pytest.approx(edge_weight(rm.nodes[a], rm.nodes[b], field))
+            assert w == pytest.approx(edge_weights([(*rm.nodes[a], *rm.nodes[b])], field)[0])
 
     def test_incremental_reveal_keeps_nodes(self):
         cls = np.full((24, 24), int(SemanticClass.UNKNOWN))
@@ -358,7 +358,8 @@ class TestIncrementalRoadmap:
         for s in steps:
             nodes, dist = s["nodes"], s["field"].dist
             edges = {
-                (a, b): (w, segment_min_value(nodes[a], nodes[b], dist)) for (a, b), w in s["edges"].items()
+                (a, b): (w, float(segments_min_value([(*nodes[a], *nodes[b])], dist)[0]))
+                for (a, b), w in s["edges"].items()
             }
             h.update(repr((sorted(nodes.items()), sorted(edges.items()))).encode())
         assert h.hexdigest() == GOLDEN_ROADMAP_SHA256
@@ -381,8 +382,8 @@ class TestIncrementalRoadmap:
             nodes, field = s["nodes"], s["field"]
             assert s["edges"]
             for (a, b), w in s["edges"].items():
-                assert w > 0.0 and segment_min_value(nodes[a], nodes[b], field.dist) > 0.0, (a, b)
-                assert w == edge_weight(nodes[a], nodes[b], field), (a, b)
+                assert w > 0.0 and segments_min_value([(*nodes[a], *nodes[b])], field.dist)[0] > 0.0, (a, b)
+                assert w == edge_weights([(*nodes[a], *nodes[b])], field)[0], (a, b)
 
     def test_overlapping_pairs_are_bridged(self, steps):
         reach2 = (2 * self.RADIUS) ** 2
@@ -526,7 +527,7 @@ class TestPlan:
                     continue
                 total = 0.0
                 for a, b in zip(res.waypoints, res.waypoints[1:]):
-                    total += edge_weight(a, b, field)
+                    total += edge_weights([(*a, *b)], field)[0]
                 assert res.cost == total, res.waypoints
                 checked += 1
         assert checked >= 50

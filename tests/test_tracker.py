@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
-from semteam.geometry import segment_min_value
+from semteam.geometry import segments_min_value
 from semteam.planner import Roadmap, distance_transform, extract_traversability, plan, update_roadmap
 from semteam.tracker import (
     FREE_CELL,
@@ -20,6 +20,7 @@ from semteam.tracker import (
     step,
 )
 from semteam.world import SemanticClass, SemanticGridMap, ground_scan
+from test_kernel_reference import scan_of
 
 
 def class_map(classes):
@@ -39,7 +40,7 @@ def open_map(n=40):
 class TestIntegrateScan:
     def test_miss_carves_free_no_obstacle(self):
         grid = LocalObstacleGrid.create(24.0, 1.0)
-        scan = [(8.0, SemanticClass.UNKNOWN)] * 8
+        scan = scan_of([(8.0, SemanticClass.UNKNOWN)] * 8)
         integrate_scan(grid, scan, (100.5, 100.5, 0.0), 8.0)
         assert (grid.cells != OBSTACLE_CELL).all()
         # cells straight ahead to 8 m are free
@@ -59,17 +60,17 @@ class TestIntegrateScan:
     def test_latest_observation_wins(self):
         grid = LocalObstacleGrid.create(24.0, 1.0)
         pose = (50.5, 50.5, 0.0)
-        hit_scan = [(3.0, SemanticClass.BUILDING), (8.0, SemanticClass.UNKNOWN)]
+        hit_scan = scan_of([(3.0, SemanticClass.BUILDING), (8.0, SemanticClass.UNKNOWN)])
         integrate_scan(grid, hit_scan, pose, 8.0)
         assert grid.state_at(53.5, 50.5) == OBSTACLE_CELL
-        clear_scan = [(8.0, SemanticClass.UNKNOWN), (8.0, SemanticClass.UNKNOWN)]
+        clear_scan = scan_of([(8.0, SemanticClass.UNKNOWN), (8.0, SemanticClass.UNKNOWN)])
         integrate_scan(grid, clear_scan, pose, 8.0)
         assert grid.state_at(53.5, 50.5) == FREE_CELL
 
     def test_recenter_preserves_world_content(self):
         grid = LocalObstacleGrid.create(16.0, 1.0)
         pose = (30.5, 30.5, 0.0)
-        integrate_scan(grid, [(4.0, SemanticClass.BUILDING)], pose, 8.0)
+        integrate_scan(grid, scan_of([(4.0, SemanticClass.BUILDING)]), pose, 8.0)
         assert grid.state_at(34.5, 30.5) == OBSTACLE_CELL
         grid.recenter(33.5, 30.5)
         assert grid.state_at(34.5, 30.5) == OBSTACLE_CELL
@@ -234,11 +235,11 @@ class TestClearanceAt:
     def test_grid_without_obstacles(self):
         grid = LocalObstacleGrid.create(24.0, 1.0)
         pose = (100.5, 100.5, 0.0)
-        integrate_scan(grid, [(8.0, SemanticClass.UNKNOWN)] * 16, pose, 8.0)
+        integrate_scan(grid, scan_of([(8.0, SemanticClass.UNKNOWN)] * 16), pose, 8.0)
         assert not (grid.cells == OBSTACLE_CELL).any()
         assert_clearance_is_edt(grid)
         assert select_checking_reads(grid, pose, (104.5, 100.5), 3.0)[1] > 0
-        integrate_scan(grid, [(3.0, SemanticClass.BUILDING)] * 16, pose, 8.0)
+        integrate_scan(grid, scan_of([(3.0, SemanticClass.BUILDING)] * 16), pose, 8.0)
         assert_clearance_is_edt(grid)
         assert edt_clearance(grid).max() < 48.0
         assert select_checking_reads(grid, pose, (101.5, 100.5), 3.0)[1] > 0
@@ -339,7 +340,8 @@ def corridor_world_classes(rng, size=28):
 
 def path_clearance(waypoints, field):
     """Least obstacle clearance over the cells a path's segments touch."""
-    return min(segment_min_value(a, b, field.dist) for a, b in zip(waypoints, waypoints[1:]))
+    segs = [(*a, *b) for a, b in zip(waypoints, waypoints[1:])]
+    return float(segments_min_value(segs, field.dist).min())
 
 
 class TestTrackingScenarios:

@@ -7,10 +7,12 @@ import pytest
 
 from semteam.world import (
     LETTER_TO_CLASS,
+    Scan,
     SemanticClass,
     SemanticGridMap,
     WorldFormatError,
     WorldModel,
+    beam_offsets,
     footprint_indices,
     ground_scan,
     parse_world,
@@ -172,14 +174,14 @@ class TestGroundScan:
     def test_empty_world_all_misses(self):
         grid = uniform_map(SemanticClass.ROAD, 30, 30)
         scan = ground_scan(grid, (15.0, 15.0, 0.2), 8.0, 16)
-        assert all(r == 8.0 and c == SemanticClass.UNKNOWN for r, c in scan)
+        assert all(r == 8.0 and c == SemanticClass.UNKNOWN for r, c in zip(scan.ranges, scan.classes))
 
     def test_wall_ahead(self):
         classes = np.full((20, 20), int(SemanticClass.ROAD), dtype=np.int8)
         classes[:, 15] = SemanticClass.BUILDING
         grid = make_map(classes)
         scan = ground_scan(grid, (10.5, 10.5, 0.0), 12.0, 4)
-        rng0, cls0 = scan[0]
+        rng0, cls0 = scan.ranges[0], scan.classes[0]
         assert cls0 == SemanticClass.BUILDING
         assert abs(rng0 - 4.5) <= grid.resolution
 
@@ -204,7 +206,7 @@ class TestGroundScan:
 
         diag = math.sqrt(2) * grid.resolution
         step = 0.01
-        for i, (got_range, got_cls) in enumerate(scan):
+        for i, (got_range, got_cls) in enumerate(zip(scan.ranges, scan.classes)):
             az = pose[2] + 2 * math.pi * i / n_beams
             c, s = math.cos(az), math.sin(az)
             oracle_range, oracle_cls = max_range, SemanticClass.UNKNOWN
@@ -237,7 +239,7 @@ class TestGroundScan:
             base[iy, ix] = SemanticClass.BUILDING
             grid = make_map(base.copy())
             after = ground_scan(grid, (12.5, 12.5, 0.0), 10.0, 24)
-            for (r0, _), (r1, _) in zip(before, after):
+            for r0, r1 in zip(before.ranges, after.ranges):
                 assert r1 <= r0 + 1e-9
             before = after
 
@@ -245,7 +247,35 @@ class TestGroundScan:
         classes = np.full((6, 6), int(SemanticClass.GRASS), dtype=np.int8)
         grid = make_map(classes)
         scan = ground_scan(grid, (3.5, 3.5, 0.0), 4.0, 8)
-        assert all(r == 0.0 and c == SemanticClass.GRASS for r, c in scan)
+        assert all(r == 0.0 and c == SemanticClass.GRASS for r, c in zip(scan.ranges, scan.classes))
+
+    @pytest.mark.parametrize("n_beams", [36, 1])
+    @pytest.mark.parametrize("start", [SemanticClass.ROAD, SemanticClass.VEGETATION])
+    def test_returns_one_array_entry_per_beam(self, start, n_beams):
+        # a wall east of the pose; a VEGETATION start takes the blocked path
+        classes = np.full((20, 20), int(SemanticClass.ROAD), dtype=np.int8)
+        classes[:, 15] = SemanticClass.BUILDING
+        classes[10, 10] = start
+        scan = ground_scan(make_map(classes), (10.5, 10.5, 0.0), 8.0, n_beams)
+        assert type(scan) is Scan
+        assert scan.ranges.dtype == np.float64 and scan.ranges.shape == (n_beams,)
+        assert scan.classes.dtype == np.int64 and scan.classes.shape == (n_beams,)
+        want = (5.0, SemanticClass.BUILDING) if traversable(start) else (0.0, start)
+        assert (scan.ranges[0], scan.classes[0]) == want
+
+    def test_sees_a_cell_changed_on_a_writable_map(self):
+        grid = uniform_map(SemanticClass.ROAD, 20, 20)
+        assert ground_scan(grid, (10.5, 10.5, 0.0), 8.0, 4).classes[0] == SemanticClass.UNKNOWN
+        grid.classes[10, 14] = SemanticClass.BUILDING
+        scan = ground_scan(grid, (10.5, 10.5, 0.0), 8.0, 4)
+        assert (scan.ranges[0], scan.classes[0]) == (4.0, SemanticClass.BUILDING)
+
+    @pytest.mark.parametrize("n", [1, 7, 36])
+    def test_beam_offsets_read_only_and_exact(self, n):
+        offsets = beam_offsets(n)
+        assert not offsets.flags.writeable
+        want = 2.0 * math.pi * np.arange(n) / n
+        assert offsets.dtype == want.dtype and offsets.tobytes() == want.tobytes()
 
 
 class TestWorldModel:
