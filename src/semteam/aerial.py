@@ -2,9 +2,13 @@
 
 The aerial robot maps from its GPS pose, which it takes as exact. A keyframe
 is created every time the platform has moved a threshold distance. Each
-keyframe's footprint cells are fused into a map accumulator: each cell is
-marked observed and takes its class from the observation whose pixel was
-closest to the image center.
+keyframe's footprint cells are fused into a map accumulator, which marks
+them observed and takes their class from the keyframe. Every keyframe copies
+the true class of each cell it sees, so every observation of a cell carries
+the same class, and the fused map is independent of arrival order. Fusing
+noisy or estimated-pose keyframes would need a tie-break between
+observations again, such as the one that keeps the pixel closest to the
+image center.
 """
 
 from __future__ import annotations
@@ -20,14 +24,12 @@ from semteam.world import SemanticClass, SemanticGridMap, WorldModel, footprint_
 
 @dataclass
 class Keyframe:
-    """One keyframe's id and its observed cells, as parallel arrays: cell
-    indices, class, and planar distance from the image center."""
+    """One keyframe's observed cells, as parallel arrays: cell indices and
+    class."""
 
-    id: int
     ixs: np.ndarray
     iys: np.ndarray
     classes: np.ndarray
-    center_dist: np.ndarray
 
 
 def maybe_create_keyframe(
@@ -35,16 +37,13 @@ def maybe_create_keyframe(
     last_keyframe_pose: tuple[float, float, float, float] | None,
     threshold: float,
     *,
-    kf_id: int,
     world: WorldModel,
     fov_half_angle: float,
 ) -> Keyframe | None:
     """New keyframe iff the planar distance since the last one is >= threshold.
 
     The first call (no previous keyframe) always creates one. Observed cells
-    come from the ground-truth footprint under ``pose``; pixel center
-    distance is the planar distance from the cell center to the pose's
-    ground projection.
+    come from the ground-truth footprint under ``pose``.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -53,41 +52,19 @@ def maybe_create_keyframe(
         return None
     truth = world.truth
     ixs, iys = footprint_indices(truth, pose, fov_half_angle)
-    cx = truth.origin_x + (ixs + 0.5) * truth.resolution
-    cy = truth.origin_y + (iys + 0.5) * truth.resolution
-    dist = np.hypot(cx - pose[0], cy - pose[1])
-    return Keyframe(
-        id=kf_id,
-        ixs=ixs,
-        iys=iys,
-        classes=truth.classes[iys, ixs].copy(),
-        center_dist=dist,
-    )
+    return Keyframe(ixs=ixs, iys=iys, classes=truth.classes[iys, ixs])
 
 
 def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
-    """A keyframe that sees every cell of ``grid`` at the image center.
-
-    Fused first, it makes the map complete, and no later keyframe replaces
-    its classes (distance 0, lowest id).
-    """
+    """A keyframe that sees every cell of ``grid``; fused first, it makes
+    the map complete."""
     iys, ixs = np.indices((grid.height, grid.width)).reshape(2, -1)
-    return Keyframe(
-        id=-1,
-        ixs=ixs,
-        iys=iys,
-        classes=grid.classes[iys, ixs],
-        center_dist=np.zeros(ixs.size),
-    )
+    return Keyframe(ixs=ixs, iys=iys, classes=grid.classes[iys, ixs])
 
 
 class MapAccumulator:
-    """Per-cell fusion state for the aerial map.
-
-    Class assignment keeps the observation with the globally smallest
-    (center distance, keyframe id) key, which makes the result independent
-    of arrival order.
-    """
+    """Per-cell fusion state for the aerial map: which cells have been seen,
+    and their class (UNKNOWN where none has)."""
 
     def __init__(self, width: int, height: int, resolution: float = 1.0,
                  origin_x: float = 0.0, origin_y: float = 0.0) -> None:
@@ -97,9 +74,7 @@ class MapAccumulator:
         self.origin_x = origin_x
         self.origin_y = origin_y
         shape = (height, width)
-        self.best_class = np.full(shape, SemanticClass.UNKNOWN, dtype=np.int8)
-        self.best_dist = np.full(shape, np.inf)
-        self.best_kf = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
+        self.classes = np.full(shape, SemanticClass.UNKNOWN, dtype=np.int8)
         self.observed = np.zeros(shape, dtype=bool)
         self._next_version = 1
 
@@ -111,24 +86,17 @@ class MapAccumulator:
         ok = (kf.ixs >= 0) & (kf.ixs < self.width) & (kf.iys >= 0) & (kf.iys < self.height)
         ixs, iys = kf.ixs[ok], kf.iys[ok]
         self.observed[iys, ixs] = True
-        dist = kf.center_dist[ok]
-        cur_dist = self.best_dist[iys, ixs]
-        cur_kf = self.best_kf[iys, ixs]
-        take = (dist < cur_dist) | ((dist == cur_dist) & (kf.id < cur_kf))
-        self.best_class[iys[take], ixs[take]] = kf.classes[ok][take]
-        self.best_dist[iys[take], ixs[take]] = dist[take]
-        self.best_kf[iys[take], ixs[take]] = kf.id
+        self.classes[iys, ixs] = kf.classes[ok]
 
     def snapshot(self) -> SemanticGridMap:
         """Immutable snapshot with a strictly increasing version."""
-        classes = np.where(self.observed, self.best_class, np.int8(SemanticClass.UNKNOWN)).astype(np.int8)
         snap = SemanticGridMap(
             origin_x=self.origin_x,
             origin_y=self.origin_y,
             resolution=self.resolution,
             width=self.width,
             height=self.height,
-            classes=classes,
+            classes=self.classes.copy(),
             observed=self.observed.copy(),
             version=self._next_version,
         )

@@ -83,15 +83,14 @@ Source = tuple[int, int]  # (origin, seq) of a gossiped map record
 @dataclass(eq=False)
 class MapProducts:
     """What a ground robot plans and localizes on after rebuilding on a
-    chain of map versions: the traversability grid, distance field, ROIs
-    and particle-filter match table of the chain's last version, and the
-    roadmap grown over the whole chain. Robots with the same chain share
+    chain of map versions: the planning grid (free cells and clearance),
+    ROIs and particle-filter match table of the chain's last version, and
+    the roadmap grown over the whole chain. Robots with the same chain share
     one and only read it."""
 
     chain: tuple[Source, ...]
     match_table: np.ndarray
     grid: pln.TraversabilityGrid
-    field: pln.DistanceField
     rois: list[msn.ROI]
     roadmap: pln.Roadmap
     vis: pln.VisibilityMap
@@ -136,27 +135,25 @@ class TeamMaps:
         source = chain[-1]
         peer = next((p for c, p in self.products.items() if c[-1] == source), None)
         if peer is not None:
-            table, grid, field, rois = peer.match_table, peer.grid, peer.field, peer.rois
+            table, grid, rois = peer.match_table, peer.grid, peer.rois
         else:
             cfg = self.cfg
             snap = self.maps[source]
             table = localize.match_table(snap)
             grid = pln.extract_traversability(snap, cfg.planner.close_radius)
-            field = pln.distance_transform(grid)
             rois = msn.extract_rois(
                 snap,
                 cfg.mission.cluster_radius,
                 dilation_radius=cfg.mission.dilation_radius,
                 close_radius=cfg.planner.close_radius,
                 grid=grid,
-                field_=field,
             )
         if held is None:
             roadmap, vis = pln.Roadmap(radius=self.cfg.planner.node_radius), None
         else:
             roadmap, vis = held.roadmap.copy(), held.vis.copy()
-        roadmap, vis = pln.update_roadmap(roadmap, vis, grid, field)
-        return MapProducts(chain, table, grid, field, rois, roadmap, vis)
+        roadmap, vis = pln.update_roadmap(roadmap, vis, grid)
+        return MapProducts(chain, table, grid, rois, roadmap, vis)
 
 
 class AerialAgent:
@@ -183,7 +180,6 @@ class AerialAgent:
         self.db = gossip.Database(owner=robot_id)
         self.acc = am.MapAccumulator.like(world.truth)
         self.last_kf_pose = None
-        self.kf_count = 0
         self.events: list[dict] = []
 
     def integrate(self, dt: float) -> None:
@@ -210,16 +206,10 @@ class AerialAgent:
         a = self.cfg.aerial
         pose = tuple(self.true_pose)
         kf = am.maybe_create_keyframe(
-            pose,
-            self.last_kf_pose,
-            a.keyframe_threshold,
-            kf_id=self.kf_count,
-            world=self.world,
-            fov_half_angle=self.fov,
+            pose, self.last_kf_pose, a.keyframe_threshold, world=self.world, fov_half_angle=self.fov
         )
         if kf is not None:
             self.last_kf_pose = pose
-            self.kf_count += 1
             self.acc.fuse_keyframe(kf)
         if tick % a.snapshot_period_ticks == 0 and self.acc.observed.any():
             snap = self.acc.snapshot()
@@ -452,7 +442,7 @@ class GroundAgent:
         if not self.map.in_bounds(*start):
             return pln.PlanResult(ok=False, reason="unmapped")
         p = self.products
-        return pln.plan(p.roadmap, p.vis, p.grid, p.field, start, goal_cell)
+        return pln.plan(p.roadmap, p.vis, p.grid, start, goal_cell)
 
     def _roi_mission(self, tick: int) -> None:
         tracker_phase = self.tracker_state.phase if self.tracker_state is not None else None

@@ -44,12 +44,6 @@ def segment_cells(u: tuple[int, int], v: tuple[int, int]) -> tuple[np.ndarray, n
     return ax[ixx], ay[iyy]
 
 
-def segment_free(u: tuple[int, int], v: tuple[int, int], free: np.ndarray) -> bool:
-    """True iff every cell the segment touches is free (conservative LOS)."""
-    ixs, iys = segment_cells(u, v)
-    return bool(free[iys, ixs].all())
-
-
 def segments_min_value(ends: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Minimum of a per-cell field over each segment's supercover, for an
     (N, 4) integer array of segments ``(ux, uy, vx, vy)``.

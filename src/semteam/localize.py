@@ -19,7 +19,7 @@ import numpy as np
 
 from semteam.config import LocalizerConfig
 from semteam.geometry import wrap_angle
-from semteam.world import Scan, SemanticClass, SemanticGridMap, beam_offsets
+from semteam.world import TRAVERSABLE_CLASSES, Scan, SemanticClass, SemanticGridMap, beam_offsets
 
 #: match-table layer of free-evidence bins; layers below it are classes
 FREE_LAYER = len(SemanticClass)
@@ -255,7 +255,7 @@ def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
     return _scratch.floats, _scratch.codes
 
 
-_DRIVABLE_BITS = (1 << int(SemanticClass.ROAD)) | (1 << int(SemanticClass.DIRT_GRAVEL))
+_DRIVABLE_BITS = sum(1 << int(c) for c in TRAVERSABLE_CLASSES)
 
 
 def match_table(grid: SemanticGridMap) -> np.ndarray:

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semteam.gossip import Database
-from semteam.planner import (
-    DistanceField,
-    PlanResult,
-    TraversabilityGrid,
-    distance_transform,
-    extract_traversability,
-)
+from semteam.planner import PlanResult, TraversabilityGrid, extract_traversability
 from semteam.world import SemanticClass, SemanticGridMap
 
 CLAIMED = "claimed"
@@ -61,14 +55,14 @@ def extract_rois(
     dilation_radius: float,
     close_radius: int,
     grid: TraversabilityGrid | None = None,
-    field_: DistanceField | None = None,
 ) -> list[ROI]:
     """Single-linkage clustering of vehicle cells into ROIs.
 
     The goal point is the traversable cell within dilation_radius of the
     cluster with the largest obstacle clearance (vehicle cells themselves
     are not traversable). Clusters with no nearby traversable cell get no
-    goal point.
+    goal point. ``grid`` is ``grid_map``'s planning grid at
+    ``close_radius``; it is built here when not given.
     """
     if grid_map.version < 1:
         raise ValueError("map version must be >= 1")
@@ -77,8 +71,6 @@ def extract_rois(
         return []
     if grid is None:
         grid = extract_traversability(grid_map, close_radius)
-    if field_ is None:
-        field_ = distance_transform(grid)
 
     res = grid_map.resolution
     n = ixs.size
@@ -105,13 +97,13 @@ def extract_rois(
     rois = []
     for members in clusters.values():
         cells = tuple(sorted((int(ixs[i]), int(iys[i])) for i in members))
-        goal = _goal_for_cluster(cells, grid, field_, dilation_radius)
+        goal = _goal_for_cluster(cells, grid, dilation_radius)
         rois.append(ROI(roi_id=roi_id_for(cells), member_cells=cells, goal_cell=goal))
     rois.sort(key=lambda r: r.roi_id)
     return rois
 
 
-def _goal_for_cluster(cells, grid, field_, dilation_radius):
+def _goal_for_cluster(cells, grid, dilation_radius):
     """The highest-clearance free cell within ``dilation_radius`` of the
     cluster, lowest flat index first on ties; None when there is none."""
     r_cells = dilation_radius / grid.resolution
@@ -132,7 +124,7 @@ def _goal_for_cluster(cells, grid, field_, dilation_radius):
     if not gx.size:
         return None
     flats = gy * w + gx
-    scores = field_.dist[gy, gx]
+    scores = grid.dist[gy, gx]
     order = np.lexsort((flats, -scores))
     return int(gx[order[0]]), int(gy[order[0]])
 

@@ -1,7 +1,8 @@
 """Incremental global planner over the aerial semantic map.
 
-Traversability comes from the road/dirt classes with a morphological close;
-the roadmap is grown deterministically by repeatedly placing nodes at the
+Each map version gives one planning grid: the road/dirt classes with a
+morphological close, and every cell's clearance to the nearest obstacle.
+The roadmap is grown deterministically by repeatedly placing nodes at the
 highest-clearance cell not yet visible to the graph, until every free cell
 sees at least one node. A node is linked to every earlier node its own
 visible region contains. Pairs of nearby nodes whose regions overlap but
@@ -10,11 +11,12 @@ node, taken from a worklist of candidate pairs in a fixed order. An edge
 stores only its weight, which trades distance against clearance with the
 printed heuristic at lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min
 clearance along the edge. A new map version recomputes only the weights of
-edges whose bounding box holds a cell where the distance field changed.
+edges whose bounding box holds a cell where the clearance changed.
 Weights are computed in batches by ``geometry.segments_min_value``, which
 tests at most ``geometry.BLOCK`` cells at a time: every edge a new node
 makes, every edge a new version recomputes, and a plan's connectors and
-pruning candidates.
+pruning candidates. Clearance is 0 exactly on the cells that are not free,
+so the same minimum also tells whether a segment is clear.
 
 Map versions only add free cells. The aerial robot maps at its exact pose,
 so every keyframe copies the true class of each footprint cell; the map
@@ -30,37 +32,38 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from semteam.geometry import segment_free, segments_min_value, visible_from
+from semteam.geometry import segments_min_value, visible_from
 from semteam.world import SemanticClass, SemanticGridMap, traversable_mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraversabilityGrid:
-    """Free/obstacle mask derived from one map version (unknown = obstacle)."""
+    """The planning state of one map version: the free mask (unknown =
+    obstacle), the unknown cells, and ``dist``, the Euclidean distance in
+    meters to the nearest obstacle cell, 0 exactly on obstacles. Its arrays
+    are read-only, as a map snapshot's are."""
 
     free: np.ndarray
     unknown: np.ndarray
+    dist: np.ndarray
     resolution: float
+
+    def __post_init__(self) -> None:
+        for layer in (self.free, self.unknown, self.dist):
+            layer.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.free.shape
 
 
-@dataclass
-class DistanceField:
-    """Euclidean distance (meters) to the nearest obstacle cell; 0 on obstacles."""
-
-    dist: np.ndarray
-    resolution: float
-
-
 def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> TraversabilityGrid:
-    """Traversable-class mask, holes filled with a morphological close.
+    """Traversable-class mask, holes filled with a morphological close, and
+    its distance to the nearest obstacle.
 
     The closing uses a Euclidean disc of ``close_radius`` cells. Cells
     outside the grid are ignored by the structuring element (rather than
@@ -69,12 +72,11 @@ def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> Trav
     """
     if grid_map.version < 1:
         raise ValueError("map version must be >= 1")
-    free0 = traversable_mask(grid_map.classes)
-    unknown = grid_map.classes == SemanticClass.UNKNOWN
-    free = _close(free0, close_radius)
+    free = _close(traversable_mask(grid_map.classes), close_radius)
     return TraversabilityGrid(
         free=free,
-        unknown=np.asarray(unknown),
+        unknown=grid_map.classes == SemanticClass.UNKNOWN,
+        dist=distance_transform(free, grid_map.resolution),
         resolution=grid_map.resolution,
     )
 
@@ -120,30 +122,35 @@ def _edt(mask: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def distance_transform(grid: TraversabilityGrid) -> DistanceField:
-    """Exact Euclidean distance to the nearest obstacle cell, in meters
-    (``_edt`` times the resolution).
+def distance_transform(free: np.ndarray, resolution: float) -> np.ndarray:
+    """Exact Euclidean distance from each cell to the nearest cell that is
+    not ``free``, in meters (``_edt`` times the resolution): 0 on those
+    cells, at least one cell's width elsewhere.
 
     With no obstacles at all, every cell carries the finite sentinel
     (width + height) * resolution so downstream arithmetic stays total.
     """
-    h, w = grid.shape
-    if grid.free.all():
-        dist = np.full((h, w), (w + h) * grid.resolution)
-    else:
-        dist = _edt(grid.free) * grid.resolution
-    return DistanceField(dist=dist, resolution=grid.resolution)
+    h, w = free.shape
+    if free.all():
+        return np.full((h, w), (w + h) * resolution)
+    return _edt(free) * resolution
 
 
-def edge_weights(ends: list[tuple[int, int, int, int]], field: DistanceField) -> list[float]:
-    """Distance/clearance edge weight of each segment ``(ux, uy, vx, vy)``,
-    assumed obstacle-free, with one batched supercover minimum for all of
-    them."""
-    res = field.resolution
-    mins = segments_min_value(np.array(ends, dtype=np.int64).reshape(-1, 4), field.dist).tolist()
+def _weigh(ends: list[tuple[int, int, int, int]], grid: TraversabilityGrid) -> list[tuple[float, float]]:
+    """``(weight, clearance)`` of each segment ``(ux, uy, vx, vy)``, with one
+    batched supercover minimum for all of them. The clearance is the least
+    ``grid.dist`` the segment touches, above 0 iff every cell it touches is
+    free; the weight trades length against it."""
+    res = grid.resolution
+    mins = segments_min_value(np.array(ends, dtype=np.int64).reshape(-1, 4), grid.dist).tolist()
     return [
-        math.hypot(ux - vx, uy - vy) * res + (m * m + math.sqrt(m)) for (ux, uy, vx, vy), m in zip(ends, mins)
+        (math.hypot(ux - vx, uy - vy) * res + (m * m + math.sqrt(m)), m) for (ux, uy, vx, vy), m in zip(ends, mins)
     ]
+
+
+def edge_weights(ends: list[tuple[int, int, int, int]], grid: TraversabilityGrid) -> list[float]:
+    """The weight of each segment, assumed obstacle-free."""
+    return [weight for weight, _ in _weigh(ends, grid)]
 
 
 class VisibilityMap:
@@ -185,19 +192,17 @@ class Roadmap:
         self.edges: dict[tuple[int, int], float] = {}  # (a, b), a < b -> weight
         self.adj: dict[int, set[int]] = {}
         self._next_id = 0
-        self._prev_free: np.ndarray | None = None
-        self._prev_dist: np.ndarray | None = None
+        self._prev: TraversabilityGrid | None = None  # the grid of the last update
 
     def copy(self) -> "Roadmap":
         """An independent roadmap with the same state. The previous version's
-        arrays are shared: updates replace them and never write into them."""
+        grid is shared: it is read-only."""
         out = Roadmap(self.radius)
         out.nodes = dict(self.nodes)
         out.edges = dict(self.edges)
         out.adj = {nid: set(nbrs) for nid, nbrs in self.adj.items()}
         out._next_id = self._next_id
-        out._prev_free = self._prev_free
-        out._prev_dist = self._prev_dist
+        out._prev = self._prev
         return out
 
 
@@ -205,7 +210,6 @@ def update_roadmap(
     roadmap: Roadmap,
     vis: VisibilityMap | None,
     grid: TraversabilityGrid,
-    field: DistanceField,
 ) -> tuple[Roadmap, VisibilityMap]:
     """Grow the roadmap for a new map version.
 
@@ -216,19 +220,19 @@ def update_roadmap(
     loses a free cell raises ``ValueError`` and leaves the roadmap as it was.
     """
     free = grid.free
-    prev = roadmap._prev_free
-    if prev is not None and (prev & ~free).any():
+    prev = roadmap._prev
+    if prev is not None and (prev.free & ~free).any():
         raise ValueError("map version turns free cells into obstacles; the roadmap only grows")
     h, w = free.shape
     if vis is None or vis.width != w or vis.height != h:
         vis = VisibilityMap(w, h)
     res = grid.resolution
     r_cells = roadmap.radius / res
-    newly_free = free.copy() if prev is None else (free & ~prev)
+    newly_free = free if prev is None else (free & ~prev.free)
 
     # the edges kept from earlier versions; every edge added below gets its
-    # weight from this field when it is created
-    _refresh_weights(roadmap, field)
+    # weight from this grid when it is created
+    _refresh_weights(roadmap, grid)
 
     # newly free cells may already see existing nodes
     if newly_free.any() and roadmap.nodes:
@@ -246,21 +250,18 @@ def update_roadmap(
     # cover every free cell: place nodes at the clearance maxima
     uncovered = free & ~vis.cover
     while uncovered.any():
-        flat = int(np.argmax(np.where(uncovered, field.dist, -np.inf)))
+        flat = int(np.argmax(np.where(uncovered, grid.dist, -np.inf)))
         cell = (flat % w, flat // w)
-        _add_node(roadmap, vis, grid, field, cell, r_cells)
+        _add_node(roadmap, vis, grid, cell, r_cells)
         uncovered = free & ~vis.cover
 
-    _bridge(roadmap, vis, grid, field, r_cells)
+    _bridge(roadmap, vis, grid, r_cells)
 
-    roadmap._prev_free = free.copy()
-    roadmap._prev_dist = field.dist  # fields are never written after they are made
+    roadmap._prev = grid
     return roadmap, vis
 
 
-def _bridge(
-    roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, field: DistanceField, r_cells
-) -> None:
+def _bridge(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, r_cells) -> None:
     """Bridge node pairs with overlapping visibility but no path between them.
 
     "No path" is taken locally: a pair needs an edge or a common neighbor,
@@ -284,7 +285,7 @@ def _bridge(
     """
     w = grid.shape[1]
     reach2 = (2 * r_cells) ** 2
-    dist = field.dist.reshape(-1)
+    dist = grid.dist.reshape(-1)
     occupied = set(roadmap.nodes.values())
     ids = np.array(sorted(roadmap.nodes), dtype=np.int64)
     xy = np.array([roadmap.nodes[int(i)] for i in ids], dtype=np.int64).reshape(-1, 2)
@@ -316,7 +317,7 @@ def _bridge(
                 break
         if best is None:
             continue
-        n = _add_node(roadmap, vis, grid, field, best, r_cells)
+        n = _add_node(roadmap, vis, grid, best, r_cells)
         occupied.add(best)
         heapq.heappush(heap, (a, b))
         bx, by = best
@@ -325,9 +326,9 @@ def _bridge(
                 heapq.heappush(heap, (o, n))
 
 
-def _refresh_weights(roadmap: Roadmap, field: DistanceField) -> None:
+def _refresh_weights(roadmap: Roadmap, grid: TraversabilityGrid) -> None:
     """Recompute the weights of edges whose bounding box holds a cell where
-    the distance field changed since the last update.
+    the clearance changed since the last update.
 
     An edge's supercover lies inside the bounding box of its end cells, so
     an edge whose box holds no changed cell keeps its exact min clearance.
@@ -335,8 +336,8 @@ def _refresh_weights(roadmap: Roadmap, field: DistanceField) -> None:
     changed cells.
     """
     keys = list(roadmap.edges)
-    if roadmap._prev_dist is not None:
-        changed = field.dist != roadmap._prev_dist
+    if roadmap._prev is not None:
+        changed = grid.dist != roadmap._prev.dist
         if not changed.any():
             return
         h, w = changed.shape
@@ -353,7 +354,7 @@ def _refresh_weights(roadmap: Roadmap, field: DistanceField) -> None:
         hits = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
         keys = [key for key, hit in zip(keys, hits) if hit]
     nodes = roadmap.nodes
-    roadmap.edges.update(zip(keys, edge_weights([nodes[a] + nodes[b] for a, b in keys], field)))
+    roadmap.edges.update(zip(keys, edge_weights([nodes[a] + nodes[b] for a, b in keys], grid)))
 
 
 def _window_obstacles(free, node, cand_ix, cand_iy):
@@ -381,9 +382,7 @@ def _window_obstacles(free, node, cand_ix, cand_iy):
     return ox + x_lo, oy + y_lo
 
 
-def _add_node(
-    roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, field: DistanceField, cell, r_cells
-) -> int:
+def _add_node(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, cell, r_cells) -> int:
     free = grid.free
     h, w = free.shape
     nx, ny = cell
@@ -408,11 +407,11 @@ def _add_node(
 
     # An edge is a clear segment of length <= r_cells, so it links nid to
     # exactly the nodes on cells in its visible region: visible_from and
-    # segment_free are the same closed-square slab test, and every slab value
-    # is a correctly rounded quotient of small integers, so they agree. Ids
-    # only grow, so every other node's id is below nid.
+    # segment_cells are the same closed-square slab test, and every slab
+    # value is a correctly rounded quotient of small integers, so they agree.
+    # Ids only grow, so every other node's id is below nid.
     others = [other for other, (ox, oy) in roadmap.nodes.items() if other != nid and oy * w + ox in flats]
-    weights = edge_weights([roadmap.nodes[other] + (nx, ny) for other in others], field)
+    weights = edge_weights([roadmap.nodes[other] + (nx, ny) for other in others], grid)
     for other, weight in zip(others, weights):
         roadmap.edges[(other, nid)] = weight
         roadmap.adj[nid].add(other)
@@ -427,7 +426,7 @@ def _add_node(
 @dataclass
 class PlanResult:
     ok: bool
-    waypoints: list[tuple[int, int]] = dc_field(default_factory=list)
+    waypoints: list[tuple[int, int]] = field(default_factory=list)
     cost: float = 0.0
     reason: str | None = None  # "unmapped" | "unreachable" on failure
 
@@ -436,7 +435,6 @@ def plan(
     roadmap: Roadmap,
     vis: VisibilityMap,
     grid: TraversabilityGrid,
-    field: DistanceField,
     start: tuple[int, int],
     goal: tuple[int, int],
 ) -> PlanResult:
@@ -468,11 +466,11 @@ def plan(
     order = itertools.count()
     heap: list[tuple[float, int, int]] = []
     nodes = roadmap.nodes
-    for nid, d in zip(start_nodes, edge_weights([(*start, *nodes[nid]) for nid in start_nodes], field)):
+    for nid, d in zip(start_nodes, edge_weights([(*start, *nodes[nid]) for nid in start_nodes], grid)):
         dist[nid] = d
         prev[nid] = None
         heapq.heappush(heap, (d, next(order), nid))
-    to_goal = dict(zip(goal_nodes, edge_weights([(*nodes[nid], *goal) for nid in goal_nodes], field)))
+    to_goal = dict(zip(goal_nodes, edge_weights([(*nodes[nid], *goal) for nid in goal_nodes], grid)))
     best_goal: tuple[float, int] | None = None
     while heap:
         d, _, nid = heapq.heappop(heap)
@@ -506,17 +504,17 @@ def plan(
 
     # prune: drop the first waypoint whose neighbors a clear direct edge
     # joins at no more cost, until none is left; each round weighs the
-    # segments no earlier round did, in one batch
-    weight: dict[tuple[int, int, int, int], float] = {}
+    # segments no earlier round did, in one batch, which also tells which
+    # are clear
+    weighed: dict[tuple[int, int, int, int], tuple[float, float]] = {}
     while True:
         steps = [(*a, *b) for a, b in zip(waypoints, waypoints[1:])]
         skips = [(*a, *b) for a, b in zip(waypoints, waypoints[2:])]
-        fresh = [seg for seg in steps + skips if seg not in weight]
-        weight.update(zip(fresh, edge_weights(fresh, field)))
+        fresh = [seg for seg in steps + skips if seg not in weighed]
+        weighed.update(zip(fresh, _weigh(fresh, grid)))
         for i, skip in enumerate(skips, 1):
-            if weight[skip] <= weight[steps[i - 1]] + weight[steps[i]] and segment_free(
-                waypoints[i - 1], waypoints[i + 1], grid.free
-            ):
+            weight, clearance = weighed[skip]
+            if clearance > 0 and weight <= weighed[steps[i - 1]][0] + weighed[steps[i]][0]:
                 del waypoints[i]
                 break
         else:
@@ -525,5 +523,5 @@ def plan(
     # a left fold: from Python 3.12, sum() rounds a float sum differently
     cost = 0.0
     for step in steps:
-        cost += weight[step]
+        cost += weighed[step][0]
     return PlanResult(ok=True, waypoints=waypoints, cost=cost)

@@ -53,7 +53,7 @@ def traversable(cls: SemanticClass) -> bool:
 
 def traversable_mask(classes: np.ndarray) -> np.ndarray:
     """Boolean mask of traversable cells for a whole class layer."""
-    return (classes == SemanticClass.ROAD) | (classes == SemanticClass.DIRT_GRAVEL)
+    return functools.reduce(np.logical_or, (classes == c for c in TRAVERSABLE_CLASSES))
 
 
 class WorldFormatError(ValueError):
@@ -132,17 +132,13 @@ class SemanticGridMap:
 
 @dataclass
 class WorldModel:
-    """Fully observed ground truth plus the list of vehicle target cells."""
+    """Fully observed ground truth."""
 
     truth: SemanticGridMap
-    target_cells: list[tuple[int, int]]
 
     @classmethod
     def from_map(cls, truth: SemanticGridMap) -> "WorldModel":
-        iys, ixs = np.nonzero(truth.classes == SemanticClass.VEHICLE)
-        targets = [(int(ix), int(iy)) for ix, iy in zip(ixs, iys)]
-        targets.sort(key=lambda c: (c[1], c[0]))
-        return cls(truth=truth.freeze(), target_cells=targets)
+        return cls(truth=truth.freeze())
 
 
 # ---------------------------------------------------------------------------

@@ -32,23 +32,19 @@ def flat_world(w=40, h=40, cls=SemanticClass.ROAD):
     return WorldModel.from_map(grid)
 
 
-def kf_at(world, x, y, kf_id, alt=10.0):
+def kf_at(world, x, y, alt=10.0):
     return maybe_create_keyframe(
         (x, y, alt, 0.0),
         None,
         1.0,
-        kf_id=kf_id,
         world=world,
         fov_half_angle=FOV,
     )
 
 
 def cells_of(kf):
-    """(cell, class, center distance) per observed cell."""
-    return [
-        ((int(ix), int(iy)), SemanticClass(int(c)), float(d))
-        for ix, iy, c, d in zip(kf.ixs, kf.iys, kf.classes, kf.center_dist)
-    ]
+    """(cell, class) per observed cell."""
+    return [((int(ix), int(iy)), SemanticClass(int(c))) for ix, iy, c in zip(kf.ixs, kf.iys, kf.classes)]
 
 
 class TestKeyframeCreation:
@@ -56,7 +52,7 @@ class TestKeyframeCreation:
         world = flat_world()
         out = maybe_create_keyframe(
             (4.9, 0, 10, 0), (0, 0, 10, 0), 5.0,
-            kf_id=1, world=world, fov_half_angle=FOV,
+            world=world, fov_half_angle=FOV,
         )
         assert out is None
 
@@ -64,7 +60,7 @@ class TestKeyframeCreation:
         world = flat_world()
         out = maybe_create_keyframe(
             (5.0, 0, 10, 0), (0, 0, 10, 0), 5.0,
-            kf_id=1, world=world, fov_half_angle=FOV,
+            world=world, fov_half_angle=FOV,
         )
         assert out is not None
 
@@ -72,47 +68,20 @@ class TestKeyframeCreation:
         world = flat_world(w=220, h=20)
         created = 0
         last = None
-        next_id = 0
         # 100 m straight flight sampled every 0.25 m (exact float steps)
         for k in range(401):
             x = k * 0.25
             pose = (x, 10.0, 10.0, 0.0)
             kf = maybe_create_keyframe(
-                pose, last, 5.0, kf_id=next_id, world=world, fov_half_angle=FOV,
+                pose, last, 5.0, world=world, fov_half_angle=FOV,
             )
             if kf is not None:
                 created += 1
-                next_id += 1
                 last = pose
         assert created == 21
 
-    def test_center_distance_is_planar(self):
-        world = flat_world()
-        kf = kf_at(world, 20.0, 20.0, 0)
-        for (ix, iy), _, dist in cells_of(kf):
-            expected = math.hypot(ix + 0.5 - 20.0, iy + 0.5 - 20.0)
-            assert dist == pytest.approx(expected)
-
 
 class TestFusion:
-    def test_closer_center_overwrites_class(self):
-        acc = MapAccumulator(16, 16)
-        world_far = flat_world(16, 16, cls=SemanticClass.GRASS)
-        world_near = flat_world(16, 16, cls=SemanticClass.ROAD)
-        far = kf_at(world_far, 3.0, 8.0, 0, alt=4.0)   # cell (8, 8) ~5 m off-center
-        near = kf_at(world_near, 8.0, 8.0, 1, alt=4.0)  # cell (8, 8) ~0.7 m off-center
-        acc.fuse_keyframe(far)
-        acc.fuse_keyframe(near)
-        assert acc.best_class[8, 8] == SemanticClass.ROAD
-
-    def test_later_farther_observation_keeps_class(self):
-        acc = MapAccumulator(16, 16)
-        near = kf_at(flat_world(16, 16, cls=SemanticClass.ROAD), 8.0, 8.0, 0, alt=4.0)
-        far = kf_at(flat_world(16, 16, cls=SemanticClass.GRASS), 3.0, 8.0, 1, alt=4.0)
-        acc.fuse_keyframe(near)
-        acc.fuse_keyframe(far)
-        assert acc.best_class[8, 8] == SemanticClass.ROAD
-
     def _random_keyframes(self, seed, n=50):
         rng = np.random.default_rng(seed)
         classes = rng.integers(0, 6, size=(32, 32)).astype(np.int8)
@@ -123,13 +92,13 @@ class TestFusion:
         )
         world = WorldModel.from_map(grid)
         kfs = []
-        for k in range(n):
+        for _ in range(n):
             x = float(rng.uniform(2, 30))
             y = float(rng.uniform(2, 30))
             alt = float(rng.uniform(3, 9))
             pose = (x, y, alt, float(rng.uniform(0, 2 * math.pi)))
             kf = maybe_create_keyframe(
-                pose, None, 1.0, kf_id=k, world=world, fov_half_angle=FOV,
+                pose, None, 1.0, world=world, fov_half_angle=FOV,
             )
             kfs.append(kf)
         return world, kfs
@@ -144,28 +113,34 @@ class TestFusion:
             acc = MapAccumulator(32, 32)
             for kf in order:
                 acc.fuse_keyframe(kf)
-            layers.append(acc.best_class.copy())
+            layers.append(acc.classes.copy())
         for cls in layers[1:]:
             assert np.array_equal(cls, layers[0])
 
-    def test_global_minimum_class_rule(self):
+    def test_every_snapshot_holds_truth_where_observed(self):
+        # every keyframe copies the truth, so the fused map needs no rule
+        # to choose between observations of a cell
         world, kfs = self._random_keyframes(seed=8, n=20)
-        acc = MapAccumulator(32, 32)
-        for kf in kfs:
-            acc.fuse_keyframe(kf)
-        best = {}
-        for kf in kfs:
-            for cell, cls, dist in cells_of(kf):
-                key = (dist, kf.id)
-                if cell not in best or key < best[cell][0]:
-                    best[cell] = (key, cls)
-        for (ix, iy), (_, cls) in best.items():
-            assert acc.best_class[iy, ix] == cls
+        truth = world.truth.classes
+        rng = np.random.default_rng(9)
+        for preload in (False, True):
+            for _ in range(3):
+                order = list(kfs)
+                rng.shuffle(order)
+                acc = MapAccumulator.like(world.truth)
+                if preload:
+                    acc.fuse_keyframe(full_view_keyframe(world.truth))
+                for kf in order:
+                    acc.fuse_keyframe(kf)
+                    snap = acc.snapshot()
+                    assert np.array_equal(snap.classes[snap.observed], truth[snap.observed])
+                    assert (snap.classes[~snap.observed] == SemanticClass.UNKNOWN).all()
+                assert snap.observed.all() == preload
 
     def test_out_of_bounds_cells_dropped(self):
         acc = MapAccumulator(10, 10)
         world = flat_world(40, 40)
-        kf = kf_at(world, 8.0, 8.0, 0, alt=6.0)  # footprint partly beyond 10x10
+        kf = kf_at(world, 8.0, 8.0, alt=6.0)  # footprint partly beyond 10x10
         acc.fuse_keyframe(kf)
         cells = {cell for cell, *_ in cells_of(kf)}
         inside = {(ix, iy) for ix, iy in cells if ix < 10 and iy < 10}
@@ -185,7 +160,7 @@ class TestSnapshot:
     def test_single_keyframe_footprint_observed(self):
         world = flat_world(20, 20)
         acc = MapAccumulator(20, 20)
-        kf = kf_at(world, 10.0, 10.0, 0, alt=5.0)
+        kf = kf_at(world, 10.0, 10.0, alt=5.0)
         acc.fuse_keyframe(kf)
         snap = acc.snapshot()
         observed = {cell for cell, *_ in cells_of(kf)}
@@ -202,8 +177,8 @@ class TestSnapshot:
         rng = np.random.default_rng(3)
         acc = MapAccumulator(17, 9, resolution=0.5, origin_x=-3.0, origin_y=2.0)
         world = flat_world(17, 9)
-        for k in range(4):
-            acc.fuse_keyframe(kf_at(world, float(rng.uniform(2, 8)), float(rng.uniform(2, 7)), k, alt=3.0))
+        for _ in range(4):
+            acc.fuse_keyframe(kf_at(world, float(rng.uniform(2, 8)), float(rng.uniform(2, 7)), alt=3.0))
         snap = acc.snapshot()
         data = encode_snapshot(snap)
         back = decode_snapshot(data)
@@ -246,18 +221,18 @@ class TestMapOnlyGrows:
         acc = MapAccumulator.like(world.truth)
         if preload:
             acc.fuse_keyframe(full_view_keyframe(world.truth))
-        snaps, last, kf_id = [], None, 0
+        snaps, last, n_keyframes = [], None, 0
         x, y = 5.0, 5.0
         for _ in range(120):
             x = float(np.clip(x + rng.uniform(-2, 2), -2, 32))
             y = float(np.clip(y + rng.uniform(-2, 2), -2, 32))
             pose = (x, y, float(rng.uniform(2, 6)), 0.0)
-            kf = maybe_create_keyframe(pose, last, 1.5, kf_id=kf_id, world=world, fov_half_angle=FOV)
+            kf = maybe_create_keyframe(pose, last, 1.5, world=world, fov_half_angle=FOV)
             if kf is not None:
-                last, kf_id = pose, kf_id + 1
+                last, n_keyframes = pose, n_keyframes + 1
                 acc.fuse_keyframe(kf)
                 snaps.append(acc.snapshot())
-        assert kf_id > 20
+        assert n_keyframes > 20
         return snaps
 
     @pytest.mark.parametrize("preload", [False, True])

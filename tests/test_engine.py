@@ -21,6 +21,10 @@ from semteam.gossip import DbRecord
 from semteam.standard import build_standard_world
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, world_to_text
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+
+import spans  # noqa: E402
+
 STANDARD_WORLD_SHA256 = "1366f5bc4fa144b4290d116ab954e5a4a275b9a418b42dd851c9668a6d5c5913"
 
 #: sha256 of each output file of the small-world run at seed 0
@@ -77,6 +81,21 @@ class TestRun:
         _, ((a, _), (b, _)) = two_runs
         for name in ("events.jsonl", "poses.csv", "metrics.csv", "map_final.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_traced_run_logs_the_same_events(self, two_runs, tmp_path):
+        # the benchmark's tracer wraps functions at the names it patches and
+        # reads their results; a run under it must still reach them all
+        cfg, ((plain, _), _) = two_runs
+        tracer = spans.Tracer()
+        spans.install_semteam(tracer)
+        try:
+            Simulation(cfg, world=small_world()).run(tmp_path)
+        finally:
+            tracer.uninstall()
+        assert (tmp_path / "events.jsonl").read_bytes() == (plain / "events.jsonl").read_bytes()
+        summary = tracer.summary()
+        for name in ("planner.plan", "planner.update_roadmap", "mission.extract_rois"):
+            assert summary.get(name, {}).get("calls", 0) > 0, name
 
     @pytest.mark.parametrize("name", sorted(SMALL_RUN_SHA256))
     def test_output_matches_golden_digest(self, two_runs, name):
@@ -184,7 +203,7 @@ class TestTeamMaps:
                 rm, vis = planner.Roadmap(radius=cfg.planner.node_radius), None
                 for seq in seqs:
                     grid = planner.extract_traversability(decode_snapshot(records[seq].payload), 0)
-                    rm, vis = planner.update_roadmap(rm, vis, grid, planner.distance_transform(grid))
+                    rm, vis = planner.update_roadmap(rm, vis, grid)
                 solo[seqs] = roadmap_state_hash(rm, vis)
             return solo[seqs]
 
@@ -209,8 +228,8 @@ class TestTeamMaps:
         assert [g.products.chain for g in (a, b, c)] == [full, skipped, full]
         assert a.products is c.products
         assert a.map is b.map is c.map
-        # grid, field and ROIs of version 3 were built once, for both chains
-        assert a.products.field is b.products.field
+        # grid and ROIs of version 3 were built once, for both chains
+        assert a.products.grid is b.products.grid
 
     @pytest.fixture(scope="class")
     def loop_flight(self):
@@ -331,7 +350,7 @@ class TestStandardWorld:
     def test_resolved_by_name(self):
         world = resolve_world("standard")
         assert world_to_text(world) == world_to_text(build_standard_world())
-        assert len(world.target_cells) == 13 * 4
+        assert np.count_nonzero(world.truth.classes == SemanticClass.VEHICLE) == 13 * 4
 
 
 class TestConfig:

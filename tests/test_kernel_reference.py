@@ -174,10 +174,10 @@ def ref_segment_min_value(u, v, field):
     return float(field[iys, ixs].min())
 
 
-def ref_edge_weight(u, v, field):
+def ref_edge_weight(u, v, grid):
     """Roadmap edge weight from the one-segment minimum."""
-    m = ref_segment_min_value(u, v, field.dist)
-    return math.hypot(u[0] - v[0], u[1] - v[1]) * field.resolution + (m * m + math.sqrt(m))
+    m = ref_segment_min_value(u, v, grid.dist)
+    return math.hypot(u[0] - v[0], u[1] - v[1]) * grid.resolution + (m * m + math.sqrt(m))
 
 
 def ref_close(mask, radius):
@@ -615,13 +615,12 @@ class TestSupercoverMinimumMatchesPerSegment:
         checked = 0
         for free in incremental_versions():
             grid = grid_from_free(free)
-            field = planner.distance_transform(grid)
-            rm, vis = planner.update_roadmap(rm, vis, grid, field)
+            rm, vis = planner.update_roadmap(rm, vis, grid)
             segs = [rm.nodes[a] + rm.nodes[b] for a, b in rm.edges]
-            assert_batch_matches(segs, field.dist)
-            want = [ref_edge_weight(rm.nodes[a], rm.nodes[b], field) for a, b in rm.edges]
+            assert_batch_matches(segs, grid.dist)
+            want = [ref_edge_weight(rm.nodes[a], rm.nodes[b], grid) for a, b in rm.edges]
             assert bits(list(rm.edges.values())) == bits(want)
-            assert bits(planner.edge_weights(segs, field)) == bits(want)
+            assert bits(planner.edge_weights(segs, grid)) == bits(want)
             checked += len(segs)
         assert checked > 100
 
@@ -673,8 +672,7 @@ class TestDistanceTransformMatchesScipy:
         rng = np.random.default_rng(22)
         truth = make_map(cluttered_classes(rng, 47, 31), resolution=0.5, origin=(-3.0, 2.0))
         grid = planner.extract_traversability(truth, 0)
-        field = planner.distance_transform(grid)
-        assert bits(field.dist) == bits(distance_transform_edt(grid.free) * 0.5)
+        assert bits(grid.dist) == bits(distance_transform_edt(grid.free) * 0.5)
 
 
 class TestCloseMatchesScipy:

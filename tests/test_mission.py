@@ -18,7 +18,7 @@ from semteam.mission import (
     roi_id_for,
     roi_open_for,
 )
-from semteam.planner import PlanResult, distance_transform, extract_traversability
+from semteam.planner import PlanResult, extract_traversability
 from semteam.world import SemanticClass, SemanticGridMap
 
 
@@ -54,7 +54,6 @@ class TestExtractRois:
     def test_goal_is_clearance_max_near_cluster(self):
         m = road_map_with_vehicles([(15, 15)])
         grid = extract_traversability(m, 0)
-        field = distance_transform(grid)
         rois = extract_rois(m, cluster_radius=3.0, dilation_radius=4.0, close_radius=0)
         (roi,) = rois
         gx, gy = roi.goal_cell
@@ -64,7 +63,7 @@ class TestExtractRois:
         for iy in range(30):
             for ix in range(30):
                 if (ix - 15) ** 2 + (iy - 15) ** 2 <= 16 and grid.free[iy, ix]:
-                    assert field.dist[iy, ix] <= field.dist[gy, gx] + 1e-9
+                    assert grid.dist[iy, ix] <= grid.dist[gy, gx] + 1e-9
 
     def test_unreachable_cluster_flagged(self):
         cls = np.full((20, 20), int(SemanticClass.BUILDING), dtype=np.int8)

@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from semteam.geometry import segment_cells, segment_free, segments_min_value, visible_from
+from semteam.geometry import segment_cells, segments_min_value, visible_from
 from semteam.planner import (
-    DistanceField,
     Roadmap,
     TraversabilityGrid,
     VisibilityMap,
@@ -41,8 +40,20 @@ def class_map(classes, resolution=1.0, observed=None):
 
 
 def grid_from_free(free, resolution=1.0):
-    free = np.asarray(free, dtype=bool)
-    return TraversabilityGrid(free=free, unknown=np.zeros_like(free), resolution=resolution)
+    free = np.array(free, dtype=bool)
+    dist = distance_transform(free, resolution)
+    return TraversabilityGrid(free=free, unknown=np.zeros_like(free), dist=dist, resolution=resolution)
+
+
+def grid_of_dist(dist, resolution=1.0):
+    """A grid with the given clearance, free where it is positive."""
+    return TraversabilityGrid(free=dist > 0, unknown=np.zeros(dist.shape, dtype=bool), dist=dist, resolution=resolution)
+
+
+def segment_free(u, v, free):
+    """True iff every cell of the segment's supercover is free."""
+    ixs, iys = segment_cells(u, v)
+    return bool(free[iys, ixs].all())
 
 
 def supercover_oracle(u, v):
@@ -88,11 +99,11 @@ class TestSegmentGeometry:
             got = set(zip(ixs.tolist(), iys.tolist()))
             assert got == supercover_oracle(u, v), (u, v)
 
-    def test_visible_from_matches_segment_free(self):
-        """A node's visible region is exactly the free cells within its radius
-        that a clear segment reaches, which roadmap edges rely on."""
+    @staticmethod
+    def visibility_cases():
+        """(free, node, candidate xs, candidate ys): a node on each of 40
+        random grids and the free cells within a random radius of it."""
         rng = np.random.default_rng(12)
-        checked = 0
         for _ in range(40):
             free = rng.random((20, 20)) > rng.uniform(0.05, 0.4)
             fy, fx = np.nonzero(free)
@@ -100,13 +111,42 @@ class TestSegmentGeometry:
             node = (int(fx[k]), int(fy[k]))
             r = float(rng.uniform(2.0, 12.0))
             disc = (fx - node[0]) ** 2 + (fy - node[1]) ** 2 <= r**2
-            cand_ix, cand_iy = fx[disc], fy[disc]
+            yield free, node, fx[disc], fy[disc]
+
+    def test_visible_from_matches_segment_free(self):
+        """A node's visible region is exactly the free cells within its radius
+        that a clear segment reaches, which roadmap edges rely on."""
+        checked = 0
+        for free, node, cand_ix, cand_iy in self.visibility_cases():
             ob_ix, ob_iy = _window_obstacles(free, node, cand_ix, cand_iy)
             seen = visible_from(node, cand_ix, cand_iy, ob_ix, ob_iy)
             for ix, iy, s in zip(cand_ix.tolist(), cand_iy.tolist(), seen.tolist()):
                 assert s == segment_free(node, (ix, iy), free), (node, (ix, iy))
                 checked += 1
         assert checked > 2000
+
+    def test_positive_clearance_iff_segment_free(self):
+        """plan() takes a segment as clear when its least clearance is above
+        0, which must hold exactly when every cell it touches is free."""
+        cases = [(grid_from_free(free), [(*node, ix, iy) for ix, iy in zip(cand_ix.tolist(), cand_iy.tolist())])
+                 for free, node, cand_ix, cand_iy in self.visibility_cases()]
+        rng = np.random.default_rng(13)
+        kinds = [SemanticClass.ROAD, SemanticClass.DIRT_GRAVEL, SemanticClass.GRASS, SemanticClass.UNKNOWN]
+        for k in range(40):
+            # the first grid is all road: no obstacle, only the sentinel
+            weights = [1.0, 0.0, 0.0, 0.0] if k == 0 else rng.dirichlet(np.ones(len(kinds)))
+            classes = np.array(kinds, dtype=np.int8)[rng.choice(len(kinds), size=(20, 24), p=weights)]
+            grid = extract_traversability(class_map(classes), close_radius=k % 3)
+            cases.append((grid, rng.integers(0, [24, 20, 24, 20], size=(100, 4)).tolist()))
+        assert cases[40][0].free.all() and any(g.unknown.any() and g.free.any() for g, _ in cases)
+        checked = clear = 0
+        for grid, segs in cases:
+            got = (segments_min_value(segs, grid.dist) > 0).tolist()
+            want = [segment_free(s[:2], s[2:], grid.free) for s in segs]
+            assert got == want
+            checked += len(segs)
+            clear += sum(want)
+        assert checked > 7000 and 0 < clear < checked
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -136,6 +176,15 @@ class TestTraversability:
         assert not grid.free[1, 1]
         assert grid.unknown[1, 1]
 
+    def test_grid_is_read_only(self):
+        # a roadmap keeps the last version's grid to compare the next one with
+        cls = np.full((8, 8), int(SemanticClass.ROAD))
+        cls[0:4, 0:4] = SemanticClass.UNKNOWN
+        grid = extract_traversability(class_map(cls), close_radius=1)
+        for layer in (grid.free, grid.unknown, grid.dist):
+            with pytest.raises(ValueError):
+                layer[0, 0] = layer[7, 7]
+
     def test_close_idempotent_on_random_masks(self):
         from semteam.planner import _close
 
@@ -160,18 +209,18 @@ class TestDistanceTransform:
     def test_three_four_five(self):
         free = np.ones((10, 10), dtype=bool)
         free[0, 0] = False
-        field = distance_transform(grid_from_free(free, resolution=2.0))
-        assert field.dist[4, 3] == pytest.approx(5 * 2.0)
+        grid = grid_from_free(free, resolution=2.0)
+        assert grid.dist[4, 3] == pytest.approx(5 * 2.0)
 
     def test_no_obstacles_sentinel(self):
-        field = distance_transform(grid_from_free(np.ones((6, 9), dtype=bool)))
-        assert (field.dist == (9 + 6) * 1.0).all()
+        grid = grid_from_free(np.ones((6, 9), dtype=bool))
+        assert (grid.dist == (9 + 6) * 1.0).all()
 
     def test_zero_on_obstacles(self):
         rng = np.random.default_rng(4)
         free = rng.random((12, 12)) > 0.3
-        field = distance_transform(grid_from_free(free))
-        assert (field.dist[~free] == 0).all()
+        grid = grid_from_free(free)
+        assert (grid.dist[~free] == 0).all()
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(5)
@@ -179,44 +228,44 @@ class TestDistanceTransform:
             free = rng.random((16, 16)) > rng.uniform(0.05, 0.5)
             if free.all():
                 continue
-            field = distance_transform(grid_from_free(free))
+            grid = grid_from_free(free)
             ys, xs = np.nonzero(~free)
             yy, xx = np.mgrid[0:16, 0:16]
             d2 = ((yy[..., None] - ys) ** 2 + (xx[..., None] - xs) ** 2).min(axis=-1)
             brute = np.sqrt(d2.astype(np.float64))
-            assert np.array_equal(field.dist, brute)
+            assert np.array_equal(grid.dist, brute)
 
     def test_lipschitz_between_neighbors(self):
         rng = np.random.default_rng(6)
         free = rng.random((20, 20)) > 0.25
-        d = distance_transform(grid_from_free(free)).dist
+        d = grid_from_free(free).dist
         assert np.all(np.abs(d[:, 1:] - d[:, :-1]) <= 1.0 + 1e-9)
         assert np.all(np.abs(d[1:, :] - d[:-1, :]) <= 1.0 + 1e-9)
         assert np.all(np.abs(d[1:, 1:] - d[:-1, :-1]) <= math.sqrt(2) + 1e-9)
 
 
 class TestEdgeWeight:
-    def field_const(self, value, shape=(12, 12)):
-        return DistanceField(dist=np.full(shape, float(value)), resolution=1.0)
+    def grid_const(self, value, shape=(12, 12)):
+        return grid_of_dist(np.full(shape, float(value)))
 
     def test_printed_formula(self):
-        field = self.field_const(4.0)
-        w = edge_weights([(0, 0, 3, 4)], field)[0]
+        grid = self.grid_const(4.0)
+        w = edge_weights([(0, 0, 3, 4)], grid)[0]
         assert w == pytest.approx(5 + 16 + 2)
 
     def test_grazing_clearance_vanishes(self):
-        field = self.field_const(0.0)
-        w = edge_weights([(0, 0, 3, 4)], field)[0]
+        grid = self.grid_const(0.0)
+        w = edge_weights([(0, 0, 3, 4)], grid)[0]
         assert w == pytest.approx(5.0)
 
     def test_lambda_zero_matches_sampler_oracle(self):
         rng = np.random.default_rng(7)
         dist = rng.uniform(0, 10, size=(20, 20))
-        field = DistanceField(dist=dist, resolution=1.0)
+        grid = grid_of_dist(dist)
         for _ in range(50):
             u = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
             v = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
-            w = edge_weights([(*u, *v)], field)[0]
+            w = edge_weights([(*u, *v)], grid)[0]
             length = math.hypot(u[0] - v[0], u[1] - v[1])
             cells = supercover_oracle(u, v)
             m = min(dist[iy, ix] for ix, iy in cells)
@@ -225,16 +274,15 @@ class TestEdgeWeight:
 
 def build_roadmap(free, radius, close_radius=0):
     grid = grid_from_free(free)
-    field = distance_transform(grid)
     rm = Roadmap(radius=radius)
-    rm, vis = update_roadmap(rm, None, grid, field)
-    return rm, vis, grid, field
+    rm, vis = update_roadmap(rm, None, grid)
+    return rm, vis, grid
 
 
 class TestRoadmapConstruction:
     def test_open_square_single_node(self):
         free = np.ones((20, 20), dtype=bool)
-        rm, vis, grid, field = build_roadmap(free, radius=40.0)
+        rm, vis, grid = build_roadmap(free, radius=40.0)
         assert len(rm.nodes) == 1
         covered = vis.cover > 0
         assert covered[free].all()
@@ -242,7 +290,7 @@ class TestRoadmapConstruction:
     def test_walled_square_node_at_clearance_max(self):
         free = np.zeros((21, 21), dtype=bool)
         free[1:20, 1:20] = True
-        rm, vis, grid, field = build_roadmap(free, radius=60.0)
+        rm, vis, grid = build_roadmap(free, radius=60.0)
         assert len(rm.nodes) == 1
         (cell,) = rm.nodes.values()
         assert cell == (10, 10)
@@ -252,7 +300,7 @@ class TestRoadmapConstruction:
         free[2:18, 2:14] = True    # room A
         free[2:18, 20:32] = True   # room B
         free[9:12, 14:20] = True   # corridor
-        rm, vis, grid, field = build_roadmap(free, radius=7.0)
+        rm, vis, grid = build_roadmap(free, radius=7.0)
         # oracle: free space is one flood-fill component
         assert _flood_components(free) == 1
         assert (vis.cover[free] > 0).all()
@@ -270,7 +318,7 @@ class TestRoadmapConstruction:
     def test_visibility_invariant_and_symmetry(self):
         rng = np.random.default_rng(8)
         free = rng.random((24, 24)) > 0.25
-        rm, vis, grid, field = build_roadmap(free, radius=9.0)
+        rm, vis, grid = build_roadmap(free, radius=9.0)
         r_cells = 9.0
         for nid, (nx, ny) in rm.nodes.items():
             for flat in vis.node_cells[nid]:
@@ -282,27 +330,25 @@ class TestRoadmapConstruction:
     def test_edges_are_collision_free(self):
         rng = np.random.default_rng(9)
         free = rng.random((30, 30)) > 0.2
-        rm, vis, grid, field = build_roadmap(free, radius=10.0)
+        rm, vis, grid = build_roadmap(free, radius=10.0)
         for (a, b), w in rm.edges.items():
             assert segment_free(rm.nodes[a], rm.nodes[b], free)
-            assert w == pytest.approx(edge_weights([(*rm.nodes[a], *rm.nodes[b])], field)[0])
+            assert w == pytest.approx(edge_weights([(*rm.nodes[a], *rm.nodes[b])], grid)[0])
 
     def test_incremental_reveal_keeps_nodes(self):
         cls = np.full((24, 24), int(SemanticClass.UNKNOWN))
         cls[2:12, 2:12] = SemanticClass.ROAD
         m1 = class_map(cls.copy())
         grid1 = extract_traversability(m1, 0)
-        field1 = distance_transform(grid1)
         rm = Roadmap(radius=8.0)
-        rm, vis = update_roadmap(rm, None, grid1, field1)
+        rm, vis = update_roadmap(rm, None, grid1)
         nodes_v1 = dict(rm.nodes)
         assert len(nodes_v1) >= 1
 
         cls[2:22, 2:22] = SemanticClass.ROAD
         m2 = class_map(cls.copy())
         grid2 = extract_traversability(m2, 0)
-        field2 = distance_transform(grid2)
-        rm, vis = update_roadmap(rm, vis, grid2, field2)
+        rm, vis = update_roadmap(rm, vis, grid2)
         for nid, cell in nodes_v1.items():
             assert rm.nodes.get(nid) == cell
         assert len(rm.nodes) >= len(nodes_v1)
@@ -337,12 +383,11 @@ class TestIncrementalRoadmap:
         out = []
         for free in incremental_versions():
             grid = grid_from_free(free)
-            field = distance_transform(grid)
-            rm, vis = update_roadmap(rm, vis, grid, field)
+            rm, vis = update_roadmap(rm, vis, grid)
             out.append(
                 {
                     "free": free,
-                    "field": field,
+                    "grid": grid,
                     "nodes": dict(rm.nodes),
                     "edges": dict(rm.edges),
                     "adj": {n: set(a) for n, a in rm.adj.items()},
@@ -353,10 +398,10 @@ class TestIncrementalRoadmap:
 
     def test_golden_roadmap(self, steps):
         # the hash was taken when each edge stored (weight, min clearance);
-        # the clearance is rebuilt from the step's distance field
+        # the clearance is rebuilt from the step's grid
         h = hashlib.sha256()
         for s in steps:
-            nodes, dist = s["nodes"], s["field"].dist
+            nodes, dist = s["nodes"], s["grid"].dist
             edges = {
                 (a, b): (w, float(segments_min_value([(*nodes[a], *nodes[b])], dist)[0]))
                 for (a, b), w in s["edges"].items()
@@ -367,23 +412,23 @@ class TestIncrementalRoadmap:
     def test_shrinking_version_rejected(self):
         _, left, base = incremental_versions()
         grid = grid_from_free(base)
-        rm, vis = update_roadmap(Roadmap(radius=self.RADIUS), None, grid, distance_transform(grid))
+        rm, vis = update_roadmap(Roadmap(radius=self.RADIUS), None, grid)
         nodes, edges = dict(rm.nodes), dict(rm.edges)
         cells = {n: set(c) for n, c in vis.node_cells.items()}
         grid = grid_from_free(left)
         with pytest.raises(ValueError):
-            update_roadmap(rm, vis, grid, distance_transform(grid))
+            update_roadmap(rm, vis, grid)
         assert rm.nodes == nodes
         assert rm.edges == edges
         assert vis.node_cells == cells
 
     def test_every_weight_fresh_after_each_update(self, steps):
         for s in steps:
-            nodes, field = s["nodes"], s["field"]
+            nodes, grid = s["nodes"], s["grid"]
             assert s["edges"]
             for (a, b), w in s["edges"].items():
-                assert w > 0.0 and segments_min_value([(*nodes[a], *nodes[b])], field.dist)[0] > 0.0, (a, b)
-                assert w == edge_weights([(*nodes[a], *nodes[b])], field)[0], (a, b)
+                assert w > 0.0 and segments_min_value([(*nodes[a], *nodes[b])], grid.dist)[0] > 0.0, (a, b)
+                assert w == edge_weights([(*nodes[a], *nodes[b])], grid)[0], (a, b)
 
     def test_overlapping_pairs_are_bridged(self, steps):
         reach2 = (2 * self.RADIUS) ** 2
@@ -426,7 +471,7 @@ def _flood_components(free):
     return comps
 
 
-def grid_dijkstra_cost(free, field, start, goal):
+def grid_dijkstra_cost(free, grid, start, goal):
     """8-connected oracle with per-step distance+clearance weights."""
     h, w = free.shape
     dist = {start: 0.0}
@@ -448,7 +493,7 @@ def grid_dijkstra_cost(free, field, start, goal):
                     continue
                 if dx != 0 and dy != 0 and not (free[y, nx] and free[ny, x]):
                     continue
-                m = min(field.dist[y, x], field.dist[ny, nx])
+                m = min(grid.dist[y, x], grid.dist[ny, nx])
                 nd = d + math.hypot(dx, dy) + m * m + math.sqrt(m)
                 if nd < dist.get((nx, ny), math.inf):
                     dist[(nx, ny)] = nd
@@ -467,8 +512,8 @@ class TestPlan:
 
     def test_direct_line_collapses(self):
         free = np.ones((15, 15), dtype=bool)
-        rm, vis, grid, field = build_roadmap(free, radius=30.0)
-        res = plan(rm, vis, grid, field, (2, 2), (12, 11))
+        rm, vis, grid = build_roadmap(free, radius=30.0)
+        res = plan(rm, vis, grid, (2, 2), (12, 11))
         assert res.ok
         assert res.waypoints == [(2, 2), (12, 11)]
 
@@ -476,10 +521,9 @@ class TestPlan:
         cls = np.full((16, 16), int(SemanticClass.UNKNOWN))
         cls[2:14, 2:8] = SemanticClass.ROAD
         grid = extract_traversability(class_map(cls), 0)
-        field = distance_transform(grid)
         rm = Roadmap(radius=10.0)
-        rm, vis = update_roadmap(rm, None, grid, field)
-        res = plan(rm, vis, grid, field, (4, 4), (12, 12))
+        rm, vis = update_roadmap(rm, None, grid)
+        res = plan(rm, vis, grid, (4, 4), (12, 12))
         assert not res.ok
         assert res.reason == "unmapped"
 
@@ -487,10 +531,9 @@ class TestPlan:
         cls = np.full((12, 12), int(SemanticClass.ROAD))
         cls[5:8, 5:8] = SemanticClass.BUILDING
         grid = extract_traversability(class_map(cls), 0)
-        field = distance_transform(grid)
         rm = Roadmap(radius=20.0)
-        rm, vis = update_roadmap(rm, None, grid, field)
-        res = plan(rm, vis, grid, field, (1, 1), (6, 6))
+        rm, vis = update_roadmap(rm, None, grid)
+        res = plan(rm, vis, grid, (1, 1), (6, 6))
         assert not res.ok
         assert res.reason == "unreachable"
 
@@ -498,14 +541,14 @@ class TestPlan:
         free = np.zeros((10, 21), dtype=bool)
         free[2:8, 2:9] = True
         free[2:8, 12:19] = True
-        rm, vis, grid, field = build_roadmap(free, radius=6.0)
-        res = plan(rm, vis, grid, field, (4, 4), (15, 4))
+        rm, vis, grid = build_roadmap(free, radius=6.0)
+        res = plan(rm, vis, grid, (4, 4), (15, 4))
         assert not res.ok
         assert res.reason == "unreachable"
 
     def test_path_through_corridor(self):
-        rm, vis, grid, field = self.room_world()
-        res = plan(rm, vis, grid, field, (4, 4), (30, 16))
+        rm, vis, grid = self.room_world()
+        res = plan(rm, vis, grid, (4, 4), (30, 16))
         assert res.ok
         assert res.waypoints[0] == (4, 4)
         assert res.waypoints[-1] == (30, 16)
@@ -518,16 +561,16 @@ class TestPlan:
         checked = 0
         for _ in range(3):
             free = rng.random((20, 20)) > 0.2
-            rm, vis, grid, field = build_roadmap(free, radius=6.0)
+            rm, vis, grid = build_roadmap(free, radius=6.0)
             ys, xs = np.nonzero(free)
             for _ in range(25):
                 i, j = rng.integers(0, len(xs), size=2)
-                res = plan(rm, vis, grid, field, (int(xs[i]), int(ys[i])), (int(xs[j]), int(ys[j])))
+                res = plan(rm, vis, grid, (int(xs[i]), int(ys[i])), (int(xs[j]), int(ys[j])))
                 if not res.ok:
                     continue
                 total = 0.0
                 for a, b in zip(res.waypoints, res.waypoints[1:]):
-                    total += edge_weights([(*a, *b)], field)[0]
+                    total += edge_weights([(*a, *b)], grid)[0]
                 assert res.cost == total, res.waypoints
                 checked += 1
         assert checked >= 50
@@ -539,7 +582,6 @@ class TestPlan:
         free = np.ones((21, 21), dtype=bool)
         free[8:13, 8:13] = False
         grid = grid_from_free(free)
-        field = distance_transform(grid)
         start, goal = (2, 10), (18, 10)
         waypoints = []
         for order in ([2, 10], [10, 2]):
@@ -553,7 +595,7 @@ class TestPlan:
             vis = VisibilityMap(21, 21)
             vis.add_cells(0, {vis.flat(start)})
             vis.add_cells(1, {vis.flat(goal)})
-            res = plan(rm, vis, grid, field, start, goal)
+            res = plan(rm, vis, grid, start, goal)
             assert res.ok
             waypoints.append(res.waypoints)
         assert waypoints[0] == waypoints[1] == [start, (10, 3), goal]
@@ -570,13 +612,13 @@ class TestPlan:
             if _flood_components(free) != 1:
                 continue
             built += 1
-            rm, vis, grid, field = build_roadmap(free, radius=9.0)
+            rm, vis, grid = build_roadmap(free, radius=9.0)
             ys, xs = np.nonzero(free)
             for _ in range(10):
                 i, j = rng.integers(0, len(xs), size=2)
                 start = (int(xs[i]), int(ys[i]))
                 goal = (int(xs[j]), int(ys[j]))
-                res = plan(rm, vis, grid, field, start, goal)
+                res = plan(rm, vis, grid, start, goal)
                 assert res.ok, (start, goal)
                 checked += 1
                 # independent point-sampling collision oracle
@@ -588,6 +630,6 @@ class TestPlan:
                         t = k / steps
                         px, py = ax + t * (bx - ax), ay + t * (by - ay)
                         assert free[min(int(py), 23), min(int(px), 23)], (a, b, px, py)
-                oracle = grid_dijkstra_cost(free, field, start, goal)
+                oracle = grid_dijkstra_cost(free, grid, start, goal)
                 assert res.cost <= 1.5 * oracle + 1e-9
         assert checked >= 60

@@ -7,7 +7,7 @@ import pytest
 from scipy.ndimage import distance_transform_edt
 
 from semteam.geometry import segments_min_value
-from semteam.planner import Roadmap, distance_transform, extract_traversability, plan, update_roadmap
+from semteam.planner import Roadmap, extract_traversability, plan, update_roadmap
 from semteam.tracker import (
     FREE_CELL,
     OBSTACLE_CELL,
@@ -338,10 +338,10 @@ def corridor_world_classes(rng, size=28):
     return cls
 
 
-def path_clearance(waypoints, field):
+def path_clearance(waypoints, grid):
     """Least obstacle clearance over the cells a path's segments touch."""
     segs = [(*a, *b) for a, b in zip(waypoints, waypoints[1:])]
-    return float(segments_min_value(segs, field.dist).min())
+    return float(segments_min_value(segs, grid.dist).min())
 
 
 class TestTrackingScenarios:
@@ -354,9 +354,8 @@ class TestTrackingScenarios:
             rng = np.random.default_rng(seed)
             world = class_map(corridor_world_classes(rng))
             grid_t = extract_traversability(world, 0)
-            field = distance_transform(grid_t)
             rm = Roadmap(radius=9.0)
-            rm, vis = update_roadmap(rm, None, grid_t, field)
+            rm, vis = update_roadmap(rm, None, grid_t)
             ys, xs = np.nonzero(grid_t.free)
             order = rng.permutation(len(xs))
             path = None
@@ -366,8 +365,8 @@ class TestTrackingScenarios:
                     g = (int(xs[j]), int(ys[j]))
                     if math.hypot(s[0] - g[0], s[1] - g[1]) < 12:
                         continue
-                    res = plan(rm, vis, grid_t, field, s, g)
-                    if res.ok and path_clearance(res.waypoints, field) >= 1.5:
+                    res = plan(rm, vis, grid_t, s, g)
+                    if res.ok and path_clearance(res.waypoints, grid_t) >= 1.5:
                         path = res
                         break
                 if path:

@@ -37,6 +37,12 @@ def make_map(classes, resolution=1.0, origin=(0.0, 0.0)):
     )
 
 
+def vehicle_cells(grid):
+    """The VEHICLE cells of a map, row by row."""
+    iys, ixs = np.nonzero(grid.classes == SemanticClass.VEHICLE)
+    return [(int(ix), int(iy)) for ix, iy in zip(ixs, iys)]
+
+
 def uniform_map(cls, w, h, **kw):
     return make_map(np.full((h, w), int(cls), dtype=np.int8), **kw)
 
@@ -70,7 +76,7 @@ class TestWorldFile:
     def test_all_road_world_has_no_targets(self):
         text = "4 4 1.0 0.0 0.0\n" + "\n".join(["RRRR"] * 4) + "\n"
         world = parse_world(text)
-        assert world.target_cells == []
+        assert vehicle_cells(world.truth) == []
         assert world.truth.classes.shape == (4, 4)
 
     def test_single_vehicle_cell_is_target(self):
@@ -78,7 +84,7 @@ class TestWorldFile:
         rows[3][2] = "C"
         text = "5 5 1.0 0.0 0.0\n" + "\n".join("".join(r) for r in rows) + "\n"
         world = parse_world(text)
-        assert world.target_cells == [(2, 3)]
+        assert vehicle_cells(world.truth) == [(2, 3)]
 
     def test_round_trip_byte_identical(self):
         rng = np.random.default_rng(42)
@@ -290,4 +296,4 @@ class TestWorldModel:
             for ix in range(16)
             if classes[iy, ix] == SemanticClass.VEHICLE
         }
-        assert set(world.target_cells) == expected
+        assert set(vehicle_cells(world.truth)) == expected
