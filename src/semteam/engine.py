@@ -25,7 +25,7 @@ from semteam import gossip, localize, mission as msn, planner as pln, tracker as
 from semteam.config import ScenarioConfig
 from semteam.geometry import wrap_angle
 from semteam.standard import build_standard_world
-from semteam.world import SemanticGridMap, WorldModel, ground_scan, load_world
+from semteam.world import Scan, SemanticGridMap, WorldModel, ground_scan, load_world
 
 
 def rng_stream(master_seed: int, robot_id: int, purpose: str) -> np.random.Generator:
@@ -142,11 +142,7 @@ class TeamMaps:
             table = localize.match_table(snap)
             grid = pln.extract_traversability(snap, cfg.planner.close_radius)
             rois = msn.extract_rois(
-                snap,
-                cfg.mission.cluster_radius,
-                dilation_radius=cfg.mission.dilation_radius,
-                close_radius=cfg.planner.close_radius,
-                grid=grid,
+                snap, cfg.mission.cluster_radius, dilation_radius=cfg.mission.dilation_radius, grid=grid
             )
         if held is None:
             roadmap, vis = pln.Roadmap(radius=self.cfg.planner.node_radius), None
@@ -265,6 +261,9 @@ class GroundAgent:
 
         self.db = gossip.Database(owner=robot_id)
         self.local_grid = trk.LocalObstacleGrid.create(g.local_grid_side, world.truth.resolution)
+        # the last scan put in the local grid, and the belief it went in at
+        self._grid_scan: Scan | None = None
+        self._grid_belief: bytes | None = None
         self.tracker_params = trk.TrackerParams(
             v_max=g.v_max,
             yaw_rate_max=g.yaw_rate_max,
@@ -307,7 +306,7 @@ class GroundAgent:
         self.distance += abs(v) * dt
         self.moving = abs(v) > 1e-6 or abs(w) > 1e-6
 
-    def odometry(self, prev_pose: np.ndarray) -> localize.OdomDelta:
+    def odometry(self, prev_pose: np.ndarray) -> None:
         dxw = self.true_pose[0] - prev_pose[0]
         dyw = self.true_pose[1] - prev_pose[1]
         c, s = math.cos(prev_pose[3]), math.sin(prev_pose[3])
@@ -333,9 +332,12 @@ class GroundAgent:
         # process noise accompanies motion; re-diffusing a parked cloud only
         # impoverishes the particle set
         noise = self.cfg.localizer.process_noise if self.moving else (0.0, 0.0, 0.0)
-        self.particles = localize.predict(self.particles, delta, noise, self.filter_rng)
-        self.believed = np.array(localize.weighted_mean_pose(self.particles))
-        return delta
+        particles = localize.predict(self.particles, delta, noise, self.filter_rng)
+        # a parked set at rest comes back as it is; the belief was taken
+        # from it when predict first returned it, and has not moved since
+        if particles is not self.particles:
+            self.particles = particles
+            self.believed = np.array(localize.weighted_mean_pose(particles))
 
     def autonomy(self, tick: int) -> None:
         cfg = self.cfg
@@ -367,12 +369,18 @@ class GroundAgent:
                     self.products.match_table,
                 )
                 self.believed = np.array(est)
-            trk.integrate_scan(
-                self.local_grid,
-                scan,
-                (self.believed[0], self.believed[1], self.believed[2]),
-                cfg.ground.scan_max_range,
-            )
+            # the grid takes each cell the scan touches by assignment, and
+            # recentering on the same pose does nothing, so the same scan at
+            # the same belief leaves it as it is
+            belief = self.believed.tobytes()
+            if scan is not self._grid_scan or belief != self._grid_belief:
+                self._grid_scan, self._grid_belief = scan, belief
+                trk.integrate_scan(
+                    self.local_grid,
+                    scan,
+                    (self.believed[0], self.believed[1], self.believed[2]),
+                    cfg.ground.scan_max_range,
+                )
 
         self._ingest_map(tick)
         if self._wp_script is not None:
@@ -565,6 +573,7 @@ class Simulation:
         )
         self.visited_targets: set[str] = set()
         self.duration_s: float | None = None
+        self._synced: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> db versions after its last sync
 
         self.events: list[str] = []
         self.pose_rows: list[str] = []
@@ -593,13 +602,19 @@ class Simulation:
                 if ev["ev"] == "visited":
                     self._check_true_visit(ev, agent)
             agent.events.clear()
-        # (5) communication topology + syncs
+        # (5) communication topology + syncs; a pair leaves a sync with equal
+        # replicas, so while neither has changed since, a sync would ship
+        # nothing and is skipped
         for i, a in enumerate(self.agents):
             for b in self.agents[i + 1 :]:
                 dx = a.true_pose[0] - b.true_pose[0]
                 dy = a.true_pose[1] - b.true_pose[1]
                 if math.hypot(dx, dy) <= self.cfg.comm_range:
+                    versions = (a.db.version, b.db.version)
+                    if self._synced.get((a.id, b.id)) == versions:
+                        continue
                     applied_b, applied_a = gossip.sync_pair(a.db, b.db)
+                    self._synced[a.id, b.id] = (a.db.version, b.db.version)
                     if applied_b or applied_a:
                         self._log(
                             {"tick": t, "ev": "sync", "a": a.id, "b": b.id,

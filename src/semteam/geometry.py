@@ -12,6 +12,8 @@ The batched kernels, ``visible_from`` over candidate cells and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: most elements in one block of a batched kernel's temporaries: at 64 KiB
@@ -173,7 +175,11 @@ def _axis_intervals(
 
 
 def wrap_angle(a):
-    """Wrap angle(s) to (-pi, pi]."""
+    """Wrap angle(s) to (-pi, pi]. A float, ``np.float64`` included, takes
+    a scalar path that gives the array path's bits and a Python float."""
+    if isinstance(a, float):
+        r = (float(a) + math.pi) % (2 * math.pi) - math.pi
+        return math.pi if r == -math.pi else r
     r = np.mod(np.asarray(a) + np.pi, 2 * np.pi) - np.pi
     r = np.where(r == -np.pi, np.pi, r)
     if np.isscalar(a) or np.asarray(a).ndim == 0:

@@ -21,17 +21,23 @@ class DbRecord:
 
 
 class Database:
-    """One robot's replica. Only the owner mints new records (put_local)."""
+    """One robot's replica. Only the owner mints new records (put_local).
+
+    ``version`` counts the records stored so far, minted or merged: two
+    replicas that left a sync equal stay equal while neither count moves.
+    """
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
         self.records: dict[tuple[int, str], DbRecord] = {}
+        self.version = 0
 
     def put_local(self, key: str, payload: bytes) -> DbRecord:
         cur = self.records.get((self.owner, key))
         seq = 1 if cur is None else cur.seq + 1
         rec = DbRecord(origin=self.owner, key=key, seq=seq, payload=payload)
         self.records[(self.owner, key)] = rec
+        self.version += 1
         return rec
 
     def get(self, origin: int, key: str) -> DbRecord | None:
@@ -60,6 +66,7 @@ class Database:
             if cur is None or rec.seq > cur.seq:
                 self.records[(rec.origin, rec.key)] = rec
                 applied += 1
+        self.version += applied
         return applied
 
     def __len__(self) -> int:

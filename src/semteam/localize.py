@@ -13,7 +13,7 @@ import functools
 import math
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +32,18 @@ REFERENCE_BINS = 36
 
 @dataclass
 class ParticleSet:
-    """Weighted pose hypotheses. Weights sum to 1 after every update."""
+    """Weighted pose hypotheses. Weights sum to 1 after every update.
+
+    A set is never changed in place. ``at_rest`` marks a set that a
+    noise-free zero step of ``predict`` returned bit for bit unchanged; a
+    new set, ``dataclasses.replace`` included, starts without the mark.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     yaws: np.ndarray
     weights: np.ndarray
+    at_rest: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -93,11 +99,17 @@ class PolarObservation:
         keeping ``free_margin`` short of each hit so the sample stays out of
         the struck cell. ``free_stride`` thins the free evidence (adjacent
         radial bins on one beam carry largely redundant information).
+        A read-only scan keeps its observation for the next call with the
+        same parameters.
         """
+        key = (n_azimuth, n_range, max_range, free_margin, free_stride)
+        obs = scan.polar.get(key)
+        if obs is not None:
+            return obs
         rng_width = max_range / n_range
         ranges, classes = scan.ranges, scan.classes
         cos, sin, ia, ks, r_k = _beam_layout(ranges.size, n_azimuth, n_range, max_range, free_stride)
-        hit = classes != SemanticClass.UNKNOWN
+        hit = classes != int(SemanticClass.UNKNOWN)
 
         # free samples in beam-major, then outward order; radii only grow
         # along a beam, so the samples short of r_stop are a prefix of it
@@ -116,11 +128,14 @@ class PolarObservation:
         hits = hits[first[:split]]
         beams = np.concatenate([hits, beam[free]])
         radii = np.concatenate([ranges[hits], r_k[k[free]]])
-        return cls(
+        obs = cls(
             dx=radii * cos[beams],
             dy=radii * sin[beams],
             layer=np.concatenate([classes[hits], np.full(free.size, FREE_LAYER, dtype=np.int64)]),
         )
+        if not (ranges.flags.writeable or classes.flags.writeable):
+            scan.polar[key] = obs
+        return obs
 
 
 @functools.lru_cache(maxsize=8)
@@ -162,9 +177,19 @@ def predict(
     process_noise,
     rng: np.random.Generator,
 ) -> ParticleSet:
-    """Advance every particle by the delta in its own frame plus noise."""
+    """Advance every particle by the delta in its own frame plus noise.
+
+    A noise-free zero step draws nothing from ``rng``, and its steps are
+    all +0.0 whatever the signs of the delta's zeros, so its result depends
+    on the set alone. It is not always the identity (``wrap_angle`` can
+    round a yaw), but once it has returned a set unchanged, that set is
+    ``at_rest`` and the step returns it as it is.
+    """
     n = particles.n
     sx, sy, syaw = process_noise
+    still = not (sx > 0 or sy > 0 or syaw > 0 or delta.forward or delta.lateral or delta.dyaw)
+    if still and particles.at_rest:
+        return particles
     f = delta.forward + (rng.normal(0.0, sx, n) if sx > 0 else 0.0)
     l = delta.lateral + (rng.normal(0.0, sy, n) if sy > 0 else 0.0)
     dyaw = delta.dyaw + (rng.normal(0.0, syaw, n) if syaw > 0 else 0.0)
@@ -172,7 +197,12 @@ def predict(
     xs = particles.xs + c * f - s * l
     ys = particles.ys + s * f + c * l
     yaws = wrap_angle(particles.yaws + dyaw)
-    return ParticleSet(xs, ys, yaws, particles.weights.copy())
+    out = ParticleSet(xs, ys, yaws, particles.weights.copy())
+    out.at_rest = still and all(
+        a.tobytes() == b.tobytes()
+        for a, b in ((xs, particles.xs), (ys, particles.ys), (yaws, particles.yaws))
+    )
+    return out
 
 
 def match_costs(
@@ -246,9 +276,11 @@ _scratch = threading.local()
 
 def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Three float64 rows and one int8 row of at least ``size`` elements,
-    reused by every ``match_costs`` call of this thread and grown to the
-    largest size seen."""
+    reused by every ``match_costs`` call of this thread. It grows to half
+    again the size asked for, so a slowly growing bin count regrows it a few
+    times, not on every new maximum."""
     if getattr(_scratch, "size", 0) < size:
+        size += size // 2
         _scratch.floats = np.empty((3, size))
         _scratch.codes = np.empty(size, dtype=np.int8)
         _scratch.size = size
@@ -277,7 +309,7 @@ def match_table(grid: SemanticGridMap) -> np.ndarray:
     for dy_ in (0, 1, 2):
         for dx_ in (0, 1, 2):
             near |= padded[dy_ : dy_ + h, dx_ : dx_ + w]
-    known = grid.classes != SemanticClass.UNKNOWN
+    known = grid.classes != int(SemanticClass.UNKNOWN)
     table = np.full((FREE_LAYER + 1, h + 2, w + 2), 2, dtype=np.int8)
     for layer, mask in enumerate([1 << int(c) for c in SemanticClass] + [_DRIVABLE_BITS]):
         table[layer, 1:-1, 1:-1] = np.where(known, (near & mask) == 0, 2)

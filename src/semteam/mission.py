@@ -53,7 +53,7 @@ def extract_rois(
     cluster_radius: float,
     *,
     dilation_radius: float,
-    close_radius: int,
+    close_radius: int | None = None,
     grid: TraversabilityGrid | None = None,
 ) -> list[ROI]:
     """Single-linkage clustering of vehicle cells into ROIs.
@@ -61,12 +61,14 @@ def extract_rois(
     The goal point is the traversable cell within dilation_radius of the
     cluster with the largest obstacle clearance (vehicle cells themselves
     are not traversable). Clusters with no nearby traversable cell get no
-    goal point. ``grid`` is ``grid_map``'s planning grid at
-    ``close_radius``; it is built here when not given.
+    goal point. ``grid`` is ``grid_map``'s planning grid; without it, one
+    is built here at ``close_radius``.
     """
     if grid_map.version < 1:
         raise ValueError("map version must be >= 1")
-    iys, ixs = np.nonzero(grid_map.classes == SemanticClass.VEHICLE)
+    if grid is None and close_radius is None:
+        raise ValueError("extract_rois needs a grid or a close_radius")
+    iys, ixs = np.nonzero(grid_map.classes == int(SemanticClass.VEHICLE))
     if ixs.size == 0:
         return []
     if grid is None:

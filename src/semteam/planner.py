@@ -75,7 +75,7 @@ def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> Trav
     free = _close(traversable_mask(grid_map.classes), close_radius)
     return TraversabilityGrid(
         free=free,
-        unknown=grid_map.classes == SemanticClass.UNKNOWN,
+        unknown=grid_map.classes == int(SemanticClass.UNKNOWN),
         dist=distance_transform(free, grid_map.resolution),
         resolution=grid_map.resolution,
     )

@@ -104,7 +104,7 @@ def integrate_scan(
     grid.recenter(x, y)
     res = grid.resolution
     ranges = scan.ranges
-    hit = scan.classes != SemanticClass.UNKNOWN
+    hit = scan.classes != int(SemanticClass.UNKNOWN)
     az = yaw + beam_offsets(ranges.size)
     dirx, diry = np.cos(az), np.sin(az)
     # free space ends just short of each hit so the struck cell stays marked

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
@@ -53,7 +53,7 @@ def traversable(cls: SemanticClass) -> bool:
 
 def traversable_mask(classes: np.ndarray) -> np.ndarray:
     """Boolean mask of traversable cells for a whole class layer."""
-    return functools.reduce(np.logical_or, (classes == c for c in TRAVERSABLE_CLASSES))
+    return functools.reduce(np.logical_or, (classes == int(c) for c in TRAVERSABLE_CLASSES))
 
 
 class WorldFormatError(ValueError):
@@ -289,10 +289,15 @@ def footprint_indices(
 class Scan:
     """One ground scan, one entry per beam in ``beam_offsets`` order:
     ``ranges`` (float64) and the struck ``classes`` (int64, UNKNOWN where
-    nothing was hit)."""
+    nothing was hit).
+
+    A scan of a frozen map is read-only and may be handed out more than
+    once; ``polar`` keeps the polar observations binned from such a scan,
+    by their binning parameters."""
 
     ranges: np.ndarray
     classes: np.ndarray
+    polar: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -306,6 +311,10 @@ def beam_offsets(n_beams: int) -> np.ndarray:
 
 #: ground_scan's cell code for the ring of cells around the map
 _OUTSIDE = 255
+
+#: scans a frozen map keeps, by pose: enough for every parked robot of a
+#: team to find its own while the moving ones add one per scan
+SCANS_KEPT = 64
 
 
 def ground_scan(
@@ -322,7 +331,27 @@ def ground_scan(
     cell, so the point at the reported range lies inside the struck cell),
     clamped to ``max_range`` with class UNKNOWN when nothing is hit before
     the range limit or the map edge.
+
+    A frozen map's scan depends on its arguments alone, so the map keeps
+    the ``SCANS_KEPT`` it served last, keyed by the pose's exact bits, and
+    hands a parked robot the same read-only scan again.
     """
+    if grid.classes.flags.writeable:
+        return _cast(grid, pose, max_range, n_beams)
+    kept = grid.__dict__.setdefault("_scans", {})
+    key = (np.array(pose, dtype=np.float64).tobytes(), float(max_range), n_beams)
+    scan = kept.pop(key, None)
+    if scan is None:
+        scan = _cast(grid, pose, max_range, n_beams)
+        scan.ranges.setflags(write=False)
+        scan.classes.setflags(write=False)
+        if len(kept) >= SCANS_KEPT:
+            del kept[next(iter(kept))]  # the least recently served
+    kept[key] = scan
+    return scan
+
+
+def _cast(grid: SemanticGridMap, pose: tuple[float, float, float], max_range: float, n_beams: int) -> Scan:
     x, y, yaw = pose
     ix0, iy0 = grid.cell_of(x, y)
     if not grid.in_bounds(ix0, iy0):

@@ -1,6 +1,7 @@
 """Engine and scenario config: determinism, output files, config loading."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import semteam
-from semteam import aerial, localize, mission, planner
+from semteam import aerial, engine, gossip, localize, mission, planner, tracker
 from semteam.aerial import MapAccumulator, decode_snapshot, encode_snapshot, full_view_keyframe
 from semteam.config import ConfigError, ScenarioConfig
 from semteam.engine import MAP_KEY, POSE_PERIOD, Simulation, resolve_world
@@ -304,6 +305,94 @@ class TestMapEdge:
         assert len(rows) == 300 // POSE_PERIOD * cfg.n_ground
         for row in rows:
             assert truth.in_bounds(*truth.cell_of(float(row["true_x"]), float(row["true_y"]))), row
+
+
+class TestParkedRobots:
+    """Parked robots skip predict, scans and grid updates whose inputs did not
+    change, and idle gossip pairs skip their syncs. Every tick must still end
+    in the state of a run that recomputes all of it."""
+
+    PARK = range(60, 130)  # ticks over which both ground robots are held still
+    TICKS = 160
+
+    @staticmethod
+    def agent_state(g):
+        p = g.particles
+        grid = g.local_grid
+        return (
+            p.xs.tobytes(), p.ys.tobytes(), p.yaws.tobytes(), p.weights.tobytes(),
+            g.believed.tobytes(), g.dr_pose.tobytes(),
+            grid.cells.tobytes(), grid.origin_x, grid.origin_y,
+            repr(g.filter_rng.bit_generator.state),
+        )
+
+    @classmethod
+    def held_run(cls, recompute: bool):
+        """Step the small world, holding the ground robots parked over PARK.
+        As they stop, two particles of each get the yaw -pi, which the first
+        zero step of predict wraps to pi. With ``recompute`` every scan is
+        cast on a writable copy of the truth, predict never finds a set at
+        rest, and every pair in range syncs on every tick."""
+        world = small_world()
+        sim = Simulation(small_config(), world=world)
+        calls = {"rest": 0, "integrate_scan": 0, "sync_pair": 0}
+        raw_predict, raw_scan = localize.predict, engine.ground_scan
+        raw_integrate, raw_sync = tracker.integrate_scan, gossip.sync_pair
+
+        def predict(p, *args):
+            out = raw_predict(dataclasses.replace(p) if recompute else p, *args)
+            calls["rest"] += out is p
+            return out
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        truth = world.truth
+        thawed = dataclasses.replace(truth, classes=truth.classes.copy(), observed=truth.observed.copy())
+        states = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localize, "predict", predict)
+            mp.setattr(tracker, "integrate_scan", counted("integrate_scan", raw_integrate))
+            mp.setattr(gossip, "sync_pair", counted("sync_pair", raw_sync))
+            if recompute:
+                mp.setattr(engine, "ground_scan", lambda grid, *args: raw_scan(thawed, *args))
+            for t in range(cls.TICKS):
+                if recompute:
+                    sim._synced.clear()
+                for g in sim.ground_agents:
+                    if t in cls.PARK:
+                        g.command = (0.0, 0.0)
+                    if t == cls.PARK[0]:
+                        yaws = g.particles.yaws.copy()
+                        yaws[:2] = -math.pi
+                        g.particles = dataclasses.replace(g.particles, yaws=yaws)
+                sim.tick()
+                states.append([cls.agent_state(g) for g in sim.ground_agents])
+        return states, sim.events, calls
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return self.held_run(recompute=False), self.held_run(recompute=True)
+
+    def test_every_tick_matches_a_full_recompute(self, runs):
+        (states, events, _), (ref_states, ref_events, _) = runs
+        for t, (got, want) in enumerate(zip(states, ref_states)):
+            assert got == want, t
+        assert events == ref_events
+
+    def test_parked_work_was_skipped(self, runs):
+        (_, events, calls), (_, _, ref_calls) = runs
+        # each robot computes the set at rest and the grid on its first
+        # parked tick and scan, and skips them after that
+        assert calls["rest"] >= 2 * (len(self.PARK) - 1) and ref_calls["rest"] == 0
+        parked_scans = len(self.PARK) // 4
+        assert ref_calls["integrate_scan"] - calls["integrate_scan"] >= 2 * (parked_scans - 1)
+        assert calls["sync_pair"] < ref_calls["sync_pair"]
+        assert any(json.loads(line)["ev"] == "sync" for line in events)
 
 
 def test_engine_import_loads_no_scipy():

@@ -220,3 +220,41 @@ def _components(n, edges):
             parent[ri] = rj
     return len({find(i) for i in range(n)})
 
+
+
+class TestVersion:
+    def test_counts_every_record_stored(self):
+        a, b = Database(0), Database(1)
+        a.put_local("pose", b"p1")
+        a.put_local("pose", b"p2")
+        assert a.version == 2
+        assert b.merge(list(a.records.values())) == 1 and b.version == 1
+        assert b.merge(list(a.records.values())) == 0 and b.version == 1
+
+    def test_unmoved_versions_after_a_sync_mean_nothing_to_ship(self):
+        """Random writes, merges and syncs on four replicas: whenever both
+        versions of a pair are those it left its last sync with, neither
+        replica holds anything the other lacks."""
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(40):
+            dbs = [Database(i) for i in range(4)]
+            synced = {}
+            for step in range(60):
+                op = rng.random()
+                w = int(rng.integers(0, 4))
+                if op < 0.25:
+                    key = KEYS[int(rng.integers(0, len(KEYS)))]
+                    dbs[w].put_local(key, canonical_payload(w, key, step))
+                elif op < 0.45:
+                    dbs[w].merge(random_records(rng, 2))
+                else:
+                    i, j = sorted(int(k) for k in rng.choice(4, size=2, replace=False))
+                    sync_pair(dbs[i], dbs[j])
+                    synced[i, j] = (dbs[i].version, dbs[j].version)
+                for (i, j), versions in synced.items():
+                    if (dbs[i].version, dbs[j].version) == versions:
+                        assert dbs[i].diff(dbs[j].summary()) == []
+                        assert dbs[j].diff(dbs[i].summary()) == []
+                        checked += 1
+        assert checked > 1000

@@ -409,6 +409,24 @@ def random_scan(rng, n_beams, max_range, p_unknown=0.3):
     return scan_of(scan)
 
 
+def test_scalar_wrap_angle_matches_the_array_path():
+    rng = np.random.default_rng(21)
+    values = np.concatenate([
+        rng.uniform(-20.0, 20.0, 100_000),
+        rng.normal(0.0, 1e4, 100_000),
+        [0.0, -0.0, math.pi, -math.pi, 1e17, -1e17, 5e-324, -5e-324],
+        2 * math.pi * np.arange(-8, 9),
+        np.nextafter(math.pi, [0.0, 4.0]), np.nextafter(-math.pi, [0.0, -4.0]),
+    ])
+    want = geometry.wrap_angle(values)
+    got = [geometry.wrap_angle(v) for v in values.tolist()]
+    assert all(type(v) is float for v in got)
+    assert bits(np.array(got)) == bits(want)
+    got = [geometry.wrap_angle(v) for v in values[::50]]  # np.float64 scalars
+    assert all(type(v) is float for v in got)
+    assert bits(np.array(got)) == bits(want[::50])
+
+
 class TestFromScanMatchesLoop:
     @pytest.mark.parametrize("n_beams, n_azimuth", [(36, 36), (72, 36), (24, 36), (50, 7), (1, 36), (5, 1)])
     @pytest.mark.parametrize("free_stride", [0, 1, 2, 3])

@@ -161,6 +161,26 @@ class TestPredict:
         assert np.array_equal(out.ys, ps.ys)
         assert np.array_equal(out.yaws, ps.yaws)
 
+    def test_zero_step_returns_a_set_at_rest_as_it_is(self):
+        ps = init_filter((0, 0, 0), 50, (1, 1, 0.2), np.random.default_rng(4))
+        yaws = ps.yaws.copy()
+        yaws[:3] = [-math.pi, 3.5, -4.0]  # the zero step wraps these
+        ps = ParticleSet(ps.xs, ps.ys, yaws, ps.weights)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        first = predict(ps, OdomDelta(0.0, -0.0, 0.0), (0, 0, 0), rng)
+        assert not first.at_rest and first.yaws[0] == math.pi
+        second = predict(first, OdomDelta(-0.0, 0.0, -0.0), (0, 0, 0), rng)
+        assert second is not first and second.at_rest
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(
+            (second.xs, second.ys, second.yaws, second.weights), (first.xs, first.ys, first.yaws, first.weights)))
+        assert predict(second, OdomDelta(0.0, 0.0, 0.0), (0, 0, 0), rng) is second
+        assert rng.bit_generator.state == state
+        # motion, noise or a new set each take the full step
+        assert predict(second, OdomDelta(1e-300, 0.0, 0.0), (0, 0, 0), rng) is not second
+        assert predict(second, OdomDelta(0.0, 0.0, 0.0), (0.1, 0, 0), rng) is not second
+        assert not ParticleSet(second.xs, second.ys, second.yaws, second.weights).at_rest
+
     def test_forward_shift_along_own_yaw(self):
         ps = init_filter((0, 0, 0), 100, (2, 2, 1.0), np.random.default_rng(6))
         out = predict(ps, OdomDelta(1.0, 0, 0), (0, 0, 0), np.random.default_rng(7))
@@ -175,6 +195,21 @@ class TestPredict:
         tol = 3 * sigma / math.sqrt(n)
         assert abs(out.xs.mean() - 1.0) < tol
         assert abs(out.ys.mean() - 0.0) < tol
+
+
+def test_read_only_scan_keeps_its_observation():
+    grid = make_map(np.full((30, 30), int(SemanticClass.ROAD), dtype=np.int8))
+    grid.classes[:, 20] = SemanticClass.BUILDING
+    scan = ground_scan(grid, (10.5, 12.5, 0.3), 15.0, 36)
+    assert scan.ranges.flags.writeable  # a scan of a writable map
+    first = PolarObservation.from_scan(scan, 36, 10, 15.0)
+    assert PolarObservation.from_scan(scan, 36, 10, 15.0) is not first
+    frozen = ground_scan(WorldModel.from_map(grid).truth, (10.5, 12.5, 0.3), 15.0, 36)
+    kept = PolarObservation.from_scan(frozen, 36, 10, 15.0)
+    assert PolarObservation.from_scan(frozen, 36, 10, 15.0) is kept
+    assert PolarObservation.from_scan(frozen, 36, 5, 15.0) is not kept
+    for name in ("dx", "dy", "layer"):
+        assert getattr(kept, name).tobytes() == getattr(first, name).tobytes()
 
 
 def scan_obs(grid, pose, max_range=15.0, beams=36, n_az=36, n_rng=10):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from semteam import world
 from semteam.world import (
     LETTER_TO_CLASS,
     Scan,
@@ -282,6 +283,32 @@ class TestGroundScan:
         assert not offsets.flags.writeable
         want = 2.0 * math.pi * np.arange(n) / n
         assert offsets.dtype == want.dtype and offsets.tobytes() == want.tobytes()
+
+
+class TestScansOfAFrozenMap:
+    def test_same_pose_gets_the_same_read_only_scan(self):
+        rng = np.random.default_rng(12)
+        classes = np.full((40, 40), int(SemanticClass.ROAD), dtype=np.int8)
+        classes[rng.random((40, 40)) < 0.1] = SemanticClass.BUILDING
+        thawed = make_map(classes.copy())
+        truth = WorldModel.from_map(make_map(classes)).truth
+        poses = [(20.5, 20.5, 0.25), (20.5, 20.5, -0.0), (20.5, 20.5, 0.0), (7.25, 30.0, 2.0)]
+        for pose in poses + poses:
+            scan = ground_scan(truth, pose, 12.0, 24)
+            want = ground_scan(thawed, pose, 12.0, 24)
+            assert scan.ranges.tobytes() == want.ranges.tobytes()
+            assert scan.classes.tobytes() == want.classes.tobytes()
+            assert not (scan.ranges.flags.writeable or scan.classes.flags.writeable)
+        # -0.0 and 0.0 are different poses, and so are other beam counts
+        assert ground_scan(truth, poses[1], 12.0, 24) is not ground_scan(truth, poses[2], 12.0, 24)
+        assert ground_scan(truth, poses[0], 12.0, 24) is not ground_scan(truth, poses[0], 12.0, 12)
+        # a parked pose stays while moving ones come and go
+        parked = ground_scan(truth, poses[0], 12.0, 24)
+        for k in range(3 * world.SCANS_KEPT):
+            ground_scan(truth, (3.0 + 0.1 * k, 12.0, 1.0), 12.0, 24)
+            if k % (world.SCANS_KEPT // 2) == 0:
+                assert ground_scan(truth, poses[0], 12.0, 24) is parked
+        assert len(truth._scans) == world.SCANS_KEPT
 
 
 class TestWorldModel:
