@@ -1,10 +1,12 @@
 """Scenario configuration: every knob of the simulation with its default,
-JSON (de)serialization, and validation that enumerates every bad field."""
+JSON (de)serialization, and validation that enumerates every bad field.
+
+The robot and sensor setup is fixed: its values are constants of the
+modules that read them."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -21,24 +23,7 @@ class ConfigError(ValueError):
 class AerialConfig:
     altitude: float = 60.0
     speed: float = 10.0
-    fov_half_angle_deg: float = 45.0
-    keyframe_threshold: float = 5.0
     snapshot_period_ticks: int = 100
-    waypoints: list[list[float]] | None = None  # default: boustrophedon sweep
-    loop: bool = True
-    sweep_margin: float = 10.0
-
-
-@dataclass
-class GroundConfig:
-    v_max: float = 2.0
-    yaw_rate_max: float = 1.5
-    scan_beams: int = 36
-    scan_max_range: float = 15.0
-    scan_period_ticks: int = 4
-    odom_sigma: tuple[float, float, float] = (0.05, 0.05, 0.01)
-    start_spacing: float = 3.0
-    local_grid_side: float = 30.0
 
 
 @dataclass
@@ -46,26 +31,12 @@ class LocalizerConfig:
     n_particles: int = 500
     init_spread: tuple[float, float, float] = (16.0, 16.0, 0.3)
     init_error: float = 16.0
-    unknown_cost: float = 0.4
     temperature: float = 0.2
-    ess_fraction: float = 0.5
-    azimuth_bins: int = 36
-    range_bins: int = 10
-    process_noise: tuple[float, float, float] = (0.05, 0.05, 0.01)
 
 
 @dataclass
 class PlannerConfig:
     close_radius: int = 0
-    node_radius: float = 25.0
-
-
-@dataclass
-class TrackerConfig:
-    k_yaw: float = 2.0
-    align_threshold: float = 0.6
-    arrival_tolerance: float = 1.5
-    search_radius: float = 3.0
 
 
 @dataclass
@@ -73,8 +44,6 @@ class MissionSpec:
     mode: str = "region_investigation"  # or "waypoint"
     cluster_radius: float = 3.0
     dilation_radius: float = 5.0
-    visit_radius: float = 5.0
-    reselect_period: int = 100
     warmup_ticks: int = 600
     waypoints: list[list[list[float]]] | None = None  # per robot, waypoint mode
 
@@ -89,13 +58,10 @@ class ScenarioConfig:
     tick_seconds: float = 0.1
     max_ticks: int = 20000
     start: tuple[float, float] = (23.0, 23.0)
-    start_yaw: float = 1.5707963267948966
     initial_map: str = "none"  # "full" preloads a truth snapshot everywhere
     aerial: AerialConfig = field(default_factory=AerialConfig)
-    ground: GroundConfig = field(default_factory=GroundConfig)
     localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
     mission: MissionSpec = field(default_factory=MissionSpec)
 
     def to_dict(self) -> dict:
@@ -178,35 +144,14 @@ class ScenarioConfig:
 
         positive("aerial.altitude")
         positive("aerial.speed")
-        require("aerial.fov_half_angle_deg", lambda v: 0 < v < 90, "must be in (0, 90)")
-        positive("aerial.keyframe_threshold")
         positive("aerial.snapshot_period_ticks")
-
-        positive("ground.v_max")
-        positive("ground.yaw_rate_max")
-        positive("ground.scan_beams")
-        positive("ground.scan_max_range")
-        positive("ground.scan_period_ticks")
-        non_negative_components("ground.odom_sigma")
-        positive("ground.local_grid_side")
 
         positive("localizer.n_particles")
         non_negative_components("localizer.init_spread")
-        non_negative_components("localizer.process_noise")
         non_negative("localizer.init_error")
-        non_negative("localizer.unknown_cost")
         positive("localizer.temperature")
-        require("localizer.ess_fraction", lambda v: 0 <= v <= 1, "must be in [0, 1]")
-        positive("localizer.azimuth_bins")
-        positive("localizer.range_bins")
 
         non_negative("planner.close_radius")
-        positive("planner.node_radius")
-
-        positive("tracker.k_yaw")
-        require("tracker.align_threshold", lambda v: 0 < v <= math.pi, "must be in (0, pi]")
-        positive("tracker.arrival_tolerance")
-        positive("tracker.search_radius")
 
         require(
             "mission.mode",
@@ -215,7 +160,6 @@ class ScenarioConfig:
         )
         positive("mission.cluster_radius")
         positive("mission.dilation_radius")
-        positive("mission.visit_radius")
         if self.mission.mode == "waypoint" and not self.mission.waypoints:
             p.append("mission.waypoints required in waypoint mode")
 
@@ -239,11 +183,9 @@ def _points(v) -> bool:
 _TYPES = {
     "float": (_is_number, "a number"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[float, float]": (_numbers(2), "a list of 2 numbers"),
     "tuple[float, float, float]": (_numbers(3), "a list of 3 numbers"),
-    "list[list[float]] | None": (lambda v: v is None or _points(v), "null or a list of [x, y] points"),
     "list[list[list[float]]] | None": (
         lambda v: v is None or (isinstance(v, list) and all(map(_points, v))),
         "null or a list of lists of [x, y] points",

@@ -35,17 +35,34 @@ def rng_stream(master_seed: int, robot_id: int, purpose: str) -> np.random.Gener
     return np.random.Generator(np.random.Philox(seq))
 
 
-def inject_odometry_noise(
-    delta: localize.OdomDelta, sigma, rng: np.random.Generator
-) -> localize.OdomDelta:
-    """Ground-truth motion plus zero-mean Gaussian noise per component."""
-    sx, sy, syaw = sigma
-    if sx < 0 or sy < 0 or syaw < 0:
-        raise ValueError(f"odometry sigma must be >= 0, got {sigma}")
+# the aerial robot
+FOV_HALF_ANGLE = math.radians(45.0)  # of its camera
+KEYFRAME_THRESHOLD = 5.0  # m flown between keyframes
+SWEEP_MARGIN = 10.0  # m between the sweep's turns and the world edge
+
+# the ground robots
+SCAN_BEAMS = 36
+SCAN_MAX_RANGE = 15.0  # m
+SCAN_PERIOD_TICKS = 4
+START_YAW = math.pi / 2  # of the first robot; the others face along their side of the L
+START_SPACING = 3.0  # m between robots staged along one side of the L
+LOCAL_GRID_SIDE = 30.0  # m, of the tracker's local obstacle grid
+# sigma of (forward m, lateral m, yaw rad) per moving tick, of the wheel
+# odometry and of the particle filter's process noise
+ODOM_SIGMA = (0.05, 0.05, 0.01)
+PROCESS_NOISE = (0.05, 0.05, 0.01)
+
+VISIT_RADIUS = 5.0  # m, truth-side distance within which a visit reaches a target
+
+
+def inject_odometry_noise(delta: localize.OdomDelta, rng: np.random.Generator) -> localize.OdomDelta:
+    """Ground-truth motion plus zero-mean Gaussian noise of ``ODOM_SIGMA``
+    per component."""
+    sx, sy, syaw = ODOM_SIGMA
     return localize.OdomDelta(
-        forward=delta.forward + (rng.normal(0.0, sx) if sx > 0 else 0.0),
-        lateral=delta.lateral + (rng.normal(0.0, sy) if sy > 0 else 0.0),
-        dyaw=delta.dyaw + (rng.normal(0.0, syaw) if syaw > 0 else 0.0),
+        forward=delta.forward + rng.normal(0.0, sx),
+        lateral=delta.lateral + rng.normal(0.0, sy),
+        dyaw=delta.dyaw + rng.normal(0.0, syaw),
     )
 
 
@@ -55,16 +72,16 @@ def resolve_world(spec: str) -> WorldModel:
     return load_world(spec)
 
 
-def boustrophedon(world: WorldModel, altitude: float, fov_half_angle: float, margin: float):
-    """Serpentine sweep waypoints covering the world bounds."""
+def boustrophedon(world: WorldModel, altitude: float):
+    """Serpentine sweep waypoints covering the world bounds; at least two."""
     truth = world.truth
     w = truth.width * truth.resolution
     h = truth.height * truth.resolution
-    side = 2.0 * altitude * math.tan(fov_half_angle)
+    side = 2.0 * altitude * math.tan(FOV_HALF_ANGLE)
     n_legs = max(1, math.ceil(w / side))
     xs = [truth.origin_x + (k + 0.5) * w / n_legs for k in range(n_legs)]
-    y_lo = truth.origin_y + margin
-    y_hi = truth.origin_y + h - margin
+    y_lo = truth.origin_y + SWEEP_MARGIN
+    y_hi = truth.origin_y + h - SWEEP_MARGIN
     pts = []
     for k, x in enumerate(xs):
         if k % 2 == 0:
@@ -145,7 +162,7 @@ class TeamMaps:
                 snap, cfg.mission.cluster_radius, dilation_radius=cfg.mission.dilation_radius, grid=grid
             )
         if held is None:
-            roadmap, vis = pln.Roadmap(radius=self.cfg.planner.node_radius), None
+            roadmap, vis = pln.Roadmap(radius=pln.NODE_RADIUS), None
         else:
             roadmap, vis = held.roadmap.copy(), held.vis.copy()
         roadmap, vis = pln.update_roadmap(roadmap, vis, grid)
@@ -153,8 +170,8 @@ class TeamMaps:
 
 
 class AerialAgent:
-    """Waypoint-flying mapper. It takes its GPS pose as exact and maps
-    every keyframe at that pose."""
+    """Mapper that flies a looping boustrophedon sweep. It takes its GPS
+    pose as exact and maps every keyframe at that pose."""
 
     kind = "aerial"
 
@@ -162,16 +179,10 @@ class AerialAgent:
         self.id = robot_id
         self.cfg = cfg
         self.world = world
-        a = cfg.aerial
-        self.fov = math.radians(a.fov_half_angle_deg)
-        self.waypoints = (
-            [tuple(p) for p in a.waypoints]
-            if a.waypoints
-            else boustrophedon(world, a.altitude, self.fov, a.sweep_margin)
-        )
+        self.waypoints = boustrophedon(world, cfg.aerial.altitude)
         self.wp_index = 0
         x, y = cfg.start
-        self.true_pose = np.array([x, y, a.altitude, 0.0])
+        self.true_pose = np.array([x, y, cfg.aerial.altitude, 0.0])
         self.distance = 0.0
         self.db = gossip.Database(owner=robot_id)
         self.acc = am.MapAccumulator.like(world.truth)
@@ -179,8 +190,6 @@ class AerialAgent:
         self.events: list[dict] = []
 
     def integrate(self, dt: float) -> None:
-        if not self.waypoints:
-            return
         tx, ty = self.waypoints[self.wp_index]
         dx, dy = tx - self.true_pose[0], ty - self.true_pose[1]
         dist = math.hypot(dx, dy)
@@ -188,10 +197,7 @@ class AerialAgent:
         if dist <= step:
             self.true_pose[0], self.true_pose[1] = tx, ty
             self.distance += dist
-            if self.wp_index + 1 < len(self.waypoints):
-                self.wp_index += 1
-            elif self.cfg.aerial.loop:
-                self.wp_index = 0
+            self.wp_index = (self.wp_index + 1) % len(self.waypoints)
         else:
             self.true_pose[0] += dx / dist * step
             self.true_pose[1] += dy / dist * step
@@ -199,15 +205,14 @@ class AerialAgent:
             self.distance += step
 
     def autonomy(self, tick: int) -> None:
-        a = self.cfg.aerial
         pose = tuple(self.true_pose)
         kf = am.maybe_create_keyframe(
-            pose, self.last_kf_pose, a.keyframe_threshold, world=self.world, fov_half_angle=self.fov
+            pose, self.last_kf_pose, KEYFRAME_THRESHOLD, world=self.world, fov_half_angle=FOV_HALF_ANGLE
         )
         if kf is not None:
             self.last_kf_pose = pose
             self.acc.fuse_keyframe(kf)
-        if tick % a.snapshot_period_ticks == 0 and self.acc.observed.any():
+        if tick % self.cfg.aerial.snapshot_period_ticks == 0 and self.acc.observed.any():
             snap = self.acc.snapshot()
             rec = self.db.put_local(MAP_KEY, am.encode_snapshot(snap))
             self.events.append(
@@ -225,19 +230,18 @@ class GroundAgent:
         self.cfg = cfg
         self.world = world
         self.team_maps = team_maps
-        g = cfg.ground
 
         # staging: an L around the start corner so every robot keeps nearby
         # structure in scan range while its filter converges
         idx = robot_id - cfg.n_aerial
         x, y = cfg.start
-        yaw = cfg.start_yaw
+        yaw = START_YAW
         if idx > 0:
             if idx % 2 == 1:
-                x += g.start_spacing * ((idx + 1) // 2)
+                x += START_SPACING * ((idx + 1) // 2)
                 yaw = 0.0
             else:
-                y += g.start_spacing * (idx // 2)
+                y += START_SPACING * (idx // 2)
                 yaw = math.pi / 2
         self.true_pose = np.array([x, y, 0.0, yaw])
         self.command = (0.0, 0.0)
@@ -260,20 +264,12 @@ class GroundAgent:
         self.last_update = localize.UpdateInfo(ess=float(cfg.localizer.n_particles), resampled=False, diverged=False)
 
         self.db = gossip.Database(owner=robot_id)
-        self.local_grid = trk.LocalObstacleGrid.create(g.local_grid_side, world.truth.resolution)
+        self.local_grid = trk.LocalObstacleGrid.create(LOCAL_GRID_SIDE, world.truth.resolution)
         # the last scan put in the local grid, and the belief it went in at
         self._grid_scan: Scan | None = None
         self._grid_belief: bytes | None = None
-        self.tracker_params = trk.TrackerParams(
-            v_max=g.v_max,
-            yaw_rate_max=g.yaw_rate_max,
-            k_yaw=cfg.tracker.k_yaw,
-            align_threshold=cfg.tracker.align_threshold,
-            arrival_tolerance=cfg.tracker.arrival_tolerance,
-            search_radius=cfg.tracker.search_radius,
-        )
         self.tracker_state: trk.TrackerState | None = None
-        self.mission = msn.MissionController(robot_id=robot_id, reselect_period=cfg.mission.reselect_period)
+        self.mission = msn.MissionController(robot_id=robot_id)
         self.map: SemanticGridMap | None = None
         self.map_source: Source | None = None  # the last map record looked at
         self.products: MapProducts | None = None  # set with the first map
@@ -281,7 +277,6 @@ class GroundAgent:
         self.cancellations = 0
         self.events: list[dict] = []
         self._wp_script = self._waypoint_script()
-        self._in_shakeout = False
 
     def _waypoint_script(self):
         m = self.cfg.mission
@@ -317,7 +312,7 @@ class GroundAgent:
         )
         # wheel odometry reports zero when parked; noise accompanies motion
         if self.moving:
-            delta = inject_odometry_noise(exact, self.cfg.ground.odom_sigma, self.odom_rng)
+            delta = inject_odometry_noise(exact, self.odom_rng)
         else:
             delta = exact
         # dead reckoning integrates the identical noisy stream
@@ -331,7 +326,7 @@ class GroundAgent:
         )
         # process noise accompanies motion; re-diffusing a parked cloud only
         # impoverishes the particle set
-        noise = self.cfg.localizer.process_noise if self.moving else (0.0, 0.0, 0.0)
+        noise = PROCESS_NOISE if self.moving else (0.0, 0.0, 0.0)
         particles = localize.predict(self.particles, delta, noise, self.filter_rng)
         # a parked set at rest comes back as it is; the belief was taken
         # from it when predict first returned it, and has not moved since
@@ -342,20 +337,14 @@ class GroundAgent:
     def autonomy(self, tick: int) -> None:
         cfg = self.cfg
         truth = self.world.truth
-        if tick % cfg.ground.scan_period_ticks == 0:
+        if tick % SCAN_PERIOD_TICKS == 0:
             scan = ground_scan(
                 truth,
                 (self.true_pose[0], self.true_pose[1], self.true_pose[3]),
-                cfg.ground.scan_max_range,
-                cfg.ground.scan_beams,
+                SCAN_MAX_RANGE,
+                SCAN_BEAMS,
             )
-            obs = localize.PolarObservation.from_scan(
-                scan,
-                cfg.localizer.azimuth_bins,
-                cfg.localizer.range_bins,
-                cfg.ground.scan_max_range,
-                free_margin=truth.resolution,
-            )
+            obs = localize.PolarObservation.from_scan(scan, max_range=SCAN_MAX_RANGE, free_margin=truth.resolution)
             # measurement updates are gated on motion: stationary re-scans of
             # the same scene add no information and let resampling noise
             # collapse the cloud onto corridor aliases
@@ -379,7 +368,7 @@ class GroundAgent:
                     self.local_grid,
                     scan,
                     (self.believed[0], self.believed[1], self.believed[2]),
-                    cfg.ground.scan_max_range,
+                    SCAN_MAX_RANGE,
                 )
 
         self._ingest_map(tick)
@@ -388,8 +377,7 @@ class GroundAgent:
         elif tick < cfg.mission.warmup_ticks:
             self._shakeout(tick)
         else:
-            if self._in_shakeout:
-                self._in_shakeout = False
+            if tick == cfg.mission.warmup_ticks:  # the first mission tick ends the shake-out leg
                 self.tracker_state = None
             self._roi_mission(tick)
 
@@ -400,7 +388,6 @@ class GroundAgent:
                 self.tracker_state,
                 self.local_grid,
                 (self.believed[0], self.believed[1], self.believed[2]),
-                self.tracker_params,
             )
             self.backtracks += self.tracker_state.n_backtracks - before_bt
             self.cancellations += self.tracker_state.n_cancellations - before_cx
@@ -493,7 +480,6 @@ class GroundAgent:
             x, y, yaw = self.believed
             out = (x + 10.0 * math.cos(yaw), y + 10.0 * math.sin(yaw))
             self.tracker_state = trk.TrackerState(waypoints=[(x, y), out, (x, y)])
-            self._in_shakeout = True
 
 
 @dataclass
@@ -640,7 +626,6 @@ class Simulation:
         self.tick_count += 1
 
     def _check_true_visit(self, ev: dict, agent: GroundAgent) -> None:
-        vr = self.cfg.mission.visit_radius
         x, y = agent.true_pose[0], agent.true_pose[1]
         res = self.world.truth.resolution
         ox, oy = self.world.truth.origin_x, self.world.truth.origin_y
@@ -651,7 +636,7 @@ class Simulation:
             if target.goal_cell is not None:
                 spots.append(target.goal_cell)
             if any(
-                math.hypot((cx + 0.5) * res + ox - x, (cy + 0.5) * res + oy - y) <= vr
+                math.hypot((cx + 0.5) * res + ox - x, (cy + 0.5) * res + oy - y) <= VISIT_RADIUS
                 for cx, cy in spots
             ):
                 self.visited_targets.add(target.roi_id)

@@ -29,6 +29,12 @@ FREE_LAYER = len(SemanticClass)
 #: more keep proportionally more weight
 REFERENCE_BINS = 36
 
+#: cost of a bin that projects onto an unknown cell or off the map
+UNKNOWN_COST = 0.4
+
+#: resample once the effective sample size falls below this share of the set
+ESS_FRACTION = 0.5
+
 
 @dataclass
 class ParticleSet:
@@ -337,7 +343,7 @@ def update_and_resample(
     The estimate is the weighted mean of (x, y) and the circular mean of
     yaw, taken before resampling. ``table`` is the map's ``match_table``.
     """
-    costs = match_costs(particles, obs, grid, params.unknown_cost, table)
+    costs = match_costs(particles, obs, grid, UNKNOWN_COST, table)
     evidence = max(obs.n_filled, 1) / REFERENCE_BINS
     logw = np.log(np.maximum(particles.weights, 1e-300)) - costs * evidence / params.temperature
     logw -= logw.max()
@@ -352,7 +358,7 @@ def update_and_resample(
     estimate = weighted_mean_pose(ParticleSet(particles.xs, particles.ys, particles.yaws, w))
 
     ess = float(1.0 / (w**2).sum())
-    resampled = ess < params.ess_fraction * particles.n
+    resampled = ess < ESS_FRACTION * particles.n
     if resampled:
         positions = (rng.random() + np.arange(particles.n)) / particles.n
         cumw = np.cumsum(w)

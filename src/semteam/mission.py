@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from semteam import planner
 from semteam.gossip import Database
-from semteam.planner import PlanResult, TraversabilityGrid, extract_traversability
+from semteam.planner import PlanResult, TraversabilityGrid
 from semteam.world import SemanticClass, SemanticGridMap
 
 CLAIMED = "claimed"
@@ -27,6 +28,9 @@ VISITED = "visited"
 FAILED = "failed"
 
 CLAIMS_KEY = "claims"
+
+#: ticks an idle robot waits before it selects again with nothing changed
+RESELECT_PERIOD = 100
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def extract_rois(
     if ixs.size == 0:
         return []
     if grid is None:
-        grid = extract_traversability(grid_map, close_radius)
+        grid = planner.extract_traversability(grid_map, close_radius)
 
     res = grid_map.resolution
     n = ixs.size
@@ -204,7 +208,6 @@ class MissionController:
     -> (visited | failed) -> idle, publishing claims along the way."""
 
     robot_id: int
-    reselect_period: int
     phase: str = "idle"
     current_roi: ROI | None = None
     pending_plan: PlanResult | None = None
@@ -261,7 +264,7 @@ class MissionController:
             if (
                 map_version != self.last_map_version
                 or self._view_cache_key != self.last_view_digest
-                or now - self.last_select_tick >= self.reselect_period
+                or now - self.last_select_tick >= RESELECT_PERIOD
             ):
                 self.last_map_version = map_version
                 self.last_view_digest = self._view_cache_key

@@ -181,6 +181,10 @@ class VisibilityMap:
         return out
 
 
+#: visibility radius of the ground robots' roadmaps, in meters
+NODE_RADIUS = 25.0
+
+
 class Roadmap:
     """Spatial graph of high-clearance nodes and obstacle-free edges."""
 

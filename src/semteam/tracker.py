@@ -17,6 +17,14 @@ UNKNOWN_CELL = 0
 FREE_CELL = 1
 OBSTACLE_CELL = 2
 
+V_MAX = 2.0  # m/s
+YAW_RATE_MAX = 1.5  # rad/s
+K_YAW = 2.0  # yaw rate per rad of heading error
+ALIGN_THRESHOLD = 0.6  # rad of heading error above which the robot turns in place
+ARRIVAL_TOLERANCE = 1.5  # m
+SEARCH_RADIUS = 3.0  # m, of the local-goal disc
+SETTLE_TICKS = 8  # blocked this many consecutive steps before reacting
+
 
 @dataclass
 class LocalObstacleGrid:
@@ -190,17 +198,6 @@ def _select_local_goal_ex(
 
 
 @dataclass
-class TrackerParams:
-    v_max: float = 1.0
-    yaw_rate_max: float = 1.0
-    k_yaw: float = 2.0
-    align_threshold: float = 0.6
-    arrival_tolerance: float = 1.5
-    search_radius: float = 3.0
-    settle_ticks: int = 8  # blocked this many consecutive steps before reacting
-
-
-@dataclass
 class TrackerState:
     """Waypoint-following state machine.
 
@@ -230,7 +227,6 @@ def step(
     state: TrackerState,
     grid: LocalObstacleGrid,
     pose: tuple[float, float, float],
-    params: TrackerParams,
 ) -> tuple[tuple[float, float], TrackerState]:
     """One control step; returns (forward speed, yaw rate) and the state."""
     if state.phase in ("cancelled", "done"):
@@ -243,13 +239,13 @@ def step(
             state.n_cancellations += 1
             return (0.0, 0.0), state
         tx, ty = state.bt_target
-        if math.hypot(tx - x, ty - y) <= params.arrival_tolerance:
+        if math.hypot(tx - x, ty - y) <= ARRIVAL_TOLERANCE:
             state.phase = "following"
 
     if state.phase == "following":
         while state.index < len(state.waypoints):
             tx, ty = state.waypoints[state.index]
-            if math.hypot(tx - x, ty - y) > params.arrival_tolerance:
+            if math.hypot(tx - x, ty - y) > ARRIVAL_TOLERANCE:
                 break
             state.index += 1
         if state.index >= len(state.waypoints):
@@ -262,19 +258,19 @@ def step(
     # shrink the selection disc on final approach so the goal converges to
     # the waypoint instead of parking on a nearby clearance maximum
     target_dist = math.hypot(target[0] - x, target[1] - y)
-    radius = min(params.search_radius, max(0.5 * params.arrival_tolerance, 0.9 * target_dist))
+    radius = min(SEARCH_RADIUS, max(0.5 * ARRIVAL_TOLERANCE, 0.9 * target_dist))
     goal, march_reach = _select_local_goal_ex(grid, pose, target, radius)
     cornered = (
         goal is not None
-        and target_dist > params.arrival_tolerance
+        and target_dist > ARRIVAL_TOLERANCE
         and march_reach < 0.6 * grid.resolution
-        and math.hypot(goal[0] - x, goal[1] - y) < 0.35 * params.arrival_tolerance
+        and math.hypot(goal[0] - x, goal[1] - y) < 0.35 * ARRIVAL_TOLERANCE
     )
     if goal is None or cornered:
         # hold position briefly: scan misregistration leaves transient
         # phantom obstacles that the next sweeps overwrite
         state.blocked_streak += 1
-        if state.blocked_streak < params.settle_ticks:
+        if state.blocked_streak < SETTLE_TICKS:
             return (0.0, 0.0), state
         state.blocked_streak = 0
         if state.phase == "following":
@@ -290,9 +286,9 @@ def step(
     state.blocked_streak = 0
     state.last_local_goal = goal
     heading_err = wrap_angle(math.atan2(goal[1] - y, goal[0] - x) - yaw)
-    yaw_rate = max(-params.yaw_rate_max, min(params.yaw_rate_max, params.k_yaw * heading_err))
-    if abs(heading_err) > params.align_threshold:
+    yaw_rate = max(-YAW_RATE_MAX, min(YAW_RATE_MAX, K_YAW * heading_err))
+    if abs(heading_err) > ALIGN_THRESHOLD:
         return (0.0, yaw_rate), state
     goal_dist = math.hypot(goal[0] - x, goal[1] - y)
-    forward = min(params.v_max, 2.0 * goal_dist)
+    forward = min(V_MAX, 2.0 * goal_dist)
     return (forward, yaw_rate), state

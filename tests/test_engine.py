@@ -37,6 +37,41 @@ SMALL_RUN_SHA256 = {
 }
 
 
+#: config keys that are gone, each with its last default: ``planner.lam``,
+#: and the fixed robot and sensor setup, whose values are module constants
+REMOVED_KEYS = {
+    "planner.lam": 1.0,
+    "start_yaw": math.pi / 2,
+    "aerial.fov_half_angle_deg": 45.0,
+    "aerial.keyframe_threshold": 5.0,
+    "aerial.waypoints": None,
+    "aerial.loop": True,
+    "aerial.sweep_margin": 10.0,
+    "ground": {},
+    "ground.v_max": 2.0,
+    "ground.yaw_rate_max": 1.5,
+    "ground.scan_beams": 36,
+    "ground.scan_max_range": 15.0,
+    "ground.scan_period_ticks": 4,
+    "ground.odom_sigma": [0.05, 0.05, 0.01],
+    "ground.start_spacing": 3.0,
+    "ground.local_grid_side": 30.0,
+    "localizer.unknown_cost": 0.4,
+    "localizer.ess_fraction": 0.5,
+    "localizer.azimuth_bins": 36,
+    "localizer.range_bins": 10,
+    "localizer.process_noise": [0.05, 0.05, 0.01],
+    "planner.node_radius": 25.0,
+    "tracker": {},
+    "tracker.k_yaw": 2.0,
+    "tracker.align_threshold": 0.6,
+    "tracker.arrival_tolerance": 1.5,
+    "tracker.search_radius": 3.0,
+    "mission.visit_radius": 5.0,
+    "mission.reselect_period": 100,
+}
+
+
 def small_world(n=40):
     """Open road square with a vegetation border, two buildings as landmarks
     and one 2x2 vehicle."""
@@ -97,6 +132,11 @@ class TestRun:
         summary = tracer.summary()
         for name in ("planner.plan", "planner.update_roadmap", "mission.extract_rois"):
             assert summary.get(name, {}).get("calls", 0) > 0, name
+        # every traversability build takes one distance transform, whatever
+        # name it was called by: the truth's and the preloaded map's
+        builds = summary["planner.distance_transform"]["calls"]
+        assert builds == 2
+        assert summary["planner.extract_traversability"]["calls"] == builds
 
     @pytest.mark.parametrize("name", sorted(SMALL_RUN_SHA256))
     def test_output_matches_golden_digest(self, two_runs, name):
@@ -201,7 +241,7 @@ class TestTeamMaps:
 
         def solo_hash(seqs):
             if seqs not in solo:
-                rm, vis = planner.Roadmap(radius=cfg.planner.node_radius), None
+                rm, vis = planner.Roadmap(radius=planner.NODE_RADIUS), None
                 for seq in seqs:
                     grid = planner.extract_traversability(decode_snapshot(records[seq].payload), 0)
                     rm, vis = planner.update_roadmap(rm, vis, grid)
@@ -240,7 +280,7 @@ class TestTeamMaps:
         calls are counted."""
         cfg = small_config(
             n_ground=3, initial_map="none", comm_range=100.0,
-            aerial={"altitude": 15.0, "speed": 3.0, "snapshot_period_ticks": 2, "loop": True},
+            aerial={"altitude": 15.0, "speed": 3.0, "snapshot_period_ticks": 2},
         )
         sim = Simulation(cfg, world=small_world())
         calls = {"update_roadmap": 0, "extract_rois": 0, "decode_snapshot": 0, "match_table": 0}
@@ -470,8 +510,7 @@ class TestConfig:
             "unknown field aerial.'pose_graph_period'",
             "unknown field aerial.'gps_sigma'",
             "unknown field aerial.'odom_scale'",
-            "unknown field tracker.'v_max'",
-            "unknown field tracker.'yaw_rate_max'",
+            "unknown field 'tracker'",
             "tick_seconds must be > 0, got 0.0",
             "aerial.speed must be > 0, got -1.0",
         ]
@@ -479,16 +518,16 @@ class TestConfig:
     @pytest.mark.parametrize("value", [5, "fast", [1, 2], None])
     def test_section_not_an_object(self, value):
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_dict({"aerial": value, "ground": {"bogus": 1}})
+            ScenarioConfig.from_dict({"aerial": value, "localizer": {"bogus": 1}})
         assert err.value.problems[0].startswith("aerial must be an object")
-        assert err.value.problems[1:] == ["unknown field ground.'bogus'"]
+        assert err.value.problems[1:] == ["unknown field localizer.'bogus'"]
 
     @pytest.mark.parametrize(
         "data, problem",
         [
             ({"tick_seconds": "x"}, "tick_seconds must be a number, got 'x'"),
             ({"n_ground": None}, "n_ground must be an integer, got None"),
-            ({"localizer": {"process_noise": 0.05}}, "localizer.process_noise must be a list of 3 numbers, got 0.05"),
+            ({"localizer": {"init_spread": 0.05}}, "localizer.init_spread must be a list of 3 numbers, got 0.05"),
             ([1], "config must be an object, got list"),
         ],
     )
@@ -497,39 +536,43 @@ class TestConfig:
             ScenarioConfig.from_dict(data)
         assert err.value.problems == [problem]
 
-    @pytest.mark.parametrize("name", ["process_noise", "init_spread"])
+    @pytest.mark.parametrize("name", ["init_spread"])
     def test_negative_localizer_spread_rejected(self, name):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict({"localizer": {name: [0.05, -0.05, 0.01]}})
         assert err.value.problems == [f"localizer.{name} components must be >= 0, got (0.05, -0.05, 0.01)"]
 
-    @pytest.mark.parametrize(
-        "tracker, problem",
-        [
-            ({"k_yaw": 0.0}, "tracker.k_yaw must be > 0, got 0.0"),
-            ({"k_yaw": -2.0}, "tracker.k_yaw must be > 0, got -2.0"),
-            ({"align_threshold": 0.0}, "tracker.align_threshold must be in (0, pi], got 0.0"),
-            ({"align_threshold": -0.6}, "tracker.align_threshold must be in (0, pi], got -0.6"),
-            ({"align_threshold": 3.2}, "tracker.align_threshold must be in (0, pi], got 3.2"),
-        ],
-    )
-    def test_stalling_tracker_gains_rejected(self, tracker, problem):
-        # each of these stalls the default scenario: the team drives 0.0 m
-        # at align_threshold 0 and 5.4 m at k_yaw -2 in 1500 ticks
-        with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_dict({"tracker": tracker})
-        assert err.value.problems == [problem]
+    def test_settable_values(self):
+        def dotted(d, prefix=""):
+            for k, v in d.items():
+                if isinstance(v, dict):
+                    yield from dotted(v, f"{prefix}{k}.")
+                else:
+                    yield prefix + k
 
-    @pytest.mark.parametrize("align_threshold", [1e-3, math.pi])
-    def test_align_threshold_range_is_closed_at_pi(self, align_threshold):
-        cfg = ScenarioConfig.from_dict({"tracker": {"align_threshold": align_threshold}})
-        assert cfg.tracker.align_threshold == align_threshold
+        assert sorted(dotted(ScenarioConfig().to_dict())) == [
+            "aerial.altitude", "aerial.snapshot_period_ticks", "aerial.speed",
+            "comm_range", "initial_map",
+            "localizer.init_error", "localizer.init_spread", "localizer.n_particles", "localizer.temperature",
+            "max_ticks",
+            "mission.cluster_radius", "mission.dilation_radius", "mission.mode", "mission.warmup_ticks",
+            "mission.waypoints",
+            "n_aerial", "n_ground", "planner.close_radius", "seed", "start", "tick_seconds", "world",
+        ]
 
-    def test_removed_lam_key_rejected(self):
+    @pytest.mark.parametrize("name", REMOVED_KEYS)
+    def test_removed_key_rejected(self, name):
+        section, _, key = name.rpartition(".")
+        value = REMOVED_KEYS[name]
+        data = {section: {key: value}} if section else {key: value}
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_dict({"planner": {"lam": 1.0}})
-        assert err.value.problems == ["unknown field planner.'lam'"]
+            ScenarioConfig.from_dict(data)
+        if section in ScenarioConfig().to_dict():  # a kept section
+            gone = f"{section}.{key!r}"
+        else:  # a top-level key, or a key of a removed section
+            gone = repr(section or key)
+        assert err.value.problems == [f"unknown field {gone}"]
 
     def test_zero_localizer_spread_accepted(self):
-        cfg = ScenarioConfig.from_dict({"localizer": {"process_noise": [0.0, 0.0, 0.0]}})
-        assert cfg.localizer.process_noise == (0.0, 0.0, 0.0)
+        cfg = ScenarioConfig.from_dict({"localizer": {"init_spread": [0.0, 0.0, 0.0]}})
+        assert cfg.localizer.init_spread == (0.0, 0.0, 0.0)

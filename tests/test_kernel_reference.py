@@ -15,7 +15,6 @@ import pytest
 from scipy.ndimage import distance_transform_edt
 
 from semteam import geometry, planner
-from semteam.config import PlannerConfig
 from semteam.geometry import segment_cells, segments_min_value
 from semteam.localize import FREE_LAYER, ParticleSet, PolarObservation, match_costs, match_table
 from semteam.world import Scan, SemanticClass, SemanticGridMap, ground_scan, traversable, traversable_mask
@@ -591,7 +590,7 @@ def random_segment(rng, w, h, reach):
 class TestSupercoverMinimumMatchesPerSegment:
     def test_random_segments_both_endpoint_orders(self):
         rng = np.random.default_rng(40)
-        reach = int(2 * PlannerConfig().node_radius)
+        reach = int(2 * planner.NODE_RADIUS)
         h, w = 2 * reach + 5, 2 * reach + 11
         for trial in range(20):
             field = rng.uniform(0.0, 10.0, size=(h, w))

@@ -13,7 +13,7 @@ import numpy as np
 from semteam.config import PlannerConfig
 from semteam.geometry import visible_from
 from semteam.localize import PolarObservation, init_filter, match_costs, match_table
-from semteam.planner import _window_obstacles, extract_traversability
+from semteam.planner import NODE_RADIUS, _window_obstacles, extract_traversability
 from semteam.standard import build_standard_world
 from semteam.world import ground_scan, traversable_mask
 
@@ -52,7 +52,7 @@ def test_visible_from_blocks_stay_under_one_mib():
     world = build_standard_world()
     grid = extract_traversability(world.truth, PlannerConfig().close_radius)
     free = grid.free
-    r_cells = PlannerConfig().node_radius / grid.resolution
+    r_cells = NODE_RADIUS / grid.resolution
     fy, fx = np.nonzero(free)
     # the first node the roadmap places, and more free cells spread over the map
     first = int(np.argmax(np.where(free, grid.dist, -np.inf)))

@@ -9,11 +9,13 @@ from scipy.ndimage import distance_transform_edt
 from semteam.geometry import segments_min_value
 from semteam.planner import Roadmap, extract_traversability, plan, update_roadmap
 from semteam.tracker import (
+    ARRIVAL_TOLERANCE,
     FREE_CELL,
     OBSTACLE_CELL,
+    SETTLE_TICKS,
     UNKNOWN_CELL,
+    V_MAX,
     LocalObstacleGrid,
-    TrackerParams,
     TrackerState,
     _select_local_goal_ex,
     integrate_scan,
@@ -246,27 +248,24 @@ class TestClearanceAt:
 
 
 class TestStep:
-    def params(self):
-        return TrackerParams()
-
     def test_goal_dead_ahead_full_speed(self):
         grid = filled_grid()
         state = TrackerState(waypoints=[(12.5, 12.5), (18.5, 12.5)])
-        (v, w), state = step(state, grid, (12.5, 12.5, 0.0), self.params())
-        assert v == pytest.approx(1.0)
+        (v, w), state = step(state, grid, (12.5, 12.5, 0.0))
+        assert v == pytest.approx(V_MAX)
         assert w == pytest.approx(0.0, abs=1e-6)
 
     def test_goal_behind_rotates_in_place(self):
         grid = filled_grid()
         state = TrackerState(waypoints=[(12.5, 12.5), (6.5, 12.5)])
-        (v, w), state = step(state, grid, (12.5, 12.5, 0.0), self.params())
+        (v, w), state = step(state, grid, (12.5, 12.5, 0.0))
         assert v == 0.0
         assert abs(w) > 0
 
     def test_arrival_advances_and_finishes(self):
         grid = filled_grid()
         state = TrackerState(waypoints=[(12.5, 12.5), (13.0, 12.5)])
-        (v, w), state = step(state, grid, (12.9, 12.5, 0.0), self.params())
+        (v, w), state = step(state, grid, (12.9, 12.5, 0.0))
         assert state.phase == "done"
         assert (v, w) == (0.0, 0.0)
 
@@ -274,29 +273,27 @@ class TestStep:
         # robot is mid-corridor, away from the previous waypoint, when the
         # world closes in: forward blocked, then the retreat is blocked too
         grid = filled_grid()
-        params = TrackerParams(settle_ticks=1)
         state = TrackerState(waypoints=[(6.5, 12.5), (20.5, 12.5)])
         grid.cells[:, :] = OBSTACLE_CELL
         pose = (12.5, 12.5, 0.0)
-        (v, w), state = step(state, grid, pose, params)
+        state = settle(state, grid, pose)
         assert state.phase == "backtracking"
-        (v, w), state = step(state, grid, pose, params)
+        state = settle(state, grid, pose)
         assert state.phase == "cancelled"
         assert state.n_backtracks == 1
         assert state.n_cancellations == 1
 
     def test_blocked_transient_is_debounced(self):
         grid = filled_grid()
-        params = TrackerParams(settle_ticks=5)
         state = TrackerState(waypoints=[(6.5, 12.5), (20.5, 12.5)])
         blocked = filled_grid(state=OBSTACLE_CELL)
         pose = (12.5, 12.5, 0.0)
-        for _ in range(4):
-            (v, w), state = step(state, blocked, pose, params)
+        for _ in range(SETTLE_TICKS - 1):
+            (v, w), state = step(state, blocked, pose)
             assert state.phase == "following"
             assert (v, w) == (0.0, 0.0)
         # obstacle turns out to be phantom: next scans cleared it
-        (v, w), state = step(state, grid, pose, params)
+        (v, w), state = step(state, grid, pose)
         assert state.phase == "following"
         assert state.blocked_streak == 0
         assert v > 0
@@ -305,26 +302,36 @@ class TestStep:
         grid = filled_grid()
         state = TrackerState(waypoints=[(12.5, 12.5)], phase="done")
         with pytest.raises(ValueError):
-            step(state, grid, (12.5, 12.5, 0.0), self.params())
+            step(state, grid, (12.5, 12.5, 0.0))
         state = TrackerState(waypoints=[(12.5, 12.5), (20.5, 12.5)], phase="cancelled")
         with pytest.raises(ValueError):
-            step(state, grid, (12.5, 12.5, 0.0), self.params())
+            step(state, grid, (12.5, 12.5, 0.0))
 
     def test_repeated_block_at_same_waypoint_cancels(self):
         grid = filled_grid()
-        params = TrackerParams(settle_ticks=1)
         state = TrackerState(waypoints=[(12.5, 12.5), (20.5, 12.5)])
         pose = (12.5, 12.5, 0.0)
         blocked = filled_grid(state=OBSTACLE_CELL)
-        (v, w), state = step(state, blocked, pose, params)
+        state = settle(state, blocked, pose)
         assert state.phase == "backtracking"
         # backtrack target reached immediately (index-1 is the start)
-        (v, w), state = step(state, grid, pose, params)
+        (v, w), state = step(state, grid, pose)
         assert state.phase == "following"
-        (v, w), state = step(state, blocked, pose, params)
+        state = settle(state, blocked, pose)
         assert state.phase == "backtracking"
-        (v, w), state = step(state, blocked, pose, params)
+        (v, w), state = step(state, blocked, pose)
         assert state.phase == "cancelled"
+
+
+def settle(state, grid, pose):
+    """Step a blocked robot ``SETTLE_TICKS`` times: it holds still, and keeps
+    its phase until the last step."""
+    phase = state.phase
+    for k in range(SETTLE_TICKS):
+        assert state.phase == phase, k
+        (v, w), state = step(state, grid, pose)
+        assert (v, w) == (0.0, 0.0)
+    return state
 
 
 def corridor_world_classes(rng, size=28):
@@ -384,16 +391,15 @@ class TestTrackingScenarios:
         pose = (waypoints[0][0], waypoints[0][1], 0.0)
         state = TrackerState(waypoints=waypoints)
         grid = LocalObstacleGrid.create(20.0, 1.0)
-        params = TrackerParams()
         dt = 0.1
         for tick in range(6000):
             if tick % 2 == 0:
                 scan = ground_scan(world, pose, 10.0, 36)
                 integrate_scan(grid, scan, pose, 10.0)
-            (v, w), state = step(state, grid, pose, params)
+            (v, w), state = step(state, grid, pose)
             if state.phase == "done":
                 fx, fy = waypoints[-1]
-                return math.hypot(pose[0] - fx, pose[1] - fy) <= params.arrival_tolerance + 0.5
+                return math.hypot(pose[0] - fx, pose[1] - fy) <= ARRIVAL_TOLERANCE + 0.5
             if state.phase == "cancelled":
                 return False
             if state.last_local_goal is not None:
