@@ -92,20 +92,19 @@ def boustrophedon(world: WorldModel, altitude: float):
 
 
 MAP_KEY = "map"
+MAP_ORIGIN = 0  # the one aerial robot's id; a preloaded map is minted under it too
 POSE_PERIOD = 10  # ticks between poses.csv rows
-
-Source = tuple[int, int]  # (origin, seq) of a gossiped map record
 
 
 @dataclass(eq=False)
 class MapProducts:
     """What a ground robot plans and localizes on after rebuilding on a
-    chain of map versions: the planning grid (free cells and clearance),
-    ROIs and particle-filter match table of the chain's last version, and
-    the roadmap grown over the whole chain. Robots with the same chain share
-    one and only read it."""
+    chain of map records, given by their seqs: the planning grid (free cells
+    and clearance), ROIs and particle-filter match table of the chain's last
+    version, and the roadmap grown over the whole chain. Robots with the same
+    chain share one and only read it."""
 
-    chain: tuple[Source, ...]
+    chain: tuple[int, ...]
     match_table: np.ndarray
     grid: pln.TraversabilityGrid
     rois: list[msn.ROI]
@@ -117,45 +116,44 @@ class TeamMaps:
     """The ground team's decoded map versions and planning products, each
     built once and shared by the robots that hold it.
 
-    Decoded maps are keyed by the gossip record ``(origin, seq)`` they come
-    from, and products by the chain of records a robot rebuilt on: a robot
-    cut off from gossip can skip a version, and its roadmap then differs.
-    Both tables hold their values weakly, so an entry goes when the last
-    robot drops it and a long flight with many versions keeps only what the
-    robots hold.
+    Decoded maps are keyed by the seq of the map record they come from, and
+    products by the chain of seqs a robot rebuilt on: a robot cut off from
+    gossip can skip a version, and its roadmap then differs. Both tables
+    hold their values weakly, so an entry goes when the last robot drops it
+    and a long flight with many versions keeps only what the robots hold.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.maps: weakref.WeakValueDictionary[Source, SemanticGridMap] = weakref.WeakValueDictionary()
-        self.products: weakref.WeakValueDictionary[tuple[Source, ...], MapProducts] = weakref.WeakValueDictionary()
+        self.maps: weakref.WeakValueDictionary[int, SemanticGridMap] = weakref.WeakValueDictionary()
+        self.products: weakref.WeakValueDictionary[tuple[int, ...], MapProducts] = weakref.WeakValueDictionary()
 
     def take_map(self, rec: gossip.DbRecord) -> SemanticGridMap:
         """The map a record carries, decoded once for the team."""
-        snap = self.maps.get((rec.origin, rec.seq))
+        snap = self.maps.get(rec.seq)
         if snap is None:
-            snap = self.maps[rec.origin, rec.seq] = am.decode_snapshot(rec.payload)
+            snap = self.maps[rec.seq] = am.decode_snapshot(rec.payload)
         return snap
 
-    def rebuild(self, held: MapProducts | None, source: Source) -> MapProducts:
-        """The products of ``held``'s chain extended by ``source``, whose map
-        the caller holds. A cached result is adopted; otherwise the roadmap
-        grows on a copy of ``held``'s, so every state is a function of its
-        chain alone."""
-        chain = (held.chain if held is not None else ()) + (source,)
+    def rebuild(self, held: MapProducts | None, seq: int) -> MapProducts:
+        """The products of ``held``'s chain extended by record ``seq``, whose
+        map the caller holds. A cached result is adopted; otherwise the
+        roadmap grows on a copy of ``held``'s, so every state is a function of
+        its chain alone."""
+        chain = (held.chain if held is not None else ()) + (seq,)
         products = self.products.get(chain)
         if products is None:
             products = self.products[chain] = self._extend(held, chain)
         return products
 
-    def _extend(self, held: MapProducts | None, chain: tuple[Source, ...]) -> MapProducts:
-        source = chain[-1]
-        peer = next((p for c, p in self.products.items() if c[-1] == source), None)
+    def _extend(self, held: MapProducts | None, chain: tuple[int, ...]) -> MapProducts:
+        seq = chain[-1]
+        peer = next((p for c, p in self.products.items() if c[-1] == seq), None)
         if peer is not None:
             table, grid, rois = peer.match_table, peer.grid, peer.rois
         else:
             cfg = self.cfg
-            snap = self.maps[source]
+            snap = self.maps[seq]
             table = localize.match_table(snap)
             grid = pln.extract_traversability(snap, cfg.planner.close_radius)
             rois = msn.extract_rois(
@@ -183,7 +181,6 @@ class AerialAgent:
         self.wp_index = 0
         x, y = cfg.start
         self.true_pose = np.array([x, y, cfg.aerial.altitude, 0.0])
-        self.distance = 0.0
         self.db = gossip.Database(owner=robot_id)
         self.acc = am.MapAccumulator.like(world.truth)
         self.last_kf_pose = None
@@ -196,13 +193,11 @@ class AerialAgent:
         step = self.cfg.aerial.speed * dt
         if dist <= step:
             self.true_pose[0], self.true_pose[1] = tx, ty
-            self.distance += dist
             self.wp_index = (self.wp_index + 1) % len(self.waypoints)
         else:
             self.true_pose[0] += dx / dist * step
             self.true_pose[1] += dy / dist * step
             self.true_pose[3] = math.atan2(dy, dx)
-            self.distance += step
 
     def autonomy(self, tick: int) -> None:
         pose = tuple(self.true_pose)
@@ -271,7 +266,7 @@ class GroundAgent:
         self.tracker_state: trk.TrackerState | None = None
         self.mission = msn.MissionController(robot_id=robot_id)
         self.map: SemanticGridMap | None = None
-        self.map_source: Source | None = None  # the last map record looked at
+        self.map_seq = 0  # of the last map record taken; records start at seq 1
         self.products: MapProducts | None = None  # set with the first map
         self.backtracks = 0
         self.cancellations = 0
@@ -353,7 +348,7 @@ class GroundAgent:
                     self.particles,
                     obs,
                     self.map,
-                    cfg.localizer,
+                    cfg.localizer.temperature,
                     self.filter_rng,
                     self.products.match_table,
                 )
@@ -397,20 +392,11 @@ class GroundAgent:
     # ---- internals -------------------------------------------------------
 
     def _ingest_map(self, tick: int) -> None:
-        best = None
-        for (origin, key), rec in self.db.records.items():
-            if key != MAP_KEY:
-                continue
-            if best is None or (rec.seq, origin) > (best.seq, best.origin):
-                best = rec
-        if best is None:
+        rec = self.db.get(MAP_ORIGIN, MAP_KEY)
+        if rec is None or rec.seq == self.map_seq:
             return
-        if self.map_source == (best.origin, best.seq):
-            return
-        self.map_source = (best.origin, best.seq)
-        snap = self.team_maps.take_map(best)
-        if self.map is not None and snap.version <= self.map.version:
-            return
+        self.map_seq = rec.seq
+        snap = self.team_maps.take_map(rec)
         unchanged = (
             self.map is not None
             and np.array_equal(snap.classes, self.map.classes)
@@ -419,7 +405,7 @@ class GroundAgent:
         self.map = snap
         if unchanged:  # the held products, match table included, still fit
             return
-        self.products = self.team_maps.rebuild(self.products, self.map_source)
+        self.products = self.team_maps.rebuild(self.products, self.map_seq)
         self.events.append(
             {
                 "tick": tick,
@@ -444,7 +430,6 @@ class GroundAgent:
         events = self.mission.tick(
             tick,
             self.db,
-            self.map.version if self.map is not None else 0,
             self.products.rois if self.products is not None else [],
             self._plan_to,
             tracker_phase,
@@ -545,8 +530,7 @@ class Simulation:
             truth = self.world.truth
             acc = self.agents[0].acc if config.n_aerial else am.MapAccumulator.like(truth)
             acc.fuse_keyframe(am.full_view_keyframe(truth))
-            source = self.agents[0].id if config.n_aerial else 65000
-            rec = gossip.DbRecord(origin=source, key=MAP_KEY, seq=1, payload=am.encode_snapshot(acc.snapshot()))
+            rec = gossip.DbRecord(origin=MAP_ORIGIN, key=MAP_KEY, seq=1, payload=am.encode_snapshot(acc.snapshot()))
             for agent in self.agents:
                 agent.db.merge([rec])
 
@@ -709,10 +693,6 @@ class Simulation:
         (out / "poses.csv").write_text(header + "\n" + "\n".join(self.pose_rows) + "\n")
         row = report.metrics_row()
         (out / "metrics.csv").write_text(",".join(row) + "\n" + ",".join(str(v) for v in row.values()) + "\n")
-        latest = None
-        for agent in self.agents:
-            rec = agent.db.get(agent.id, MAP_KEY) if agent.kind == "aerial" else None
-            if rec is not None and (latest is None or rec.seq > latest.seq):
-                latest = rec
-        if latest is not None:
-            (out / "map_final.bin").write_bytes(latest.payload)
+        rec = self.agents[0].db.get(MAP_ORIGIN, MAP_KEY) if self.cfg.n_aerial else None
+        if rec is not None:
+            (out / "map_final.bin").write_bytes(rec.payload)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semteam.config import LocalizerConfig
 from semteam.geometry import wrap_angle
 from semteam.world import TRAVERSABLE_CLASSES, Scan, SemanticClass, SemanticGridMap, beam_offsets
 
@@ -334,7 +333,7 @@ def update_and_resample(
     particles: ParticleSet,
     obs: PolarObservation,
     grid: SemanticGridMap,
-    params: LocalizerConfig,
+    temperature: float,
     rng: np.random.Generator,
     table: np.ndarray,
 ) -> tuple[ParticleSet, tuple[float, float, float], UpdateInfo]:
@@ -345,7 +344,7 @@ def update_and_resample(
     """
     costs = match_costs(particles, obs, grid, UNKNOWN_COST, table)
     evidence = max(obs.n_filled, 1) / REFERENCE_BINS
-    logw = np.log(np.maximum(particles.weights, 1e-300)) - costs * evidence / params.temperature
+    logw = np.log(np.maximum(particles.weights, 1e-300)) - costs * evidence / temperature
     logw -= logw.max()
     w = np.exp(logw)
     total = w.sum()

@@ -78,27 +78,35 @@ def extract_rois(
     if grid is None:
         grid = planner.extract_traversability(grid_map, close_radius)
 
-    res = grid_map.resolution
-    n = ixs.size
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    limit2 = (cluster_radius / res) ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (ixs[i] - ixs[j]) ** 2 + (iys[i] - iys[j]) ** 2 <= limit2:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    # link each cell to the cells at every integer offset within the radius,
+    # then spread the least index along the links until it settles
+    h, w = grid_map.classes.shape
+    index = np.full((h, w), -1)
+    index[iys, ixs] = np.arange(ixs.size)
+    limit2 = math.floor((cluster_radius / grid_map.resolution) ** 2)
+    rx, ry = min(math.isqrt(limit2), w - 1), min(math.isqrt(limit2), h - 1)
+    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for dy in range(ry + 1):
+        for dx in range(-rx, rx + 1):
+            if (dy, dx) > (0, 0) and dx * dx + dy * dy <= limit2:
+                nx, ny = ixs + dx, iys + dy
+                i = np.flatnonzero((nx >= 0) & (nx < w) & (ny < h))
+                j = index[ny[i], nx[i]]
+                a.append(i[j >= 0])
+                b.append(j[j >= 0])
+    a, b = np.concatenate(a), np.concatenate(b)
+    label = np.arange(ixs.size)
+    while True:
+        prev = label.copy()
+        np.minimum.at(label, a, label[b])
+        np.minimum.at(label, b, label[a])
+        label = label[label]
+        if np.array_equal(label, prev):
+            break
 
     clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
+    for i, root in enumerate(label.tolist()):
+        clusters.setdefault(root, []).append(i)
 
     rois = []
     for members in clusters.values():
@@ -139,30 +147,28 @@ def _goal_for_cluster(cells, grid, dilation_radius):
 # claims via the gossip database
 
 
-def encode_claims(entries: dict[str, tuple[str, int]]) -> bytes:
-    payload = {"claims": {rid: [status, stamp] for rid, (status, stamp) in sorted(entries.items())}}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+def encode_claims(entries: dict[str, str]) -> bytes:
+    return json.dumps({"claims": entries}, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def decode_claims(payload: bytes) -> dict[str, tuple[str, int]]:
-    data = json.loads(payload.decode("ascii"))
-    return {rid: (status, int(stamp)) for rid, (status, stamp) in data["claims"].items()}
+def decode_claims(payload: bytes) -> dict[str, str]:
+    return json.loads(payload.decode("ascii"))["claims"]
 
 
-def merged_claim_view(db: Database) -> dict[str, list[tuple[int, str, int]]]:
-    """roi_id -> [(robot, status, stamp)] over every robot's claims record."""
-    view: dict[str, list[tuple[int, str, int]]] = {}
+def merged_claim_view(db: Database) -> dict[str, list[tuple[int, str]]]:
+    """roi_id -> [(robot, status)] over every robot's claims record."""
+    view: dict[str, list[tuple[int, str]]] = {}
     for (origin, key), rec in sorted(db.records.items()):
         if key != CLAIMS_KEY:
             continue
-        for rid, (status, stamp) in decode_claims(rec.payload).items():
-            view.setdefault(rid, []).append((origin, status, stamp))
+        for rid, status in decode_claims(rec.payload).items():
+            view.setdefault(rid, []).append((origin, status))
     return view
 
 
-def roi_open_for(robot_id: int, roi_id: str, view: dict[str, list[tuple[int, str, int]]]) -> bool:
+def roi_open_for(robot_id: int, roi_id: str, view: dict[str, list[tuple[int, str]]]) -> bool:
     """Open = not claimed or visited by anyone, not failed by this robot."""
-    for other, status, _ in view.get(roi_id, []):
+    for other, status in view.get(roi_id, []):
         if status in (VISITED, CLAIMED):
             return False
         if status == FAILED and other == robot_id:
@@ -173,7 +179,7 @@ def roi_open_for(robot_id: int, roi_id: str, view: dict[str, list[tuple[int, str
 def choose_goal(
     robot_id: int,
     rois: list[ROI],
-    view: dict[str, list[tuple[int, str, int]]],
+    view: dict[str, list[tuple[int, str]]],
     plan_to,
 ) -> tuple[ROI, PlanResult] | None:
     """Cheapest-plan open ROI, or None (idle) when nothing is plannable.
@@ -211,45 +217,44 @@ class MissionController:
     phase: str = "idle"
     current_roi: ROI | None = None
     pending_plan: PlanResult | None = None
-    claims: dict[str, tuple[str, int]] = field(default_factory=dict)
+    claims: dict[str, str] = field(default_factory=dict)
     failures: list[tuple[str, int]] = field(default_factory=list)
-    last_map_version: int = -1
-    last_view_digest: tuple = ()
+    last_wake_version: int = -1  # db.version when idle last turned to selecting
     last_select_tick: int = -(10**9)
-    _view_cache_key: tuple = ()
-    _view_cache: dict = field(default_factory=dict)
+    _view_version: int = -1
+    _view: dict = field(default_factory=dict)
 
     def publish_claims(self, db: Database) -> None:
         db.put_local(CLAIMS_KEY, encode_claims(self.claims))
 
-    def _claims_view(self, db: Database) -> dict[str, list[tuple[int, str, int]]]:
-        """merged_claim_view, recomputed only when a claims record advances."""
-        digest = tuple(
-            sorted((origin, rec.seq) for (origin, key), rec in db.records.items() if key == CLAIMS_KEY)
-        )
-        if digest != self._view_cache_key:
-            self._view_cache_key = digest
-            self._view_cache = merged_claim_view(db)
-        return self._view_cache
+    def _claims_view(self, db: Database) -> dict[str, list[tuple[int, str]]]:
+        """merged_claim_view, recomputed only when the replica has changed."""
+        if db.version != self._view_version:
+            self._view_version = db.version
+            self._view = merged_claim_view(db)
+        return self._view
 
     def tick(
         self,
         now: int,
         db: Database,
-        map_version: int,
         rois: list[ROI],
         plan_to,
         tracker_phase: str | None,
     ) -> list[dict]:
         """One mission step. Returns event dicts; sets ``pending_plan`` when
         the engine should start tracking a fresh plan, clears
-        ``current_roi`` when it should stop."""
+        ``current_roi`` when it should stop.
+
+        ``rois`` come from the newest map ``db`` holds: a replica holds only
+        map and claims records, so ``db.version`` moves whenever either does.
+        """
         events: list[dict] = []
         view = self._claims_view(db)
 
         if self.phase in ("planning", "navigating") and self.current_roi is not None:
             rid = self.current_roi.roi_id
-            rivals = [o for o, status, _ in view.get(rid, []) if status == CLAIMED and o != self.robot_id]
+            rivals = [o for o, status in view.get(rid, []) if status == CLAIMED and o != self.robot_id]
             if rivals and min(rivals) < self.robot_id:
                 # simultaneous claim discovered: lower id keeps it
                 self.claims.pop(rid, None)
@@ -261,13 +266,8 @@ class MissionController:
                 return events
 
         if self.phase == "idle":
-            if (
-                map_version != self.last_map_version
-                or self._view_cache_key != self.last_view_digest
-                or now - self.last_select_tick >= RESELECT_PERIOD
-            ):
-                self.last_map_version = map_version
-                self.last_view_digest = self._view_cache_key
+            if db.version != self.last_wake_version or now - self.last_select_tick >= RESELECT_PERIOD:
+                self.last_wake_version = db.version
                 self._set_phase("selecting", now, events)
             return events
 
@@ -280,7 +280,7 @@ class MissionController:
             roi, result = choice
             self.current_roi = roi
             self.pending_plan = result
-            self.claims[roi.roi_id] = (CLAIMED, now)
+            self.claims[roi.roi_id] = CLAIMED
             self.publish_claims(db)
             events.append(self._ev(now, "claimed", roi.roi_id))
             self._set_phase("planning", now, events)
@@ -294,14 +294,14 @@ class MissionController:
         if self.phase == "navigating":
             if tracker_phase == "done":
                 rid = self.current_roi.roi_id
-                self.claims[rid] = (VISITED, now)
+                self.claims[rid] = VISITED
                 self.publish_claims(db)
                 events.append(self._ev(now, "visited", rid))
                 self.current_roi = None
                 self._set_phase("idle", now, events)
             elif tracker_phase == "cancelled":
                 rid = self.current_roi.roi_id
-                self.claims[rid] = (FAILED, now)
+                self.claims[rid] = FAILED
                 self.failures.append((rid, now))
                 self.publish_claims(db)
                 events.append(self._ev(now, "failed", rid))

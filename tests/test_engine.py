@@ -17,7 +17,7 @@ import semteam
 from semteam import aerial, engine, gossip, localize, mission, planner, tracker
 from semteam.aerial import MapAccumulator, decode_snapshot, encode_snapshot, full_view_keyframe
 from semteam.config import ConfigError, ScenarioConfig
-from semteam.engine import MAP_KEY, POSE_PERIOD, Simulation, resolve_world
+from semteam.engine import MAP_KEY, MAP_ORIGIN, POSE_PERIOD, Simulation, resolve_world
 from semteam.gossip import DbRecord
 from semteam.standard import build_standard_world
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, world_to_text
@@ -190,6 +190,41 @@ class TestReplicas:
             assert {key for _, key in agent.db.records} == {"map", "claims"}, agent.id
 
 
+def test_claims_view_cache_matches_a_fresh_merge():
+    """On every mission tick of a 3-robot run whose gossip partitions the
+    team, the claims view the mission reads equals a fresh merge of the
+    robot's replica."""
+    cfg = small_config(n_ground=3, comm_range=8.0)
+    sim = Simulation(cfg, world=small_world())
+    raw = mission.MissionController._claims_view
+    checks = []
+
+    def claims_view(ctrl, db):
+        view = raw(ctrl, db)
+        checks.append(view == mission.merged_claim_view(db))
+        return view
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission.MissionController, "_claims_view", claims_view)
+        sim.run()
+    assert sim.mission_complete()
+    mission_ticks = sim.tick_count - cfg.mission.warmup_ticks
+    assert len(checks) == 3 * mission_ticks and all(checks)
+    # the robots claimed apart and met later
+    assert sum(json.loads(line)["ev"] == "claim_released" for line in sim.events) >= 1
+
+
+def test_preloaded_map_without_an_aerial_robot(tmp_path):
+    world = small_world()
+    sim = Simulation(small_config(n_aerial=0), world=world)
+    report = sim.run(tmp_path)
+    assert report.duration_s is not None
+    for g in sim.ground_agents:
+        assert g.db.get(MAP_ORIGIN, MAP_KEY).seq == g.map_seq == 1
+        assert np.array_equal(g.map.classes, world.truth.classes) and g.map.observed.all()
+    assert not (tmp_path / "map_final.bin").exists()
+
+
 def roadmap_state_hash(roadmap, vis) -> str:
     """sha256 over nodes, edges with weights, adjacency, visible cells and cover."""
     state = (
@@ -262,10 +297,10 @@ class TestTeamMaps:
                 assert roadmap_state_hash(g.products.roadmap, g.products.vis) == before[g.id], (tick, g.id)
             for g in (a, b, c):
                 if g.products is not None:
-                    seqs = tuple(seq_ for _, seq_ in g.products.chain)
-                    assert roadmap_state_hash(g.products.roadmap, g.products.vis) == solo_hash(seqs), (tick, g.id)
+                    state = roadmap_state_hash(g.products.roadmap, g.products.vis)
+                    assert state == solo_hash(g.products.chain), (tick, g.id)
             assert cache_holds_only_held(sim), tick
-        full, skipped = ((0, 1), (0, 2), (0, 3)), ((0, 1), (0, 3))
+        full, skipped = (1, 2, 3), (1, 3)
         assert [g.products.chain for g in (a, b, c)] == [full, skipped, full]
         assert a.products is c.products
         assert a.map is b.map is c.map
@@ -443,6 +478,28 @@ def test_engine_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     assert out.stdout.strip() == "[]"
+
+
+#: modules below the engine, which take plain values and never a config
+LOWER_MODULES = ("world", "geometry", "localize", "planner", "tracker", "mission", "aerial", "gossip")
+
+
+def test_lower_modules_load_neither_config_nor_scipy():
+    src = str(Path(semteam.__file__).resolve().parents[1])
+    code = (
+        "import importlib, sys\n"
+        f"for name in {LOWER_MODULES!r}:\n"
+        "    importlib.import_module('semteam.' + name)\n"
+        "    bad = sorted(m for m in sys.modules if m == 'semteam.config' or m.split('.')[0] == 'scipy')\n"
+        "    if bad:\n"
+        "        print(name, bad)\n"
+        "        break\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == ""
 
 
 class TestWaypointMission:

@@ -1,7 +1,8 @@
 """The array kernels of the scan and filter hot path give exactly the floats
 of their step-by-step loop versions, which are kept here as references, the
-batched supercover minimum gives exactly the per-segment one, and the
-planner's distance transform gives exactly SciPy's.
+batched supercover minimum gives exactly the per-segment one, the
+planner's distance transform gives exactly SciPy's, and ROI clustering
+gives the clusters of an all-pairs union-find.
 
 The array code does the same arithmetic in the same order, so every result
 is compared for equality (bit for bit where floats are involved), never
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
-from semteam import geometry, planner
+from semteam import geometry, mission, planner
 from semteam.geometry import segment_cells, segments_min_value
 from semteam.localize import FREE_LAYER, ParticleSet, PolarObservation, match_costs, match_table
 from semteam.world import Scan, SemanticClass, SemanticGridMap, ground_scan, traversable, traversable_mask
@@ -188,6 +189,32 @@ def ref_close(mask, radius):
     if dilated.all():
         return dilated
     return distance_transform_edt(dilated) > radius
+
+
+def ref_clusters(grid_map, cluster_radius):
+    """Single-linkage clusters of vehicle cells as sorted cell tuples: every
+    pair within the radius joined by a union-find."""
+    iys, ixs = np.nonzero(grid_map.classes == int(SemanticClass.VEHICLE))
+    n = ixs.size
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    limit2 = (cluster_radius / grid_map.resolution) ** 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (ixs[i] - ixs[j]) ** 2 + (iys[i] - iys[j]) ** 2 <= limit2:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append((int(ixs[i]), int(iys[i])))
+    return [tuple(sorted(cells)) for cells in clusters.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -710,3 +737,35 @@ class TestCloseMatchesScipy:
         mask = traversable_mask(classes)
         for radius in (1, 2, 3):
             assert np.array_equal(planner._close(mask, radius), ref_close(mask, radius))
+
+
+class TestRoiClustersMatchLoop:
+    """``extract_rois`` gives the ROIs of the all-pairs union-find clusters:
+    the same ids, members and goal cells."""
+
+    def test_random_maps(self):
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            w, h = (int(v) for v in rng.integers(4, 40, size=2))
+            res = float(rng.uniform(0.5, 2.0))
+            classes = cluttered_classes(rng, w, h, blocked=float(rng.uniform(0.05, 0.4)))
+            grid_map = make_map(classes, resolution=res)
+            radius = float(rng.uniform(0.5, 7.0))
+            grid = planner.extract_traversability(grid_map, 0)
+            want = sorted(
+                (mission.ROI(mission.roi_id_for(cells), cells, mission._goal_for_cluster(cells, grid, 3.0))
+                 for cells in ref_clusters(grid_map, radius)),
+                key=lambda r: r.roi_id,
+            )
+            got = mission.extract_rois(grid_map, radius, dilation_radius=3.0, grid=grid)
+            assert got == want
+
+    @pytest.mark.parametrize("spacing, n_rois", [(3, 2000), (2, 1)])
+    def test_lattice_of_2000_cells(self, spacing, n_rois):
+        """Cells spaced wider than the 2.5-cell radius stay apart; spaced
+        narrower, they form one ROI."""
+        classes = np.full((40 * spacing, 50 * spacing), int(SemanticClass.ROAD), dtype=np.int8)
+        classes[::spacing, ::spacing] = SemanticClass.VEHICLE
+        rois = mission.extract_rois(make_map(classes), 2.5, dilation_radius=3.0, close_radius=0)
+        assert len(rois) == n_rois
+        assert sum(len(r.member_cells) for r in rois) == 2000

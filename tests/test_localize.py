@@ -20,6 +20,9 @@ from semteam.localize import (
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, ground_scan
 from test_kernel_reference import pairs_of, scan_of
 
+#: the scenario's default likelihood temperature
+TEMPERATURE = LocalizerConfig().temperature
+
 
 def make_map(classes, resolution=1.0, origin=(0.0, 0.0), observed=None):
     classes = np.asarray(classes, dtype=np.int8)
@@ -90,7 +93,6 @@ def run_loop_sim(
     world = ring_world()
     grid = world.truth
     rng = np.random.default_rng(seed)
-    params = LocalizerConfig()
     table = match_table(grid)
 
     true_pose = rect_path_pose(0.0)
@@ -118,7 +120,7 @@ def run_loop_sim(
         if tick % scan_every == 0:
             scan = ground_scan(grid, true_pose, 15.0, 36)
             obs = PolarObservation.from_scan(scan, 36, 10, 15.0)
-            particles, est, _ = update_and_resample(particles, obs, grid, params, rng, table)
+            particles, est, _ = update_and_resample(particles, obs, grid, TEMPERATURE, rng, table)
         filter_err.append(math.hypot(est[0] - true_pose[0], est[1] - true_pose[1]))
         dr_err.append(math.hypot(dr[0] - true_pose[0], dr[1] - true_pose[1]))
     return np.array(filter_err), np.array(dr_err)
@@ -355,7 +357,7 @@ class TestUpdateResample:
         ps = init_filter((16, 16, 0), 64, (2, 2, 0.2), rng)
         ps.weights = rng.random(64)
         ps.weights /= ps.weights.sum()
-        out, _, info = update_and_resample(ps, obs, grid, LocalizerConfig(), rng, match_table(grid))
+        out, _, info = update_and_resample(ps, obs, grid, TEMPERATURE, rng, match_table(grid))
         if not info.resampled:
             np.testing.assert_allclose(out.weights, ps.weights, atol=1e-12)
 
@@ -372,7 +374,7 @@ class TestUpdateResample:
         xs[17], ys[17], yaws[17] = true_pose
         ps = ParticleSet(xs, ys, yaws, np.full(n, 1.0 / n))
         out, est, info = update_and_resample(
-            ps, obs, grid, LocalizerConfig(temperature=0.05), np.random.default_rng(13), match_table(grid)
+            ps, obs, grid, 0.05, np.random.default_rng(13), match_table(grid)
         )
         assert est[0] == pytest.approx(true_pose[0], abs=0.5)
         assert est[1] == pytest.approx(true_pose[1], abs=0.5)
@@ -387,7 +389,7 @@ class TestUpdateResample:
             pose = rect_path_pose(k * 0.5)
             obs = scan_obs(grid, pose)
             ps = predict(ps, OdomDelta(0.5, 0, 0), (0.05, 0.05, 0.01), rng)
-            ps, _, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng, table)
+            ps, _, _ = update_and_resample(ps, obs, grid, TEMPERATURE, rng, table)
             assert ps.n == 200
             assert ps.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -415,7 +417,7 @@ class TestUpdateResample:
                 )
                 ps = predict(ps, delta, (0.02, 0.02, 0.005), rng)
                 obs = scan_obs(grid, cur)
-                ps, est, _ = update_and_resample(ps, obs, grid, LocalizerConfig(), rng, table)
+                ps, est, _ = update_and_resample(ps, obs, grid, TEMPERATURE, rng, table)
                 errs.append(math.hypot(est[0] - cur[0], est[1] - cur[1]))
             if errs[-1] < 1.0:
                 passed += 1

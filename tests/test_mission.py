@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semteam.gossip import Database, sync_pair
+from semteam.gossip import Database, DbRecord, sync_pair
 from semteam.mission import (
     CLAIMED,
     FAILED,
@@ -110,7 +110,7 @@ class TestChooseGoal:
 
     def test_claimed_by_other_robot_yields_none(self):
         rois = self.rois()[:1]
-        view = {"aaa": [(1, CLAIMED, 5)]}
+        view = {"aaa": [(1, CLAIMED)]}
         assert choose_goal(0, rois, view, plan_cost_fn({(6, 5): 10.0})) is None
 
     def test_cheaper_plan_wins(self):
@@ -122,12 +122,12 @@ class TestChooseGoal:
         assert out[0].roi_id == "aaa"
 
     def test_own_failure_excluded_but_open_for_others(self):
-        view = {"aaa": [(0, FAILED, 9)]}
+        view = {"aaa": [(0, FAILED)]}
         assert not roi_open_for(0, "aaa", view)
         assert roi_open_for(1, "aaa", view)
 
     def test_visited_closed_for_everyone(self):
-        view = {"aaa": [(1, VISITED, 9)]}
+        view = {"aaa": [(1, VISITED)]}
         assert not roi_open_for(0, "aaa", view)
         assert not roi_open_for(1, "aaa", view)
 
@@ -139,9 +139,9 @@ class TestMissionController:
         rois = [ROI("aaa", ((5, 5),), (6, 5)), ROI("bbb", ((20, 20),), (21, 20))]
         return ctrl, db, rois
 
-    def run_tick(self, ctrl, db, rois, now=0, version=1, costs=None, tracker=None):
+    def run_tick(self, ctrl, db, rois, now=0, costs=None, tracker=None):
         costs = costs if costs is not None else {(6, 5): 5.0, (21, 20): 9.0}
-        return ctrl.tick(now, db, version, rois, plan_cost_fn(costs), tracker)
+        return ctrl.tick(now, db, rois, plan_cost_fn(costs), tracker)
 
     def test_idle_to_claim_flow(self):
         ctrl, db, rois = self.setup_controller()
@@ -150,7 +150,7 @@ class TestMissionController:
         self.run_tick(ctrl, db, rois, now=1)
         assert ctrl.phase == "planning"
         assert ctrl.current_roi.roi_id == "aaa"
-        assert decode_claims(db.get(0, "claims").payload)["aaa"][0] == CLAIMED
+        assert decode_claims(db.get(0, "claims").payload)["aaa"] == CLAIMED
         self.run_tick(ctrl, db, rois, now=2)
         assert ctrl.phase == "navigating"
 
@@ -160,7 +160,7 @@ class TestMissionController:
             self.run_tick(ctrl, db, rois, now=now)
         events = self.run_tick(ctrl, db, rois, now=3, tracker="done")
         assert ctrl.phase == "idle"
-        assert decode_claims(db.get(0, "claims").payload)["aaa"][0] == VISITED
+        assert decode_claims(db.get(0, "claims").payload)["aaa"] == VISITED
         assert any(e["ev"] == "visited" for e in events)
 
     def test_cancellation_publishes_failed_and_opens_for_others(self):
@@ -169,7 +169,7 @@ class TestMissionController:
             self.run_tick(ctrl, db, rois, now=now)
         self.run_tick(ctrl, db, rois, now=3, tracker="cancelled")
         assert ctrl.phase == "idle"
-        assert decode_claims(db.get(0, "claims").payload)["aaa"][0] == FAILED
+        assert decode_claims(db.get(0, "claims").payload)["aaa"] == FAILED
         assert ctrl.failures == [("aaa", 3)]
 
         other = Database(owner=1)
@@ -180,12 +180,15 @@ class TestMissionController:
 
     def test_new_map_version_reselects_from_idle(self):
         ctrl, db, rois = self.setup_controller()
+        db.merge([DbRecord(origin=9, key="map", seq=1, payload=b"v1")])
         # an empty world first: nothing to choose, back to idle
-        self.run_tick(ctrl, db, [], now=0, version=1)
-        self.run_tick(ctrl, db, [], now=1, version=1)
+        self.run_tick(ctrl, db, [], now=0)
+        self.run_tick(ctrl, db, [], now=1)
+        self.run_tick(ctrl, db, [], now=2)
         assert ctrl.phase == "idle"
-        # revealing a new ROI triggers selection again
-        events = self.run_tick(ctrl, db, rois, now=2, version=2)
+        # a new map record revealing a new ROI triggers selection again
+        db.merge([DbRecord(origin=9, key="map", seq=2, payload=b"v2")])
+        events = self.run_tick(ctrl, db, rois, now=3)
         assert ctrl.phase == "selecting"
         assert any(e["ev"] == "phase" for e in events)
 
@@ -206,13 +209,13 @@ class TestMissionController:
         assert any(e["ev"] == "claim_released" for e in ev_b)
         sync_pair(db_a, db_b)
         view = merged_claim_view(db_b)
-        claimers = [o for o, s, _ in view["aaa"] if s == CLAIMED]
+        claimers = [o for o, s in view["aaa"] if s == CLAIMED]
         assert claimers == [0]
 
     def test_never_selects_own_closed_rois(self):
         ctrl, db, rois = self.setup_controller()
-        ctrl.claims["aaa"] = (FAILED, 0)
-        ctrl.claims["bbb"] = (VISITED, 0)
+        ctrl.claims["aaa"] = FAILED
+        ctrl.claims["bbb"] = VISITED
         ctrl.publish_claims(db)
         self.run_tick(ctrl, db, rois, now=1)
         assert ctrl.phase == "selecting"
