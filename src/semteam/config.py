@@ -7,6 +7,7 @@ modules that read them."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -168,7 +169,10 @@ class ScenarioConfig:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or a finite float; JSON's ``NaN`` and ``Infinity`` are not numbers here."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _numbers(n: int):

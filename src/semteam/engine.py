@@ -55,17 +55,6 @@ PROCESS_NOISE = (0.05, 0.05, 0.01)
 VISIT_RADIUS = 5.0  # m, truth-side distance within which a visit reaches a target
 
 
-def inject_odometry_noise(delta: localize.OdomDelta, rng: np.random.Generator) -> localize.OdomDelta:
-    """Ground-truth motion plus zero-mean Gaussian noise of ``ODOM_SIGMA``
-    per component."""
-    sx, sy, syaw = ODOM_SIGMA
-    return localize.OdomDelta(
-        forward=delta.forward + rng.normal(0.0, sx),
-        lateral=delta.lateral + rng.normal(0.0, sy),
-        dyaw=delta.dyaw + rng.normal(0.0, syaw),
-    )
-
-
 def resolve_world(spec: str) -> WorldModel:
     if spec == "standard":
         return build_standard_world()
@@ -179,28 +168,27 @@ class AerialAgent:
         self.world = world
         self.waypoints = boustrophedon(world, cfg.aerial.altitude)
         self.wp_index = 0
-        x, y = cfg.start
-        self.true_pose = np.array([x, y, cfg.aerial.altitude, 0.0])
+        x, y = map(float, cfg.start)
+        self.true_pose = (x, y, float(cfg.aerial.altitude), 0.0)
         self.db = gossip.Database(owner=robot_id)
         self.acc = am.MapAccumulator.like(world.truth)
         self.last_kf_pose = None
         self.events: list[dict] = []
 
     def integrate(self, dt: float) -> None:
+        x, y, altitude, yaw = self.true_pose
         tx, ty = self.waypoints[self.wp_index]
-        dx, dy = tx - self.true_pose[0], ty - self.true_pose[1]
+        dx, dy = tx - x, ty - y
         dist = math.hypot(dx, dy)
         step = self.cfg.aerial.speed * dt
         if dist <= step:
-            self.true_pose[0], self.true_pose[1] = tx, ty
+            self.true_pose = (tx, ty, altitude, yaw)
             self.wp_index = (self.wp_index + 1) % len(self.waypoints)
         else:
-            self.true_pose[0] += dx / dist * step
-            self.true_pose[1] += dy / dist * step
-            self.true_pose[3] = math.atan2(dy, dx)
+            self.true_pose = (x + dx / dist * step, y + dy / dist * step, altitude, math.atan2(dy, dx))
 
     def autonomy(self, tick: int) -> None:
-        pose = tuple(self.true_pose)
+        pose = self.true_pose
         kf = am.maybe_create_keyframe(
             pose, self.last_kf_pose, KEYFRAME_THRESHOLD, world=self.world, fov_half_angle=FOV_HALF_ANGLE
         )
@@ -229,7 +217,7 @@ class GroundAgent:
         # staging: an L around the start corner so every robot keeps nearby
         # structure in scan range while its filter converges
         idx = robot_id - cfg.n_aerial
-        x, y = cfg.start
+        x, y = map(float, cfg.start)
         yaw = START_YAW
         if idx > 0:
             if idx % 2 == 1:
@@ -238,7 +226,7 @@ class GroundAgent:
             else:
                 y += START_SPACING * (idx // 2)
                 yaw = math.pi / 2
-        self.true_pose = np.array([x, y, 0.0, yaw])
+        self.true_pose = (x, y, yaw)
         self.command = (0.0, 0.0)
         self.distance = 0.0
         self.moving = False
@@ -250,19 +238,18 @@ class GroundAgent:
         r = err * math.sqrt(init_rng.uniform()) if err > 0 else 0.0
         theta = init_rng.uniform(0.0, 2.0 * math.pi)
         # position estimate degraded up to init_error; orientation known
-        guess = (x + r * math.cos(theta), y + r * math.sin(theta), float(self.true_pose[3]))
+        guess = (x + r * math.cos(theta), y + r * math.sin(theta), yaw)
         self.particles = localize.init_filter(
             guess, cfg.localizer.n_particles, cfg.localizer.init_spread, self.filter_rng
         )
-        self.believed = np.array(guess)
-        self.dr_pose = np.array(guess)
+        self.believed = self.dr_pose = guess
         self.last_update = localize.UpdateInfo(ess=float(cfg.localizer.n_particles), resampled=False, diverged=False)
 
         self.db = gossip.Database(owner=robot_id)
         self.local_grid = trk.LocalObstacleGrid.create(LOCAL_GRID_SIDE, world.truth.resolution)
         # the last scan put in the local grid, and the belief it went in at
         self._grid_scan: Scan | None = None
-        self._grid_belief: bytes | None = None
+        self._grid_belief: tuple[float, float, float] | None = None
         self.tracker_state: trk.TrackerState | None = None
         self.mission = msn.MissionController(robot_id=robot_id)
         self.map: SemanticGridMap | None = None
@@ -284,41 +271,34 @@ class GroundAgent:
 
     def integrate(self, dt: float) -> None:
         v, w = self.command
-        x, y, _, yaw = self.true_pose.tolist()
+        x, y, yaw = self.true_pose
         nx, ny = x + v * math.cos(yaw) * dt, y + v * math.sin(yaw) * dt
         truth = self.world.truth
         # the map edge stops the robot as a wall would: it turns in place
         if not truth.in_bounds(*truth.cell_of(nx, ny)):
             nx, ny, v = x, y, 0.0
-        self.true_pose[0] = nx
-        self.true_pose[1] = ny
-        self.true_pose[3] = wrap_angle(yaw + w * dt)
+        self.true_pose = (nx, ny, wrap_angle(yaw + w * dt))
         self.distance += abs(v) * dt
         self.moving = abs(v) > 1e-6 or abs(w) > 1e-6
 
-    def odometry(self, prev_pose: np.ndarray) -> None:
-        dxw = self.true_pose[0] - prev_pose[0]
-        dyw = self.true_pose[1] - prev_pose[1]
-        c, s = math.cos(prev_pose[3]), math.sin(prev_pose[3])
-        exact = localize.OdomDelta(
-            forward=c * dxw + s * dyw,
-            lateral=-s * dxw + c * dyw,
-            dyaw=float(self.true_pose[3] - prev_pose[3]),
-        )
-        # wheel odometry reports zero when parked; noise accompanies motion
+    def odometry(self, prev_pose: tuple[float, float, float]) -> None:
+        px, py, pyaw = prev_pose
+        x, y, yaw = self.true_pose
+        dxw, dyw = x - px, y - py
+        c, s = math.cos(pyaw), math.sin(pyaw)
+        forward, lateral, dyaw = c * dxw + s * dyw, -s * dxw + c * dyw, yaw - pyaw
+        # wheel odometry reports zero when parked; zero-mean Gaussian noise
+        # of ODOM_SIGMA accompanies motion
         if self.moving:
-            delta = inject_odometry_noise(exact, self.odom_rng)
-        else:
-            delta = exact
+            sx, sy, syaw = ODOM_SIGMA
+            forward += self.odom_rng.normal(0.0, sx)
+            lateral += self.odom_rng.normal(0.0, sy)
+            dyaw += self.odom_rng.normal(0.0, syaw)
+        delta = localize.OdomDelta(forward=forward, lateral=lateral, dyaw=dyaw)
         # dead reckoning integrates the identical noisy stream
-        c, s = math.cos(self.dr_pose[2]), math.sin(self.dr_pose[2])
-        self.dr_pose = self.dr_pose + np.array(
-            [
-                c * delta.forward - s * delta.lateral,
-                s * delta.forward + c * delta.lateral,
-                delta.dyaw,
-            ]
-        )
+        x, y, yaw = self.dr_pose
+        c, s = math.cos(yaw), math.sin(yaw)
+        self.dr_pose = (x + (c * forward - s * lateral), y + (s * forward + c * lateral), yaw + dyaw)
         # process noise accompanies motion; re-diffusing a parked cloud only
         # impoverishes the particle set
         noise = PROCESS_NOISE if self.moving else (0.0, 0.0, 0.0)
@@ -327,24 +307,19 @@ class GroundAgent:
         # from it when predict first returned it, and has not moved since
         if particles is not self.particles:
             self.particles = particles
-            self.believed = np.array(localize.weighted_mean_pose(particles))
+            self.believed = localize.weighted_mean_pose(particles)
 
     def autonomy(self, tick: int) -> None:
         cfg = self.cfg
         truth = self.world.truth
         if tick % SCAN_PERIOD_TICKS == 0:
-            scan = ground_scan(
-                truth,
-                (self.true_pose[0], self.true_pose[1], self.true_pose[3]),
-                SCAN_MAX_RANGE,
-                SCAN_BEAMS,
-            )
+            scan = ground_scan(truth, self.true_pose, SCAN_MAX_RANGE, SCAN_BEAMS)
             obs = localize.PolarObservation.from_scan(scan, max_range=SCAN_MAX_RANGE, free_margin=truth.resolution)
             # measurement updates are gated on motion: stationary re-scans of
             # the same scene add no information and let resampling noise
             # collapse the cloud onto corridor aliases
             if self.map is not None and self.moving:
-                self.particles, est, self.last_update = localize.update_and_resample(
+                self.particles, self.believed, self.last_update = localize.update_and_resample(
                     self.particles,
                     obs,
                     self.map,
@@ -352,19 +327,13 @@ class GroundAgent:
                     self.filter_rng,
                     self.products.match_table,
                 )
-                self.believed = np.array(est)
             # the grid takes each cell the scan touches by assignment, and
             # recentering on the same pose does nothing, so the same scan at
-            # the same belief leaves it as it is
-            belief = self.believed.tobytes()
-            if scan is not self._grid_scan or belief != self._grid_belief:
-                self._grid_scan, self._grid_belief = scan, belief
-                trk.integrate_scan(
-                    self.local_grid,
-                    scan,
-                    (self.believed[0], self.believed[1], self.believed[2]),
-                    SCAN_MAX_RANGE,
-                )
+            # the same belief leaves it as it is (a 0.0 and a -0.0 belief put
+            # the same cells in the grid)
+            if scan is not self._grid_scan or self.believed != self._grid_belief:
+                self._grid_scan, self._grid_belief = scan, self.believed
+                trk.integrate_scan(self.local_grid, scan, self.believed, SCAN_MAX_RANGE)
 
         self._ingest_map(tick)
         if self._wp_script is not None:
@@ -379,11 +348,7 @@ class GroundAgent:
         if self.tracker_state is not None and self.tracker_state.phase not in ("cancelled", "done"):
             before_bt = self.tracker_state.n_backtracks
             before_cx = self.tracker_state.n_cancellations
-            self.command, self.tracker_state = trk.step(
-                self.tracker_state,
-                self.local_grid,
-                (self.believed[0], self.believed[1], self.believed[2]),
-            )
+            self.command, self.tracker_state = trk.step(self.tracker_state, self.local_grid, self.believed)
             self.backtracks += self.tracker_state.n_backtracks - before_bt
             self.cancellations += self.tracker_state.n_cancellations - before_cx
         else:
@@ -419,7 +384,7 @@ class GroundAgent:
 
     def _plan_to(self, goal_cell):
         """Plan on the held products; only their ROIs call this, so they exist."""
-        start = self.map.cell_of(self.believed[0], self.believed[1])
+        start = self.map.cell_of(*self.believed[:2])
         if not self.map.in_bounds(*start):
             return pln.PlanResult(ok=False, reason="unmapped")
         p = self.products
@@ -518,11 +483,12 @@ class Simulation:
         self.tick_count = 0
 
         self.team_maps = TeamMaps(config)
-        self.agents: list = []
-        for rid in range(config.n_aerial):
-            self.agents.append(AerialAgent(rid, config, self.world))
-        for k in range(config.n_ground):
-            self.agents.append(GroundAgent(config.n_aerial + k, config, self.world, config.seed, self.team_maps))
+        self.agents: list = [AerialAgent(rid, config, self.world) for rid in range(config.n_aerial)]
+        self.ground_agents = [
+            GroundAgent(config.n_aerial + k, config, self.world, config.seed, self.team_maps)
+            for k in range(config.n_ground)
+        ]
+        self.agents += self.ground_agents
 
         if config.initial_map == "full":
             # the aerial robot's own map starts complete, so that none of the
@@ -547,22 +513,18 @@ class Simulation:
 
         self.events: list[str] = []
         self.pose_rows: list[str] = []
-        self.loc_err: dict[int, list[float]] = {a.id: [] for a in self.agents if a.kind == "ground"}
-        self.dr_err: dict[int, list[float]] = {a.id: [] for a in self.agents if a.kind == "ground"}
-
-    @property
-    def ground_agents(self) -> list[GroundAgent]:
-        return [a for a in self.agents if a.kind == "ground"]
+        self.loc_err: dict[int, list[float]] = {a.id: [] for a in self.ground_agents}
+        self.dr_err: dict[int, list[float]] = {a.id: [] for a in self.ground_agents}
 
     def tick(self) -> None:
         t = self.tick_count
         # (1) kinematics
-        prev = {a.id: a.true_pose.copy() for a in self.agents}
+        prev = [a.true_pose for a in self.ground_agents]
         for agent in self.agents:
             agent.integrate(self.dt)
         # (2) noisy odometry
-        for agent in self.ground_agents:
-            agent.odometry(prev[agent.id])
+        for agent, pose in zip(self.ground_agents, prev):
+            agent.odometry(pose)
         # (3)+(4) sensing and autonomy, ascending id
         for agent in self.agents:
             agent.autonomy(t)
@@ -592,25 +554,20 @@ class Simulation:
                         )
         # (6) per-tick bookkeeping
         for agent in self.ground_agents:
-            err = math.hypot(
-                agent.believed[0] - agent.true_pose[0], agent.believed[1] - agent.true_pose[1]
-            )
-            self.loc_err[agent.id].append(err)
-            self.dr_err[agent.id].append(
-                math.hypot(agent.dr_pose[0] - agent.true_pose[0], agent.dr_pose[1] - agent.true_pose[1])
-            )
+            x, y, yaw = agent.true_pose
+            bx, by, byaw = agent.believed
+            rx, ry, ryaw = agent.dr_pose
+            self.loc_err[agent.id].append(math.hypot(bx - x, by - y))
+            self.dr_err[agent.id].append(math.hypot(rx - x, ry - y))
             if t % POSE_PERIOD == 0:
                 self.pose_rows.append(
-                    f"{t},{agent.id},"
-                    f"{agent.believed[0]:.4f},{agent.believed[1]:.4f},{agent.believed[2]:.5f},"
-                    f"{agent.true_pose[0]:.4f},{agent.true_pose[1]:.4f},{agent.true_pose[3]:.5f},"
-                    f"{agent.dr_pose[0]:.4f},{agent.dr_pose[1]:.4f},{agent.dr_pose[2]:.5f},"
-                    f"{agent.last_update.ess:.2f},{int(agent.last_update.diverged)}"
+                    f"{t},{agent.id},{bx:.4f},{by:.4f},{byaw:.5f},{x:.4f},{y:.4f},{yaw:.5f},"
+                    f"{rx:.4f},{ry:.4f},{ryaw:.5f},{agent.last_update.ess:.2f},{int(agent.last_update.diverged)}"
                 )
         self.tick_count += 1
 
     def _check_true_visit(self, ev: dict, agent: GroundAgent) -> None:
-        x, y = agent.true_pose[0], agent.true_pose[1]
+        x, y, _ = agent.true_pose
         res = self.world.truth.resolution
         ox, oy = self.world.truth.origin_x, self.world.truth.origin_y
         for target in self.true_targets:

@@ -173,7 +173,7 @@ def init_filter(
     ys = y0 + rng.normal(0.0, max(sy, 0.0), n_particles)
     yaws = wrap_angle(yaw0 + rng.normal(0.0, max(syaw, 0.0), n_particles))
     weights = np.full(n_particles, 1.0 / n_particles)
-    return ParticleSet(xs, ys, np.atleast_1d(yaws), weights)
+    return ParticleSet(xs, ys, yaws, weights)
 
 
 def predict(

@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * a cell index is an ``(ix, iy)`` pair; column ``ix`` spans world x
 * cell ``(ix, iy)`` covers ``[origin + i*res, origin + (i+1)*res)`` on each
   axis, so its center is ``origin + (i + 0.5) * res``
+* a ground robot's pose is a tuple of Python floats ``(x, y, yaw)``; the
+  aerial robot's is ``(x, y, altitude, yaw)``
 """
 
 from __future__ import annotations
@@ -170,6 +172,8 @@ def parse_world(text: str) -> WorldModel:
         resolution, origin_x, origin_y = (float(t) for t in header[2:])
     except ValueError as exc:
         raise WorldFormatError(f"line 1: malformed header: {exc}") from exc
+    if not all(map(math.isfinite, (resolution, origin_x, origin_y))):
+        raise WorldFormatError("line 1: resolution and origin must be finite")
     if width <= 0 or height <= 0 or resolution <= 0:
         raise WorldFormatError("line 1: width, height and resolution must be positive")
 

@@ -396,7 +396,7 @@ class TestParkedRobots:
         grid = g.local_grid
         return (
             p.xs.tobytes(), p.ys.tobytes(), p.yaws.tobytes(), p.weights.tobytes(),
-            g.believed.tobytes(), g.dr_pose.tobytes(),
+            np.array(g.believed).tobytes(), np.array(g.dr_pose).tobytes(),
             grid.cells.tobytes(), grid.origin_x, grid.origin_y,
             repr(g.filter_rng.bit_generator.state),
         )
@@ -468,6 +468,29 @@ class TestParkedRobots:
         assert ref_calls["integrate_scan"] - calls["integrate_scan"] >= 2 * (parked_scans - 1)
         assert calls["sync_pair"] < ref_calls["sync_pair"]
         assert any(json.loads(line)["ev"] == "sync" for line in events)
+
+
+def test_every_pose_is_a_tuple_of_floats():
+    """Ground poses are ``(x, y, yaw)`` and the aerial pose ``(x, y, altitude,
+    yaw)``, all Python floats, from set-up on and over every tick past the
+    tick-40 shake-out start and the tick-50 mission start; an integer start
+    and altitude run as their floats."""
+
+    def is_pose(pose, n):
+        return type(pose) is tuple and len(pose) == n and all(type(v) is float for v in pose)
+
+    rows = []
+    for start, altitude in (([6.0, 6.0], 15.0), ([6, 6], 15)):
+        sim = Simulation(small_config(start=start, aerial={"altitude": altitude, "speed": 3.0}), world=small_world())
+        for t in range(120):  # each check sees the poses the tick before left
+            for g in sim.ground_agents:
+                for pose in (g.true_pose, g.believed, g.dr_pose):
+                    assert is_pose(pose, 3), (start, t, g.id, pose)
+            assert is_pose(sim.agents[0].true_pose, 4), (start, t, sim.agents[0].true_pose)
+            sim.tick()
+        assert all(g.distance > 0 for g in sim.ground_agents)
+        rows.append(sim.pose_rows)
+    assert rows[0] == rows[1]
 
 
 def test_engine_import_loads_no_scipy():
@@ -586,12 +609,29 @@ class TestConfig:
             ({"n_ground": None}, "n_ground must be an integer, got None"),
             ({"localizer": {"init_spread": 0.05}}, "localizer.init_spread must be a list of 3 numbers, got 0.05"),
             ([1], "config must be an object, got list"),
+            ({"mission": {"cluster_radius": math.inf}}, "mission.cluster_radius must be a number, got inf"),
+            ({"mission": {"dilation_radius": math.inf}}, "mission.dilation_radius must be a number, got inf"),
+            ({"aerial": {"altitude": math.inf}}, "aerial.altitude must be a number, got inf"),
+            ({"localizer": {"init_error": math.inf}}, "localizer.init_error must be a number, got inf"),
+            ({"start": [math.nan, 23]}, "start must be a list of 2 numbers, got (nan, 23)"),
+            ({"tick_seconds": math.inf}, "tick_seconds must be a number, got inf"),
         ],
     )
     def test_wrong_type_is_a_config_error(self, data, problem):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(data)
         assert err.value.problems == [problem]
+
+    def test_non_finite_json_numbers_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"tick_seconds": Infinity, "start": [NaN, 23], "comm_range": -Infinity}')
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.load(path)
+        assert err.value.problems == [
+            "comm_range must be a number, got -inf",
+            "tick_seconds must be a number, got inf",
+            "start must be a list of 2 numbers, got (nan, 23)",
+        ]
 
     @pytest.mark.parametrize("name", ["init_spread"])
     def test_negative_localizer_spread_rejected(self, name):
@@ -633,3 +673,13 @@ class TestConfig:
     def test_zero_localizer_spread_accepted(self):
         cfg = ScenarioConfig.from_dict({"localizer": {"init_spread": [0.0, 0.0, 0.0]}})
         assert cfg.localizer.init_spread == (0.0, 0.0, 0.0)
+
+
+def test_digest_check_names_each_differing_line(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import output_digests
+
+    reference = output_digests.REFERENCE.read_text()
+    assert len(reference.splitlines()) == 5 * len(output_digests.FILES)
+    printed = ["a events.jsonl 11", "a poses.csv 22", "b events.jsonl 33"]
+    assert output_digests.differing(printed, "a events.jsonl 11\na poses.csv 99\n") == printed[1:]

@@ -98,6 +98,13 @@ class TestWorldFile:
         with pytest.raises(WorldFormatError, match="header"):
             parse_world("4 4 1.0\nRRRR\n")
 
+    @pytest.mark.parametrize(
+        "header", ["2 2 nan 0 0", "2 2 inf 0 0", "2 2 1.0 nan 0", "2 2 1.0 0 -inf", "2 2 1.0 inf nan"]
+    )
+    def test_non_finite_header_value(self, header):
+        with pytest.raises(WorldFormatError, match="line 1: resolution and origin must be finite"):
+            parse_world(header + "\nRR\nRR\n")
+
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(WorldFormatError, match="line 3"):
             parse_world("4 2 1.0 0.0 0.0\nRRRR\nRRR\n")

@@ -11,7 +11,10 @@ Run from the root of a checkout (takes about a minute):
     python3 tools/output_digests.py [NAME ...]
 
 Each line is ``name file sha256``. The configs come from
-``benchmark/workloads.py``.
+``benchmark/workloads.py``. After printing, the tool compares every line it
+printed with ``tools/reference_digests.txt``, names each digest that differs
+from it, and exits 1 if any does. A change that moves outputs on purpose
+re-pins that file with this tool's output and says why.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from semteam.config import ScenarioConfig  # noqa: E402
 from semteam.engine import Simulation  # noqa: E402
 
 FILES = ("events.jsonl", "poses.csv", "metrics.csv", "map_final.bin")
+REFERENCE = Path(__file__).resolve().with_name("reference_digests.txt")
 
 
 def configs(world_dir: Path) -> dict[str, dict]:
@@ -50,12 +54,26 @@ def main(names: list[str]) -> int:
         if unknown:
             print(f"unknown run(s) {sorted(unknown)}; choose from {', '.join(all_cfgs)}", file=sys.stderr)
             return 2
+        printed = []
         for name in names or all_cfgs:
             out = Path(tmp) / name
             Simulation(ScenarioConfig.from_dict(all_cfgs[name])).run(out)
             for f in FILES:
-                print(name, f, hashlib.sha256((out / f).read_bytes()).hexdigest(), flush=True)
-    return 0
+                printed.append(f"{name} {f} {hashlib.sha256((out / f).read_bytes()).hexdigest()}")
+                print(printed[-1], flush=True)
+    bad = differing(printed, REFERENCE.read_text())
+    for line in bad:
+        print("DIFFERS from reference:", line)
+    if not bad:
+        print(f"all {len(printed)} digests match {REFERENCE.name}")
+    return 1 if bad else 0
+
+
+def differing(printed: list[str], reference: str) -> list[str]:
+    """The printed ``name file sha256`` lines that are not lines of the
+    reference text: a changed digest, or a name and file it lacks."""
+    pinned = set(reference.splitlines())
+    return [line for line in printed if line not in pinned]
 
 
 if __name__ == "__main__":
