@@ -22,7 +22,7 @@ import numpy as np
 
 from semteam import aerial as am
 from semteam import gossip, localize, mission as msn, planner as pln, tracker as trk
-from semteam.config import ScenarioConfig
+from semteam.config import ConfigError, ScenarioConfig
 from semteam.geometry import wrap_angle
 from semteam.standard import build_standard_world
 from semteam.world import Scan, SemanticGridMap, WorldModel, ground_scan, load_world
@@ -382,13 +382,13 @@ class GroundAgent:
             }
         )
 
-    def _plan_to(self, goal_cell):
-        """Plan on the held products; only their ROIs call this, so they exist."""
+    def _plan_to(self, *goal_cells):
+        """Plan to the cheapest cell on the held products; only their ROIs call this."""
         start = self.map.cell_of(*self.believed[:2])
         if not self.map.in_bounds(*start):
             return pln.PlanResult(ok=False, reason="unmapped")
         p = self.products
-        return pln.plan(p.roadmap, p.vis, p.grid, start, goal_cell)
+        return pln.plan(p.roadmap, p.vis, p.grid, start, *goal_cells)
 
     def _roi_mission(self, tick: int) -> None:
         tracker_phase = self.tracker_state.phase if self.tracker_state is not None else None
@@ -489,6 +489,10 @@ class Simulation:
             for k in range(config.n_ground)
         ]
         self.agents += self.ground_agents
+        truth = self.world.truth
+        off = [a for a in self.ground_agents if not truth.in_bounds(*truth.cell_of(*a.true_pose[:2]))]
+        if off:
+            raise ConfigError([f"ground robot {a.id} stages at {a.true_pose[:2]}, outside the world" for a in off])
 
         if config.initial_map == "full":
             # the aerial robot's own map starts complete, so that none of the
@@ -630,7 +634,7 @@ class Simulation:
             duration_s=self.duration_s,
             targets_visited=len(self.visited_targets),
             n_targets=len(self.true_targets),
-            total_distance_m=sum(a.distance for a in grounds),
+            total_distance_m=sum((a.distance for a in grounds), 0.0),
             loc_err_mean=float(np.mean(all_err)) if all_err else 0.0,
             loc_err_max=float(np.max(all_err)) if all_err else 0.0,
             loc_err_early_mean=float(np.mean(early)) if early else 0.0,
@@ -645,9 +649,9 @@ class Simulation:
     def _write_outputs(self, out: Path, report: RunReport) -> None:
         out.mkdir(parents=True, exist_ok=True)
         self.cfg.save(out / "config.json")
-        (out / "events.jsonl").write_bytes(("\n".join(self.events) + "\n").encode("ascii"))
+        (out / "events.jsonl").write_bytes("".join(ev + "\n" for ev in self.events).encode("ascii"))
         header = "tick,robot,bel_x,bel_y,bel_yaw,true_x,true_y,true_yaw,dr_x,dr_y,dr_yaw,ess,diverged"
-        (out / "poses.csv").write_text(header + "\n" + "\n".join(self.pose_rows) + "\n")
+        (out / "poses.csv").write_text("".join(row + "\n" for row in [header, *self.pose_rows]))
         row = report.metrics_row()
         (out / "metrics.csv").write_text(",".join(row) + "\n" + ",".join(str(v) for v in row.values()) + "\n")
         rec = self.agents[0].db.get(MAP_ORIGIN, MAP_KEY) if self.cfg.n_aerial else None

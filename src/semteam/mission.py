@@ -177,31 +177,26 @@ def roi_open_for(robot_id: int, roi_id: str, view: dict[str, list[tuple[int, str
 
 
 def choose_goal(
-    robot_id: int,
-    rois: list[ROI],
-    view: dict[str, list[tuple[int, str]]],
-    plan_to,
+    robot_id: int, rois: list[ROI], view: dict[str, list[tuple[int, str]]], plan_to
 ) -> tuple[ROI, PlanResult] | None:
-    """Cheapest-plan open ROI, or None (idle) when nothing is plannable.
+    """Cheapest-plan open ROI, the lowest id on ties, or None (idle) when
+    nothing is plannable.
 
-    ``plan_to(goal_cell)`` must return a PlanResult from the robot's
-    current believed position.
+    One search serves each selection: ``plan_to(*goal_cells)`` is called
+    once, with the open ROIs' goal cells in ``roi_id`` order, and must return
+    the cheapest PlanResult from the robot's believed position to any of
+    them, the first on ties. The route's last cell names the ROI.
     """
-    best = None
-    for roi in rois:
-        if roi.goal_cell is None:
-            continue
-        if not roi_open_for(robot_id, roi.roi_id, view):
-            continue
-        result = plan_to(roi.goal_cell)
-        if not result.ok:
-            continue
-        key = (result.cost, roi.roi_id)
-        if best is None or key < best[0]:
-            best = (key, roi, result)
-    if best is None:
+    candidates = sorted(
+        (roi for roi in rois if roi.goal_cell is not None and roi_open_for(robot_id, roi.roi_id, view)),
+        key=lambda roi: roi.roi_id,
+    )
+    if not candidates:
         return None
-    return best[1], best[2]
+    result = plan_to(*(roi.goal_cell for roi in candidates))
+    if not result.ok:
+        return None
+    return next(roi for roi in candidates if roi.goal_cell == result.waypoints[-1]), result
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +272,11 @@ class MissionController:
             if choice is None:
                 self._set_phase("idle", now, events)
                 return events
-            roi, result = choice
-            self.current_roi = roi
-            self.pending_plan = result
-            self.claims[roi.roi_id] = CLAIMED
+            self.current_roi, self.pending_plan = choice
+            rid = self.current_roi.roi_id
+            self.claims[rid] = CLAIMED
             self.publish_claims(db)
-            events.append(self._ev(now, "claimed", roi.roi_id))
+            events.append(self._ev(now, "claimed", rid))
             self._set_phase("planning", now, events)
             return events
 
@@ -291,24 +285,16 @@ class MissionController:
             self._set_phase("navigating", now, events)
             return events
 
-        if self.phase == "navigating":
-            if tracker_phase == "done":
-                rid = self.current_roi.roi_id
-                self.claims[rid] = VISITED
-                self.publish_claims(db)
-                events.append(self._ev(now, "visited", rid))
-                self.current_roi = None
-                self._set_phase("idle", now, events)
-            elif tracker_phase == "cancelled":
-                rid = self.current_roi.roi_id
-                self.claims[rid] = FAILED
+        if self.phase == "navigating" and tracker_phase in ("done", "cancelled"):
+            # the event is named by the status: "visited" or "failed"
+            rid = self.current_roi.roi_id
+            status = self.claims[rid] = VISITED if tracker_phase == "done" else FAILED
+            if status == FAILED:
                 self.failures.append((rid, now))
-                self.publish_claims(db)
-                events.append(self._ev(now, "failed", rid))
-                self.current_roi = None
-                self._set_phase("idle", now, events)
-            return events
-
+            self.publish_claims(db)
+            events.append(self._ev(now, status, rid))
+            self.current_roi = None
+            self._set_phase("idle", now, events)
         return events
 
     def _set_phase(self, phase: str, now: int, events: list[dict]) -> None:

@@ -11,12 +11,14 @@ node, taken from a worklist of candidate pairs in a fixed order. An edge
 stores only its weight, which trades distance against clearance with the
 printed heuristic at lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min
 clearance along the edge. A new map version recomputes only the weights of
-edges whose bounding box holds a cell where the clearance changed.
-Weights are computed in batches by ``geometry.segments_min_value``, which
-tests at most ``geometry.BLOCK`` cells at a time: every edge a new node
-makes, every edge a new version recomputes, and a plan's connectors and
-pruning candidates. Clearance is 0 exactly on the cells that are not free,
-so the same minimum also tells whether a segment is clear.
+edges whose bounding box holds a cell where the clearance changed. A plan
+searches the roadmap once from its start and routes to each of its goals
+over that tree, so one search serves each selection of a robot's next
+target. Weights are computed in batches by ``geometry.segments_min_value``,
+which tests at most ``geometry.BLOCK`` cells at a time: every edge a new
+node makes, every edge a new version recomputes, and a plan's connectors
+and pruning candidates. Clearance is 0 exactly on the cells that are not
+free, so the same minimum also tells whether a segment is clear.
 
 Map versions only add free cells. The aerial robot maps at its exact pose,
 so every keyframe copies the true class of each footprint cell; the map
@@ -436,54 +438,56 @@ class PlanResult:
 
 
 def plan(
-    roadmap: Roadmap,
-    vis: VisibilityMap,
-    grid: TraversabilityGrid,
-    start: tuple[int, int],
-    goal: tuple[int, int],
+    roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, start: tuple[int, int], *goals: tuple[int, int]
 ) -> PlanResult:
-    """Least-weight roadmap route from start to goal, pruned.
+    """Least-weight roadmap route from start to the cheapest of ``goals``,
+    pruned; the first of equally cheap goals wins. When no goal is reached,
+    the first goal's failure is returned.
 
     Failure reasons: "unmapped" when an endpoint lies on unknown cells,
     "unreachable" when it is a known obstacle or no graph path exists.
     """
+    if not goals:
+        raise ValueError("plan needs a goal")
     h, w = grid.shape
-    for name, (ix, iy) in (("start", start), ("goal", goal)):
+    for name, (ix, iy) in (("start", start), *(("goal", goal) for goal in goals)):
         if not (0 <= ix < w and 0 <= iy < h):
             raise ValueError(f"{name} {ix, iy} outside map bounds")
-    for ix, iy in (start, goal):
-        if not grid.free[iy, ix]:
-            reason = "unmapped" if grid.unknown[iy, ix] else "unreachable"
-            return PlanResult(ok=False, reason=reason)
-    if start == goal:
-        return PlanResult(ok=True, waypoints=[start], cost=0.0)
+    best = tree = None
+    for goal in goals:
+        blocked = [(ix, iy) for ix, iy in (start, goal) if not grid.free[iy, ix]]
+        if blocked:
+            ix, iy = blocked[0]
+            res = PlanResult(ok=False, reason="unmapped" if grid.unknown[iy, ix] else "unreachable")
+        elif goal == start:
+            res = PlanResult(ok=True, waypoints=[start], cost=0.0)
+        else:
+            tree = tree or _search(roadmap, vis, grid, start)
+            res = _route(roadmap, vis, grid, start, goal, *tree)
+        if best is None or (res.ok and (not best.ok or res.cost < best.cost)):
+            best = res
+    return best
 
-    start_nodes = vis.nodes_visible_from(start)
-    goal_nodes = set(vis.nodes_visible_from(goal))
-    if not start_nodes or not goal_nodes:
-        return PlanResult(ok=False, reason="unreachable")
 
-    # Dijkstra over the roadmap plus virtual start/goal connectors. A node's
-    # pushes carry strictly falling costs, so only its last one is current.
+def _search(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, start: tuple[int, int]):
+    """Dijkstra from start over the roadmap plus virtual start connectors: the
+    ``(cost, pop rank)`` of each settled node, and the predecessor of each
+    reached one. It never stops early, so it serves every goal. A node's
+    pushes carry strictly falling costs, so only its last one is current."""
     dist: dict[int, float] = {}
     prev: dict[int, int | None] = {}
-    order = itertools.count()
-    heap: list[tuple[float, int, int]] = []
-    nodes = roadmap.nodes
-    for nid, d in zip(start_nodes, edge_weights([(*start, *nodes[nid]) for nid in start_nodes], grid)):
+    settled: dict[int, tuple[float, int]] = {}
+    order, heap = itertools.count(), []
+    start_nodes = vis.nodes_visible_from(start)
+    for nid, d in zip(start_nodes, edge_weights([(*start, *roadmap.nodes[nid]) for nid in start_nodes], grid)):
         dist[nid] = d
         prev[nid] = None
         heapq.heappush(heap, (d, next(order), nid))
-    to_goal = dict(zip(goal_nodes, edge_weights([(*nodes[nid], *goal) for nid in goal_nodes], grid)))
-    best_goal: tuple[float, int] | None = None
     while heap:
         d, _, nid = heapq.heappop(heap)
         if d > dist[nid]:
             continue
-        if nid in goal_nodes:
-            total = d + to_goal[nid]
-            if best_goal is None or total < best_goal[0]:
-                best_goal = (total, nid)
+        settled[nid] = (d, len(settled))
         # ascending ids, so ties between equal-cost routes break the same
         # way whatever order an adjacency set iterates in
         for other in sorted(roadmap.adj[nid]):
@@ -492,17 +496,23 @@ def plan(
                 dist[other] = nd
                 prev[other] = nid
                 heapq.heappush(heap, (nd, next(order), other))
-    if best_goal is None:
-        return PlanResult(ok=False, reason="unreachable")
+    return settled, prev
 
+
+def _route(roadmap, vis, grid, start, goal, settled, prev) -> PlanResult:
+    """The pruned route to ``goal`` over the tree of ``_search``, through
+    the node the goal sees with the least cost, the earliest popped on ties."""
+    ends = [nid for nid in vis.nodes_visible_from(goal) if nid in settled]
+    if not ends:
+        return PlanResult(ok=False, reason="unreachable")
+    to_goal = edge_weights([(*roadmap.nodes[nid], *goal) for nid in ends], grid)
+    _, _, at = min((settled[nid][0] + t, settled[nid][1], nid) for nid, t in zip(ends, to_goal))
     chain: list[int] = []
-    at: int | None = best_goal[1]
     while at is not None:
         chain.append(at)
         at = prev[at]
-    chain.reverse()
     waypoints = [start]
-    for p in [roadmap.nodes[n] for n in chain] + [goal]:
+    for p in [roadmap.nodes[n] for n in reversed(chain)] + [goal]:
         if p != waypoints[-1]:
             waypoints.append(p)
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import semteam
 from semteam import aerial, engine, gossip, localize, mission, planner, tracker
 from semteam.aerial import MapAccumulator, decode_snapshot, encode_snapshot, full_view_keyframe
 from semteam.config import ConfigError, ScenarioConfig
-from semteam.engine import MAP_KEY, MAP_ORIGIN, POSE_PERIOD, Simulation, resolve_world
+from semteam.engine import MAP_KEY, MAP_ORIGIN, POSE_PERIOD, RunReport, Simulation, resolve_world
 from semteam.gossip import DbRecord
 from semteam.standard import build_standard_world
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, world_to_text
@@ -138,6 +139,21 @@ class TestRun:
         assert builds == 2
         assert summary["planner.extract_traversability"]["calls"] == builds
 
+    def test_page_fault_tool_wraps_functions_that_exist(self):
+        # tools/page_faults.py wraps module attributes by the names callers
+        # look them up by; each must still be a callable of its module
+        path = Path(__file__).resolve().parents[1] / "tools" / "page_faults.py"
+        spec = importlib.util.spec_from_file_location("page_faults", path)
+        tool = importlib.util.module_from_spec(spec)
+        saved = list(sys.path)
+        try:
+            spec.loader.exec_module(tool)
+        finally:
+            sys.path[:] = saved
+        assert ("planner", "plan") in tool.WRAPPED
+        for mod, attr in tool.WRAPPED:
+            assert callable(getattr(importlib.import_module(f"semteam.{mod}"), attr, None)), (mod, attr)
+
     @pytest.mark.parametrize("name", sorted(SMALL_RUN_SHA256))
     def test_output_matches_golden_digest(self, two_runs, name):
         _, ((out, _), _) = two_runs
@@ -223,6 +239,20 @@ def test_preloaded_map_without_an_aerial_robot(tmp_path):
         assert g.db.get(MAP_ORIGIN, MAP_KEY).seq == g.map_seq == 1
         assert np.array_equal(g.map.classes, world.truth.classes) and g.map.observed.all()
     assert not (tmp_path / "map_final.bin").exists()
+
+
+def test_a_run_without_events_or_pose_rows_writes_well_formed_files(tmp_path):
+    # each event and pose row ends its own line: an empty log is an empty
+    # file, and a run without ground robots has just the poses header
+    Simulation(ScenarioConfig.from_dict({"n_ground": 0, "n_aerial": 0, "max_ticks": 5})).run(tmp_path)
+    assert (tmp_path / "events.jsonl").read_bytes() == b""
+    poses = (tmp_path / "poses.csv").read_text()
+    assert poses.startswith("tick,robot,") and poses.count("\n") == 1 and poses.endswith("\n")
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        (row,) = csv.DictReader(f)
+    floats = [fld.name for fld in dataclasses.fields(RunReport) if fld.type == "float"]
+    assert "total_distance_m" in floats
+    assert {name: row[name] for name in floats} == {name: "0.0" for name in floats} | {"comm_range": "60.0"}
 
 
 def roadmap_state_hash(roadmap, vis) -> str:
@@ -380,6 +410,24 @@ class TestMapEdge:
         assert len(rows) == 300 // POSE_PERIOD * cfg.n_ground
         for row in rows:
             assert truth.in_bounds(*truth.cell_of(float(row["true_x"]), float(row["true_y"]))), row
+
+    @pytest.mark.parametrize(
+        "start, staged",
+        [
+            ([500, 23], {1: (500.0, 23.0), 2: (503.0, 23.0)}),
+            ([-5, 23], {1: (-5.0, 23.0), 2: (-2.0, 23.0)}),
+            ([199.5, 23], {2: (202.5, 23.0)}),
+        ],
+    )
+    def test_a_start_that_stages_a_robot_off_the_world_is_a_config_error(self, start, staged):
+        with pytest.raises(ConfigError) as err:
+            Simulation(ScenarioConfig.from_dict({"start": start}))
+        problems = [f"ground robot {rid} stages at {xy}, outside the world" for rid, xy in staged.items()]
+        assert err.value.problems == problems
+
+    def test_a_start_that_stages_every_robot_on_the_world_builds(self):
+        sim = Simulation(ScenarioConfig.from_dict({"start": [196.5, 23]}))
+        assert [a.true_pose[:2] for a in sim.ground_agents] == [(196.5, 23.0), (199.5, 23.0)]
 
 
 class TestParkedRobots:

@@ -87,11 +87,19 @@ class TestExtractRois:
         assert [r.roi_id for r in a] == [r.roi_id for r in b]
 
 
-def plan_cost_fn(costs):
-    def plan_to(cell):
-        if cell in costs:
-            return PlanResult(ok=True, waypoints=[cell], cost=costs[cell])
-        return PlanResult(ok=False, reason="unreachable")
+def plan_cost_fn(costs, calls=None):
+    """A ``plan_to`` that reaches each cell of ``costs`` at its cost and
+    routes to the cheapest cell asked for, the first on ties, as
+    ``planner.plan`` does; it appends the cells of each call to ``calls``."""
+
+    def plan_to(*cells):
+        if calls is not None:
+            calls.append(cells)
+        reached = [cell for cell in cells if cell in costs]
+        if not reached:
+            return PlanResult(ok=False, reason="unreachable")
+        cell = min(reached, key=costs.get)
+        return PlanResult(ok=True, waypoints=[cell], cost=costs[cell])
 
     return plan_to
 
@@ -120,6 +128,38 @@ class TestChooseGoal:
     def test_unplannable_skipped(self):
         out = choose_goal(0, self.rois(), {}, plan_cost_fn({(6, 5): 25.0}))
         assert out[0].roi_id == "aaa"
+
+    def test_one_call_with_the_open_goal_cells_in_id_order(self):
+        rois = [
+            ROI("ddd", ((30, 30),), (31, 30)),
+            ROI("aaa", ((5, 5),), (6, 5)),
+            ROI("eee", ((40, 40),), None),
+            ROI("ccc", ((12, 12),), (13, 12)),
+            ROI("bbb", ((20, 20),), (21, 20)),
+        ]
+        view = {"bbb": [(1, CLAIMED)]}
+        calls = []
+        out = choose_goal(0, rois, view, plan_cost_fn({(6, 5): 9.0, (13, 12): 4.0, (31, 30): 7.0}, calls))
+        assert calls == [((6, 5), (13, 12), (31, 30))]
+        assert out[0].roi_id == "ccc" and out[1].cost == 4.0
+
+    def test_no_open_roi_plans_nothing(self):
+        calls = []
+        view = {"aaa": [(1, CLAIMED)], "bbb": [(0, FAILED)]}
+        assert choose_goal(0, self.rois(), view, plan_cost_fn({(6, 5): 1.0}, calls)) is None
+        assert choose_goal(0, [ROI("ccc", ((1, 1),), None)], {}, plan_cost_fn({}, calls)) is None
+        assert calls == []
+
+    def test_equal_costs_go_to_the_lower_id(self):
+        rois = [ROI("bbb", ((20, 20),), (21, 20)), ROI("aaa", ((5, 5),), (6, 5))]
+        out = choose_goal(0, rois, {}, plan_cost_fn({(6, 5): 10.0, (21, 20): 10.0}))
+        assert out[0].roi_id == "aaa"
+        # two ROIs whose goal cells coincide
+        shared = [ROI("ccc", ((7, 7),), (6, 5)), ROI("bbb", ((4, 4),), (6, 5))]
+        calls = []
+        out = choose_goal(0, shared, {}, plan_cost_fn({(6, 5): 3.0}, calls))
+        assert out[0].roi_id == "bbb"
+        assert calls == [((6, 5), (6, 5))]
 
     def test_own_failure_excluded_but_open_for_others(self):
         view = {"aaa": [(0, FAILED)]}
@@ -154,6 +194,14 @@ class TestMissionController:
         self.run_tick(ctrl, db, rois, now=2)
         assert ctrl.phase == "navigating"
 
+    def test_one_plan_per_selection(self):
+        ctrl, db, rois = self.setup_controller()
+        calls = []
+        for now in range(3):
+            ctrl.tick(now, db, rois, plan_cost_fn({(6, 5): 5.0, (21, 20): 9.0}, calls), None)
+        assert ctrl.phase == "navigating"
+        assert calls == [((6, 5), (21, 20))]
+
     def test_arrival_publishes_visited(self):
         ctrl, db, rois = self.setup_controller()
         for now in range(3):
@@ -167,8 +215,9 @@ class TestMissionController:
         ctrl, db, rois = self.setup_controller()
         for now in range(3):
             self.run_tick(ctrl, db, rois, now=now)
-        self.run_tick(ctrl, db, rois, now=3, tracker="cancelled")
+        events = self.run_tick(ctrl, db, rois, now=3, tracker="cancelled")
         assert ctrl.phase == "idle"
+        assert [e["ev"] for e in events] == ["failed", "phase"]
         assert decode_claims(db.get(0, "claims").payload)["aaa"] == FAILED
         assert ctrl.failures == [("aaa", 3)]
 

@@ -600,6 +600,107 @@ class TestPlan:
             waypoints.append(res.waypoints)
         assert waypoints[0] == waypoints[1] == [start, (10, 3), goal]
 
+    def test_goal_tie_goes_to_the_earliest_popped_node(self):
+        # the goal sees nodes 2 and 10, reached at equal cost and each at the
+        # same weight from the goal, so the node the search settles first
+        # ends the route: node 10, whose start connector is pushed first
+        free = np.ones((21, 21), dtype=bool)
+        free[8:13, 8:13] = False
+        grid = grid_from_free(free)
+        start, goal = (2, 10), (18, 10)
+        rm = Roadmap(radius=30.0)
+        rm.nodes = {2: (10, 3), 10: (10, 17)}
+        rm.edges = {}
+        rm.adj = {2: set(), 10: set()}
+        vis = VisibilityMap(21, 21)
+        for nid in (10, 2):
+            vis.add_cells(nid, {vis.flat(start), vis.flat(goal)})
+        to_goal = edge_weights([(10, 3, *goal), (10, 17, *goal)], grid)
+        assert to_goal[0] == to_goal[1]
+        for goals in ([goal], [goal, goal]):
+            res = plan(rm, vis, grid, start, *goals)
+            assert res.ok
+            assert res.waypoints == [start, (10, 17), goal]
+
+    def test_equally_cheap_goals_go_to_the_first(self):
+        free = np.ones((21, 21), dtype=bool)
+        rm, vis, grid = build_roadmap(free, radius=30.0)
+        start, left, right = (10, 10), (4, 10), (16, 10)
+        assert plan(rm, vis, grid, start, left).cost == plan(rm, vis, grid, start, right).cost
+        assert plan(rm, vis, grid, start, left, right).waypoints == [start, left]
+        assert plan(rm, vis, grid, start, right, left).waypoints == [start, right]
+
+    @staticmethod
+    def multi_goal_worlds():
+        """Roadmaps on random grids of road, building and unknown cells,
+        mostly in several pieces."""
+        rng = np.random.default_rng(14)
+        kinds = np.array([SemanticClass.ROAD, SemanticClass.BUILDING, SemanticClass.UNKNOWN], dtype=np.int8)
+        for _ in range(4):
+            classes = kinds[rng.choice(3, size=(20, 24), p=[0.72, 0.18, 0.10])]
+            grid = extract_traversability(class_map(classes), 0)
+            rm, vis = update_roadmap(Roadmap(radius=6.0), None, grid)
+            yield rng, rm, vis, grid
+
+    def test_several_goals_equal_the_cheapest_one_goal_plan(self):
+        def cheapest(rm, vis, grid, start, goals):
+            best = None
+            for goal in goals:
+                res = plan(rm, vis, grid, start, goal)
+                if best is None or (res.ok and (not best.ok or res.cost < best.cost)):
+                    best = res
+            return best
+
+        seen = {"later goal": 0, "repeated": 0, "at start": 0, "failed": 0, "unmapped": 0, "unreachable": 0}
+        for rng, rm, vis, grid in self.multi_goal_worlds():
+            ys, xs = np.nonzero(grid.free)
+            cells = [(ix, iy) for iy in range(20) for ix in range(24)]
+            for _ in range(25):
+                k = int(rng.integers(0, len(xs)))
+                start = (int(xs[k]), int(ys[k]))
+                goals = [cells[i] for i in rng.integers(0, len(cells), size=int(rng.integers(1, 7)))]
+                if rng.random() < 0.3:
+                    goals.insert(int(rng.integers(0, len(goals) + 1)), goals[int(rng.integers(0, len(goals)))])
+                if rng.random() < 0.2:
+                    goals.insert(int(rng.integers(0, len(goals) + 1)), start)
+                res = plan(rm, vis, grid, start, *goals)
+                want = cheapest(rm, vis, grid, start, goals)
+                assert (res.ok, res.waypoints, res.cost.hex(), res.reason) == (
+                    want.ok, want.waypoints, want.cost.hex(), want.reason,
+                ), (start, goals)
+                if res.ok:
+                    seen["later goal"] += goals.index(res.waypoints[-1]) > 0
+                    seen["repeated"] += goals.count(res.waypoints[-1]) > 1
+                    seen["at start"] += res.waypoints == [start]
+                else:
+                    seen["failed"] += 1
+                    assert res.reason == plan(rm, vis, grid, start, goals[0]).reason
+                    seen[res.reason] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_no_goal_reached_gives_the_first_goals_reason(self):
+        cls = np.full((16, 16), int(SemanticClass.UNKNOWN))
+        cls[2:14, 2:8] = SemanticClass.ROAD
+        cls[2:14, 10:14] = SemanticClass.ROAD
+        cls[5, 5] = SemanticClass.BUILDING
+        grid = extract_traversability(class_map(cls), 0)
+        rm, vis = update_roadmap(Roadmap(radius=10.0), None, grid)
+        start, unknown, obstacle, cut_off = (3, 3), (15, 15), (5, 5), (12, 8)
+        assert plan(rm, vis, grid, start, cut_off).reason == "unreachable"
+        assert plan(rm, vis, grid, start, unknown, obstacle, cut_off).reason == "unmapped"
+        assert plan(rm, vis, grid, start, obstacle, unknown).reason == "unreachable"
+        assert plan(rm, vis, grid, start, cut_off, unknown).reason == "unreachable"
+        res = plan(rm, vis, grid, start, unknown, obstacle, (6, 12), cut_off)
+        assert res.ok and res.waypoints[-1] == (6, 12)
+
+    def test_no_goal_or_an_off_map_goal_raises(self):
+        free = np.ones((10, 10), dtype=bool)
+        rm, vis, grid = build_roadmap(free, radius=20.0)
+        with pytest.raises(ValueError, match="goal"):
+            plan(rm, vis, grid, (1, 1))
+        with pytest.raises(ValueError, match="outside map bounds"):
+            plan(rm, vis, grid, (1, 1), (2, 2), (10, 3))
+
     def test_random_queries_collision_free_and_bounded(self):
         rng = np.random.default_rng(10)
         built = 0
