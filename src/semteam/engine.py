@@ -629,7 +629,7 @@ class Simulation:
         return RunReport(
             seed=self.cfg.seed,
             team_size=self.cfg.n_ground,
-            comm_range=self.cfg.comm_range,
+            comm_range=float(self.cfg.comm_range),
             ticks=self.tick_count,
             duration_s=self.duration_s,
             targets_visited=len(self.visited_targets),

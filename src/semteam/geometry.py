@@ -129,32 +129,74 @@ def visible_from(
     Batched supercover test: candidate j is blocked iff the segment from the
     node center to candidate j's center intersects any obstacle cell square.
     All obstacle cells that could possibly intersect any of these segments
-    must be included by the caller (any superset is fine). Candidates and
-    obstacles are taken in blocks of at most ``BLOCK`` pairs.
+    must be included by the caller (any superset is fine).
+
+    Candidates are split by quadrant around the node: ``cand_ix >= nx`` or
+    not, and the same in y. A segment into a quadrant stays on the node's
+    side of it, so it can touch only the obstacles with ``obst_ix >= nx``
+    (``<= nx`` on the other side), and the same in y; the slab test finds
+    every other obstacle clear of it anyway. Within a quadrant the sign of
+    each direction is known, so the near and far face of every obstacle are
+    known too, and each slab bound is one quotient, the float that the
+    general ``_axis_intervals`` picks. Candidates and obstacles of a
+    quadrant are taken in blocks of at most ``BLOCK`` pairs.
     """
-    n, k = cand_ix.size, obst_ix.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if k == 0:
-        return np.ones(n, dtype=bool)
-    px, py = node[0] + 0.5, node[1] + 0.5
+    n = cand_ix.size
+    seen = np.ones(n, dtype=bool)
+    if n == 0 or obst_ix.size == 0:
+        return seen
+    nx, ny = node
+    px, py = nx + 0.5, ny + 0.5
     dx = (cand_ix + 0.5) - px
     dy = (cand_iy + 0.5) - py
+    # (candidates, obstacles, near face, far face) on each side of each axis;
+    # a zero direction is +0.0, which orders the faces as a positive one does
+    east, north = cand_ix >= nx, cand_iy >= ny
+    x_sides = (
+        (east, obst_ix >= nx, obst_ix - px, obst_ix + 1 - px),
+        (~east, obst_ix <= nx, obst_ix + 1 - px, obst_ix - px),
+    )
+    y_sides = (
+        (north, obst_iy >= ny, obst_iy - py, obst_iy + 1 - py),
+        (~north, obst_iy <= ny, obst_iy + 1 - py, obst_iy - py),
+    )
+    for cand_x, obst_x, near_x, far_x in x_sides:
+        for cand_y, obst_y, near_y, far_y in y_sides:
+            j = np.flatnonzero(cand_x & cand_y)
+            k = np.flatnonzero(obst_x & obst_y)
+            if j.size and k.size:
+                seen[j] = ~_blocked(dx[j], dy[j], near_x[k], far_x[k], near_y[k], far_y[k])
+    return seen
+
+
+def _blocked(dx, dy, near_x, far_x, near_y, far_y) -> np.ndarray:
+    """Whether each direction ``(dx, dy)`` from a cell center meets an
+    obstacle whose faces lie ``near`` and ``far`` from that center along
+    each axis, in the order the direction crosses them.
+
+    Every far bound is above 0, since an obstacle on the quadrant's side
+    ends past the center, so the clamp of the near bound at 0 changes no
+    comparison and is left out.
+    """
+    n, k = dx.size, near_x.size
     blocked = np.zeros(n, dtype=bool)
     k_step = min(k, BLOCK)
     j_step = BLOCK // k_step
     with np.errstate(divide="ignore"):
         for k0 in range(0, k, k_step):
-            ox, oy = obst_ix[k0 : k0 + k_step], obst_iy[k0 : k0 + k_step]
+            kk = slice(k0, k0 + k_step)
             for j0 in range(0, n, j_step):
-                lo, hi = _axis_intervals(px, dx[j0 : j0 + j_step, None], ox)
-                ty_lo, ty_hi = _axis_intervals(py, dy[j0 : j0 + j_step, None], oy)
-                np.maximum(lo, ty_lo, out=lo)
-                np.maximum(lo, 0.0, out=lo)
-                np.minimum(hi, ty_hi, out=hi)
+                jx = dx[j0 : j0 + j_step, None]
+                jy = dy[j0 : j0 + j_step, None]
+                lo = near_x[kk] / jx
+                t = near_y[kk] / jy
+                np.maximum(lo, t, out=lo)
+                hi = far_x[kk] / jx
+                np.divide(far_y[kk], jy, out=t)
+                np.minimum(hi, t, out=hi)
                 np.minimum(hi, 1.0, out=hi)
                 blocked[j0 : j0 + j_step] |= (lo <= hi).any(axis=1)
-    return ~blocked
+    return blocked
 
 
 def _axis_intervals(

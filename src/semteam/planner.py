@@ -7,18 +7,24 @@ highest-clearance cell not yet visible to the graph, until every free cell
 sees at least one node. A node is linked to every earlier node its own
 visible region contains. Pairs of nearby nodes whose regions overlap but
 that share neither an edge nor a neighbor are then bridged through a new
-node, taken from a worklist of candidate pairs in a fixed order. An edge
+node, taken from a worklist of candidate pairs in a fixed order; a pair
+joins the worklist after a bridge node only if it still lacks both. A
+node's visible region is found by quadrant (``geometry.visible_from``),
+each quadrant against the obstacles on its side of the node. An edge
 stores only its weight, which trades distance against clearance with the
 printed heuristic at lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min
 clearance along the edge. A new map version recomputes only the weights of
 edges whose bounding box holds a cell where the clearance changed. A plan
-searches the roadmap once from its start and routes to each of its goals
-over that tree, so one search serves each selection of a robot's next
-target. Weights are computed in batches by ``geometry.segments_min_value``,
-which tests at most ``geometry.BLOCK`` cells at a time: every edge a new
-node makes, every edge a new version recomputes, and a plan's connectors
-and pruning candidates. Clearance is 0 exactly on the cells that are not
-free, so the same minimum also tells whether a segment is clear.
+searches the roadmap once from its start and routes to its goals over that
+tree, so one search serves each selection of a robot's next target. It
+routes the goals nearest the start first, and stops at the first goal whose
+straight-line length alone costs more than the best route found, since no
+weight is below its segment's length. Weights are computed in batches by
+``geometry.segments_min_value``, which tests at most ``geometry.BLOCK``
+cells at a time: every edge a new node makes, every edge a new version
+recomputes, and a plan's connectors and pruning candidates. Clearance is 0
+exactly on the cells that are not free, so the same minimum also tells
+whether a segment is clear.
 
 Map versions only add free cells. The aerial robot maps at its exact pose,
 so every keyframe copies the true class of each footprint cell; the map
@@ -251,7 +257,7 @@ def update_roadmap(
             cand_ix, cand_iy = nf_ix[sel], nf_iy[sel]
             ob_ix, ob_iy = _window_obstacles(free, (nx, ny), cand_ix, cand_iy)
             seen = visible_from((nx, ny), cand_ix, cand_iy, ob_ix, ob_iy)
-            vis.add_cells(nid, {int(iy_ * w + ix_) for ix_, iy_ in zip(cand_ix[seen], cand_iy[seen])})
+            vis.add_cells(nid, set((cand_iy[seen] * w + cand_ix[seen]).tolist()))
 
     # cover every free cell: place nodes at the clearance maxima
     uncovered = free & ~vis.cover
@@ -288,6 +294,9 @@ def _bridge(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, r_ce
     and the pairs (o, n) with o near n can have become bridgeable. Pushing
     those onto the heap makes each pair taken the lexicographically first
     bridgeable one, which is the pair a full rescan of all pairs would pick.
+    Each of them is pushed only if it has neither an edge nor a common
+    neighbor yet: one that has would be skipped when popped, for the same
+    reason. The test stops at the first common neighbor it finds.
     """
     w = grid.shape[1]
     reach2 = (2 * r_cells) ** 2
@@ -308,7 +317,8 @@ def _bridge(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, r_ce
             a, b = heapq.heappop(heap)
         else:
             (a, b), nxt = nxt, next(scan, None)
-        if b in adj[a] or (adj[a] & adj[b]):
+        # an edge or a common neighbor; isdisjoint stops at the first one
+        if b in adj[a] or not adj[a].isdisjoint(adj[b]):
             continue
         overlap = vis.node_cells[a] & vis.node_cells[b]
         if not overlap:
@@ -325,11 +335,12 @@ def _bridge(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, r_ce
             continue
         n = _add_node(roadmap, vis, grid, best, r_cells)
         occupied.add(best)
-        heapq.heappush(heap, (a, b))
         bx, by = best
-        for o, (ox, oy) in roadmap.nodes.items():
-            if o != n and (ox - bx) ** 2 + (oy - by) ** 2 <= reach2:
-                heapq.heappush(heap, (o, n))
+        near = [(o, n) for o, (ox, oy) in roadmap.nodes.items() if o != n and (ox - bx) ** 2 + (oy - by) ** 2 <= reach2]
+        for pair in [(a, b), *near]:
+            x, y = pair
+            if y not in adj[x] and adj[x].isdisjoint(adj[y]):
+                heapq.heappush(heap, pair)
 
 
 def _refresh_weights(roadmap: Roadmap, grid: TraversabilityGrid) -> None:
@@ -408,7 +419,7 @@ def _add_node(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, ce
     cand_ix, cand_iy = cand_ix[in_disc], cand_iy[in_disc]
     ob_ix, ob_iy = _window_obstacles(free, (nx, ny), cand_ix, cand_iy)
     seen = visible_from((nx, ny), cand_ix, cand_iy, ob_ix, ob_iy)
-    flats = {int(iy_ * w + ix_) for ix_, iy_ in zip(cand_ix[seen], cand_iy[seen])}
+    flats = set((cand_iy[seen] * w + cand_ix[seen]).tolist())
     vis.add_cells(nid, flats)
 
     # An edge is a clear segment of length <= r_cells, so it links nid to
@@ -442,7 +453,8 @@ def plan(
 ) -> PlanResult:
     """Least-weight roadmap route from start to the cheapest of ``goals``,
     pruned; the first of equally cheap goals wins. When no goal is reached,
-    the first goal's failure is returned.
+    the first goal's failure is returned. Goals are routed nearest first,
+    and only while one can still cost no more than the best route.
 
     Failure reasons: "unmapped" when an endpoint lies on unknown cells,
     "unreachable" when it is a known obstacle or no graph path exists.
@@ -453,20 +465,37 @@ def plan(
     for name, (ix, iy) in (("start", start), *(("goal", goal) for goal in goals)):
         if not (0 <= ix < w and 0 <= iy < h):
             raise ValueError(f"{name} {ix, iy} outside map bounds")
+    sx, sy = start
+    if not grid.free[sy, sx]:
+        return _endpoint_failure(grid, start)
+    # every weight is at least its segment's length times the resolution, so
+    # a goal's pruned cost is at least its straight-line length: once that
+    # exceeds the best cost, up to float rounding, no later goal can win
+    bounds = sorted(
+        (math.hypot(gx - sx, gy - sy) * grid.resolution, i) for i, (gx, gy) in enumerate(goals) if grid.free[gy, gx]
+    )
     best = tree = None
-    for goal in goals:
-        blocked = [(ix, iy) for ix, iy in (start, goal) if not grid.free[iy, ix]]
-        if blocked:
-            ix, iy = blocked[0]
-            res = PlanResult(ok=False, reason="unmapped" if grid.unknown[iy, ix] else "unreachable")
-        elif goal == start:
-            res = PlanResult(ok=True, waypoints=[start], cost=0.0)
+    for bound, i in bounds:
+        if best is not None and bound > best[0] * (1 + 1e-9):
+            break
+        if goals[i] == start:
+            route = PlanResult(ok=True, waypoints=[start], cost=0.0)
         else:
             tree = tree or _search(roadmap, vis, grid, start)
-            res = _route(roadmap, vis, grid, start, goal, *tree)
-        if best is None or (res.ok and (not best.ok or res.cost < best.cost)):
-            best = res
-    return best
+            route = _route(roadmap, vis, grid, start, goals[i], *tree)
+        if route.ok and (best is None or (route.cost, i) < best[:2]):
+            best = (route.cost, i, route)
+    if best is not None:
+        return best[2]
+    # no goal is reached: the first one's failure
+    gx, gy = goals[0]
+    return PlanResult(ok=False, reason="unreachable") if grid.free[gy, gx] else _endpoint_failure(grid, goals[0])
+
+
+def _endpoint_failure(grid: TraversabilityGrid, cell: tuple[int, int]) -> PlanResult:
+    """The failure of a plan with an endpoint on a cell that is not free."""
+    ix, iy = cell
+    return PlanResult(ok=False, reason="unmapped" if grid.unknown[iy, ix] else "unreachable")
 
 
 def _search(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, start: tuple[int, int]):

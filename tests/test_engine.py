@@ -255,6 +255,17 @@ def test_a_run_without_events_or_pose_rows_writes_well_formed_files(tmp_path):
     assert {name: row[name] for name in floats} == {name: "0.0" for name in floats} | {"comm_range": "60.0"}
 
 
+def test_metrics_print_an_integer_comm_range_as_a_float(tmp_path):
+    # the column reads as the default's does, however the JSON spelled it
+    cfg = small_config(max_ticks=3, comm_range=60)
+    assert cfg.comm_range == 60 and isinstance(cfg.comm_range, int)
+    report = Simulation(cfg, world=small_world()).run(tmp_path)
+    assert isinstance(report.comm_range, float)
+    with open(tmp_path / "metrics.csv", newline="") as f:
+        (row,) = csv.DictReader(f)
+    assert row["comm_range"] == "60.0"
+
+
 def roadmap_state_hash(roadmap, vis) -> str:
     """sha256 over nodes, edges with weights, adjacency, visible cells and cover."""
     state = (

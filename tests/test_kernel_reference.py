@@ -9,6 +9,7 @@ is compared for equality (bit for bit where floats are involved), never
 within a tolerance.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -178,6 +179,48 @@ def ref_edge_weight(u, v, grid):
     """Roadmap edge weight from the one-segment minimum."""
     m = ref_segment_min_value(u, v, grid.dist)
     return math.hypot(u[0] - v[0], u[1] - v[1]) * grid.resolution + (m * m + math.sqrt(m))
+
+
+def ref_visible_from(node, cand_ix, cand_iy, obst_ix, obst_iy):
+    """Every candidate against every obstacle, in one slab test with both
+    faces ordered by ``_axis_intervals``: visibility before the quadrant
+    split."""
+    blocked = np.zeros(cand_ix.size, dtype=bool)
+    if obst_ix.size == 0:
+        return ~blocked
+    px, py = node[0] + 0.5, node[1] + 0.5
+    with np.errstate(divide="ignore"):
+        lo, hi = geometry._axis_intervals(px, (cand_ix + 0.5)[:, None] - px, obst_ix)
+        ty_lo, ty_hi = geometry._axis_intervals(py, (cand_iy + 0.5)[:, None] - py, obst_iy)
+    lo = np.maximum(np.maximum(lo, ty_lo), 0.0)
+    hi = np.minimum(np.minimum(hi, ty_hi), 1.0)
+    return ~(lo <= hi).any(axis=1)
+
+
+def ref_bridge(roadmap, vis, grid, r_cells):
+    """Bridge the lexicographically first bridgeable pair, then rescan every
+    pair from the start, until no pair is bridgeable: the order ``_bridge``
+    keeps with its worklist. Returns the number of bridge nodes."""
+    w = grid.shape[1]
+    reach2 = (2 * r_cells) ** 2
+    dist = grid.dist.reshape(-1)
+    nodes, adj = roadmap.nodes, roadmap.adj
+    added = 0
+    while True:
+        occupied = set(nodes.values())
+        for a, b in itertools.combinations(sorted(nodes), 2):
+            (ax, ay), (bx, by) = nodes[a], nodes[b]
+            if (ax - bx) ** 2 + (ay - by) ** 2 > reach2 or b in adj[a] or adj[a] & adj[b]:
+                continue
+            open_cells = [f for f in sorted(vis.node_cells[a] & vis.node_cells[b]) if (f % w, f // w) not in occupied]
+            if open_cells:
+                # the highest clearance, the lowest flat index on ties
+                best = max(open_cells, key=lambda f: dist[f])
+                planner._add_node(roadmap, vis, grid, (best % w, best // w), r_cells)
+                added += 1
+                break
+        else:
+            return added
 
 
 def ref_close(mask, radius):
@@ -667,6 +710,91 @@ class TestSupercoverMinimumMatchesPerSegment:
             assert bits(planner.edge_weights(segs, grid)) == bits(want)
             checked += len(segs)
         assert checked > 100
+
+
+class TestRoadmapGrowthMatchesReferences:
+    @staticmethod
+    def growing_grids():
+        """20 cluttered grids, each revealed in 2 or 3 growing map versions
+        (unknown columns from the east), with a roadmap radius for each."""
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            h, w = (int(d) for d in rng.integers(12, 19, size=2))
+            classes = cluttered_classes(rng, w, h, blocked=float(rng.uniform(0.05, 0.2)))
+            close_radius = int(rng.integers(0, 2))
+            n_versions = int(rng.integers(2, 4))
+            edges = sorted(rng.choice(np.arange(4, w), size=n_versions - 1, replace=False).tolist()) + [w]
+            grids = []
+            for edge in edges:
+                shown = classes.copy()
+                shown[:, edge:] = SemanticClass.UNKNOWN
+                grids.append(planner.extract_traversability(make_map(shown), close_radius))
+            yield float(rng.uniform(4.0, 8.0)), grids
+
+    @staticmethod
+    def state(rm, vis):
+        return (
+            dict(rm.nodes),
+            {key: weight.hex() for key, weight in rm.edges.items()},
+            {n: set(a) for n, a in rm.adj.items()},
+            {n: set(c) for n, c in vis.node_cells.items()},
+            vis.cover.copy(),
+        )
+
+    def test_update_roadmap_bridges_as_a_full_rescan_does(self, monkeypatch):
+        bridged = versions = 0
+        for radius, grids in self.growing_grids():
+            rm, vis = planner.Roadmap(radius), None
+            ref_rm, ref_vis = planner.Roadmap(radius), None
+            for grid in grids:
+                rm, vis = planner.update_roadmap(rm, vis, grid)
+                with monkeypatch.context() as m:
+                    counts = []
+                    m.setattr(planner, "_bridge", lambda *a: counts.append(ref_bridge(*a)))
+                    ref_rm, ref_vis = planner.update_roadmap(ref_rm, ref_vis, grid)
+                got, want = self.state(rm, vis), self.state(ref_rm, ref_vis)
+                assert got[:4] == want[:4]
+                assert np.array_equal(got[4], want[4])
+                bridged += counts[0]
+                versions += 1
+        assert versions >= 45 and bridged > 100, (versions, bridged)
+
+    def test_quadrant_visibility_matches_the_full_slab_test(self):
+        rng = np.random.default_rng(45)
+        checked = blocked = 0
+        for _ in range(60):
+            free = rng.random((30, 30)) > rng.uniform(0.05, 0.35)
+            fy, fx = np.nonzero(free)
+            k = int(rng.integers(0, fx.size))
+            node = (int(fx[k]), int(fy[k]))
+            disc = (fx - node[0]) ** 2 + (fy - node[1]) ** 2 <= rng.uniform(3.0, 15.0) ** 2
+            cand_ix, cand_iy = fx[disc], fy[disc]
+            oy, ox = np.nonzero(~free)
+            # the window's blob boundary, and every obstacle of the grid
+            for ob_ix, ob_iy in (planner._window_obstacles(free, node, cand_ix, cand_iy), (ox, oy)):
+                got = geometry.visible_from(node, cand_ix, cand_iy, ob_ix, ob_iy)
+                assert np.array_equal(got, ref_visible_from(node, cand_ix, cand_iy, ob_ix, ob_iy)), node
+            checked += got.size
+            blocked += int((~got).sum())
+        assert checked > 5000 and 0 < blocked < checked
+
+    @pytest.mark.parametrize(
+        "n_cand, n_obst, lo",
+        [(1, geometry.BLOCK + 3, 150), (geometry.BLOCK + 5, 1, 150), (3000, 40, 0)],
+    )
+    def test_quadrant_visibility_across_block_bounds(self, n_cand, n_obst, lo):
+        # candidates and obstacles scattered in [lo, 300) around a node at
+        # (150, 150): with lo = 150 all of them share one quadrant, which
+        # then takes more than one block; the node's own cell is a candidate
+        rng = np.random.default_rng(n_cand + n_obst)
+        node = (150, 150)
+        cand_ix, cand_iy = (np.append(rng.integers(lo, 300, size=n_cand), 150) for _ in range(2))
+        obst_ix, obst_iy = (rng.integers(lo, 300, size=n_obst) for _ in range(2))
+        keep = (obst_ix != node[0]) | (obst_iy != node[1])
+        obst_ix, obst_iy = obst_ix[keep], obst_iy[keep]
+        got = geometry.visible_from(node, cand_ix, cand_iy, obst_ix, obst_iy)
+        assert np.array_equal(got, ref_visible_from(node, cand_ix, cand_iy, obst_ix, obst_iy))
+        assert got[-1] and not got.all()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from semteam import planner
 from semteam.geometry import segment_cells, segments_min_value, visible_from
 from semteam.planner import (
     Roadmap,
@@ -155,6 +156,94 @@ class TestSegmentGeometry:
             u = (int(rng.integers(0, 24)), int(rng.integers(0, 24)))
             v = (int(rng.integers(0, 24)), int(rng.integers(0, 24)))
             assert segment_free(u, v, free) == segment_free(v, u, free)
+
+
+class TestQuadrantVisibility:
+    """``visible_from`` tests each quadrant around the node against the
+    obstacles on its side only; these cases sit on the quadrants' edges."""
+
+    @staticmethod
+    def check(free, node, cand_ix, cand_iy):
+        """``visible_from`` against ``segment_free``, given the window's
+        blob-boundary obstacles and given every obstacle of the grid; the
+        oracle's answers."""
+        cand_ix, cand_iy = np.asarray(cand_ix, dtype=np.int64), np.asarray(cand_iy, dtype=np.int64)
+        want = [segment_free(node, (ix, iy), free) for ix, iy in zip(cand_ix.tolist(), cand_iy.tolist())]
+        oy, ox = np.nonzero(~free)
+        for ob_ix, ob_iy in (_window_obstacles(free, node, cand_ix, cand_iy), (ox, oy)):
+            assert visible_from(node, cand_ix, cand_iy, ob_ix, ob_iy).tolist() == want, node
+        return want
+
+    def test_candidates_and_obstacles_on_the_nodes_row_and_column(self):
+        rng = np.random.default_rng(21)
+        seen = blocked = 0
+        for _ in range(20):
+            free = rng.random((17, 17)) > 0.15
+            node = (int(rng.integers(2, 15)), int(rng.integers(2, 15)))
+            free[node[1], node[0]] = True
+            # an obstacle on each half of the node's row and column
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                k = int(rng.integers(2, 5))
+                x, y = node[0] + k * dx, node[1] + k * dy
+                if 0 <= x < 17 and 0 <= y < 17:
+                    free[y, x] = False
+            ys, xs = np.nonzero(free)
+            line = (xs == node[0]) | (ys == node[1])
+            want = self.check(free, node, xs[line], ys[line])
+            # and the cells one step off those lines, whose segments graze them
+            near = (np.abs(xs - node[0]) == 1) | (np.abs(ys - node[1]) == 1)
+            want += self.check(free, node, xs[near], ys[near])
+            seen += sum(want)
+            blocked += len(want) - sum(want)
+        assert seen > 100 and blocked > 100
+
+    @pytest.mark.parametrize("step", [(1, 1), (1, -1), (-1, 1), (-1, -1), (1, 3), (-3, 1), (3, -1)])
+    def test_an_obstacle_touching_a_segment_at_a_corner_blocks_it(self, step):
+        # the segment from (7, 7) along ``step`` passes exactly through the
+        # lattice point between the node's next cells; an obstacle that
+        # shares only that corner with the segment still blocks it
+        sx, sy = step
+        node = (7, 7)
+        cand = (node[0] + 2 * sx, node[1] + 2 * sy)
+        corner_x = node[0] + 0.5 + sx / 2
+        corner_y = node[1] + 0.5 + sy / 2
+        assert corner_x.is_integer() and corner_y.is_integer()
+        free = np.ones((15, 15), dtype=bool)
+        assert self.check(free, node, [cand[0]], [cand[1]]) == [True]
+        # the four cells around the corner: two hold the segment, two only touch it
+        for ox in (int(corner_x) - 1, int(corner_x)):
+            for oy in (int(corner_y) - 1, int(corner_y)):
+                if (ox, oy) == node:
+                    continue
+                free[:] = True
+                free[oy, ox] = False
+                assert self.check(free, node, [cand[0]], [cand[1]]) == [False], (ox, oy)
+
+    @pytest.mark.parametrize("node", [(0, 0), (16, 0), (0, 16), (16, 16), (0, 8), (16, 5), (9, 0), (4, 16)])
+    def test_a_node_on_the_grid_rim(self, node):
+        rng = np.random.default_rng(node[0] * 17 + node[1])
+        free = rng.random((17, 17)) > 0.2
+        free[node[1], node[0]] = True
+        ys, xs = np.nonzero(free)
+        want = self.check(free, node, xs, ys)
+        assert 0 < sum(want) < len(want)
+
+    def test_quadrants_without_obstacles(self):
+        rng = np.random.default_rng(22)
+        node = (8, 8)
+        for east, north in ((True, True), (True, False), (False, True), (False, False)):
+            # obstacles only strictly inside one quadrant: the other three
+            # test against none and see every candidate
+            free = np.ones((17, 17), dtype=bool)
+            xs_q = np.arange(9, 17) if east else np.arange(0, 8)
+            ys_q = np.arange(9, 17) if north else np.arange(0, 8)
+            block = rng.random((8, 8)) < 0.3
+            free[np.ix_(ys_q, xs_q)] = ~block
+            ys, xs = np.nonzero(free)
+            want = self.check(free, node, xs, ys)
+            inside = ((xs > 8) == east) & ((ys > 8) == north) & (xs != 8) & (ys != 8)
+            assert all(w for w, i in zip(want, inside.tolist()) if not i)
+            assert not all(w for w, i in zip(want, inside.tolist()) if i)
 
 
 class TestTraversability:
@@ -668,6 +757,14 @@ class TestPlan:
                 assert (res.ok, res.waypoints, res.cost.hex(), res.reason) == (
                     want.ok, want.waypoints, want.cost.hex(), want.reason,
                 ), (start, goals)
+                # goals are routed nearest first: the order they are given in
+                # must not matter beyond the first-goal rules
+                far_first = sorted(goals, key=lambda g: math.dist(g, start), reverse=True)
+                for order in (far_first, far_first[::-1]):
+                    got, want = plan(rm, vis, grid, start, *order), cheapest(rm, vis, grid, start, order)
+                    assert (got.ok, got.waypoints, got.cost.hex(), got.reason) == (
+                        want.ok, want.waypoints, want.cost.hex(), want.reason,
+                    ), (start, order)
                 if res.ok:
                     seen["later goal"] += goals.index(res.waypoints[-1]) > 0
                     seen["repeated"] += goals.count(res.waypoints[-1]) > 1
@@ -677,6 +774,37 @@ class TestPlan:
                     assert res.reason == plan(rm, vis, grid, start, goals[0]).reason
                     seen[res.reason] += 1
         assert min(seen.values()) > 0, seen
+
+    def test_only_goals_that_can_win_are_routed(self, monkeypatch):
+        # a goal's pruned cost is at least its straight-line length times the
+        # resolution, so a goal whose length alone costs more than the answer
+        # (beyond a float-rounding margin of 1e-9) is never routed
+        routed, searches = [], []
+        route, search = planner._route, planner._search
+        monkeypatch.setattr(planner, "_route", lambda *a: routed.append(a[4]) or route(*a))
+        monkeypatch.setattr(planner, "_search", lambda *a: searches.append(a[3]) or search(*a))
+        queries = skipped = 0
+        for rng, rm, vis, grid in self.multi_goal_worlds():
+            ys, xs = np.nonzero(grid.free)
+            for _ in range(25):
+                i, *js = rng.integers(0, len(xs), size=int(rng.integers(2, 9)))
+                start, goals = (int(xs[i]), int(ys[i])), [(int(xs[j]), int(ys[j])) for j in js]
+                routed.clear()
+                searches.clear()
+                res = plan(rm, vis, grid, start, *goals)
+                assert len(searches) <= 1
+                if not res.ok:
+                    continue
+                queries += 1
+                for goal in routed:
+                    assert math.dist(goal, start) * grid.resolution <= res.cost * (1 + 1e-9), (start, goal, res.cost)
+                # and every goal whose length alone costs no more than the answer is
+                # routed, since it might have won
+                for goal in goals:
+                    if goal != start and math.dist(goal, start) * grid.resolution <= res.cost:
+                        assert goal in routed, (start, goal, res.cost)
+                skipped += len([g for g in goals if g != start]) - len(routed)
+        assert queries > 50 and skipped > 50
 
     def test_no_goal_reached_gives_the_first_goals_reason(self):
         cls = np.full((16, 16), int(SemanticClass.UNKNOWN))
