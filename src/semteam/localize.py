@@ -39,9 +39,11 @@ ESS_FRACTION = 0.5
 class ParticleSet:
     """Weighted pose hypotheses. Weights sum to 1 after every update.
 
-    A set is never changed in place. ``at_rest`` marks a set that a
-    noise-free zero step of ``predict`` returned bit for bit unchanged; a
-    new set, ``dataclasses.replace`` included, starts without the mark.
+    A set is never changed in place, so sets may share arrays. ``at_rest``
+    marks a set that a noise-free zero step of ``predict`` returned bit for
+    bit unchanged. ``cos`` and ``sin`` of the yaws are computed on first
+    use and kept. A new set, ``dataclasses.replace`` included, starts
+    without the mark and without the trig.
     """
 
     xs: np.ndarray
@@ -53,6 +55,14 @@ class ParticleSet:
     @property
     def n(self) -> int:
         return int(self.xs.size)
+
+    @functools.cached_property
+    def cos(self) -> np.ndarray:
+        return np.cos(self.yaws)
+
+    @functools.cached_property
+    def sin(self) -> np.ndarray:
+        return np.sin(self.yaws)
 
 
 @dataclass
@@ -198,11 +208,11 @@ def predict(
     f = delta.forward + (rng.normal(0.0, sx, n) if sx > 0 else 0.0)
     l = delta.lateral + (rng.normal(0.0, sy, n) if sy > 0 else 0.0)
     dyaw = delta.dyaw + (rng.normal(0.0, syaw, n) if syaw > 0 else 0.0)
-    c, s = np.cos(particles.yaws), np.sin(particles.yaws)
+    c, s = particles.cos, particles.sin
     xs = particles.xs + c * f - s * l
     ys = particles.ys + s * f + c * l
     yaws = wrap_angle(particles.yaws + dyaw)
-    out = ParticleSet(xs, ys, yaws, particles.weights.copy())
+    out = ParticleSet(xs, ys, yaws, particles.weights)
     out.at_rest = still and all(
         a.tobytes() == b.tobytes()
         for a, b in ((xs, particles.xs), (ys, particles.ys), (yaws, particles.yaws))
@@ -232,24 +242,20 @@ def match_costs(
     u, v, scratch = (a[: n * bins].reshape(bins, n) for a in floats)
     codes = codes[: n * bins].reshape(bins, n)
     # bin-by-particle layout: every numpy loop runs along the particles
-    c, s = np.cos(particles.yaws), np.sin(particles.yaws)
-    dx, dy = obs.dx[:, None], obs.dy[:, None]
+    c, s = particles.cos, particles.sin
+    dx, dy = obs.dx, obs.dy
     inv_res = 1.0 / grid.resolution
     # u = (x - origin_x) * inv_res + (c * dx - s * dy) * inv_res, and v the
-    # same in y, evaluated in place; a product is a copy of its row operand
-    # times its column, which numpy does faster than a product of two
-    # broadcast operands, and with one 64 KiB iteration buffer, not two
-    np.copyto(u, c)
-    u *= dx
-    np.copyto(v, s)
-    v *= dy
+    # same in y, evaluated in place. einsum writes each outer product as
+    # 0 + dx * c: the product's bits, but for the sign of a zero, which the
+    # floor and clip below map to the same index
+    np.einsum("i,j->ij", dx, c, out=u)
+    np.einsum("i,j->ij", dy, s, out=v)
     u -= v
     u *= inv_res
     u += (particles.xs - grid.origin_x) * inv_res
-    np.copyto(v, s)
-    v *= dx
-    np.copyto(scratch, c)
-    scratch *= dy
+    np.einsum("i,j->ij", dx, s, out=v)
+    np.einsum("i,j->ij", dy, c, out=scratch)
     v += scratch
     v *= inv_res
     v += (particles.ys - grid.origin_y) * inv_res
@@ -261,7 +267,7 @@ def match_costs(
     stride = grid.width + 2
     v *= stride
     v += u
-    v += (obs.layer * ((grid.height + 2) * stride) + stride + 1)[:, None]
+    v += (obs.layer * ((grid.height + 2) * stride) + stride + 1).astype(np.float64)[:, None]
     flat = scratch.view(np.intp)
     np.copyto(flat, v, casting="unsafe")
     # every index is in range; take buffers its output in the default mode
@@ -354,7 +360,11 @@ def update_and_resample(
     else:
         w = w / total
 
-    estimate = weighted_mean_pose(ParticleSet(particles.xs, particles.ys, particles.yaws, w))
+    # the weighted set shares the poses and their trig, and is the result
+    # when the set is not resampled
+    out = ParticleSet(particles.xs, particles.ys, particles.yaws, w)
+    out.cos, out.sin = particles.cos, particles.sin
+    estimate = weighted_mean_pose(out)
 
     ess = float(1.0 / (w**2).sum())
     resampled = ess < ESS_FRACTION * particles.n
@@ -364,21 +374,19 @@ def update_and_resample(
         cumw[-1] = 1.0
         idx = np.searchsorted(cumw, positions)
         out = ParticleSet(
-            xs=particles.xs[idx].copy(),
-            ys=particles.ys[idx].copy(),
-            yaws=particles.yaws[idx].copy(),
+            xs=particles.xs[idx],
+            ys=particles.ys[idx],
+            yaws=particles.yaws[idx],
             weights=np.full(particles.n, 1.0 / particles.n),
         )
-    else:
-        out = ParticleSet(particles.xs.copy(), particles.ys.copy(), particles.yaws.copy(), w)
     return out, estimate, UpdateInfo(ess=ess, resampled=resampled, diverged=diverged)
 
 
 def weighted_mean_pose(particles: ParticleSet) -> tuple[float, float, float]:
     """Weighted mean of (x, y) and circular mean of yaw."""
-    w, yaws = particles.weights, particles.yaws
+    w = particles.weights
     return (
         float((w * particles.xs).sum()),
         float((w * particles.ys).sum()),
-        float(math.atan2((w * np.sin(yaws)).sum(), (w * np.cos(yaws)).sum())),
+        float(math.atan2((w * particles.sin).sum(), (w * particles.cos).sum())),
     )

@@ -290,13 +290,14 @@ def _bridge(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, r_ce
     edges are only added (already an edge or a common neighbor), existing
     nodes' visible regions do not change (no overlap), and occupied cells
     only accumulate (every overlap cell holds a node). So a skipped pair is
-    dropped for good, and after a bridge node n is added only (a, b) itself
-    and the pairs (o, n) with o near n can have become bridgeable. Pushing
-    those onto the heap makes each pair taken the lexicographically first
-    bridgeable one, which is the pair a full rescan of all pairs would pick.
-    Each of them is pushed only if it has neither an edge nor a common
-    neighbor yet: one that has would be skipped when popped, for the same
-    reason. The test stops at the first common neighbor it finds.
+    dropped for good. A bridge node n sits on a cell that both a and b see,
+    so ``_add_node`` links it to both and (a, b) is done; only the pairs
+    (o, n) with o near n can have become bridgeable. Pushing those onto the
+    heap makes each pair taken the lexicographically first bridgeable one,
+    which is the pair a full rescan of all pairs would pick. Each of them is
+    pushed only if it has neither an edge nor a common neighbor yet: one
+    that has would be skipped when popped, for the same reason. The test
+    stops at the first common neighbor it finds.
     """
     w = grid.shape[1]
     reach2 = (2 * r_cells) ** 2
@@ -336,11 +337,10 @@ def _bridge(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, r_ce
         n = _add_node(roadmap, vis, grid, best, r_cells)
         occupied.add(best)
         bx, by = best
-        near = [(o, n) for o, (ox, oy) in roadmap.nodes.items() if o != n and (ox - bx) ** 2 + (oy - by) ** 2 <= reach2]
-        for pair in [(a, b), *near]:
-            x, y = pair
-            if y not in adj[x] and adj[x].isdisjoint(adj[y]):
-                heapq.heappush(heap, pair)
+        for o, (ox, oy) in roadmap.nodes.items():
+            near = o != n and (ox - bx) ** 2 + (oy - by) ** 2 <= reach2
+            if near and n not in adj[o] and adj[o].isdisjoint(adj[n]):
+                heapq.heappush(heap, (o, n))
 
 
 def _refresh_weights(roadmap: Roadmap, grid: TraversabilityGrid) -> None:

@@ -32,7 +32,9 @@ class LocalObstacleGrid:
 
     Local-goal selection reads clearance at a few dozen candidate cells, so
     ``clearance_at`` computes it there from ``cells`` on each call instead of
-    transforming the whole grid.
+    transforming the whole grid. The grid changes only at scans, so it keeps
+    its last local-goal disc search, keyed by everything that search reads,
+    for the steps in between; a write to ``cells`` in place changes the key.
     """
 
     side: float
@@ -41,6 +43,7 @@ class LocalObstacleGrid:
     cells: np.ndarray
     origin_x: float
     origin_y: float
+    _search: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, side: float, resolution: float) -> "LocalObstacleGrid":
@@ -148,7 +151,11 @@ def _select_local_goal_ex(
     the forward march actually reached."""
     x, y = pose[0], pose[1]
     wx, wy = next_waypoint
-    res = grid.resolution
+    res, n = grid.resolution, grid.n
+    ox, oy = grid.origin_x, grid.origin_y
+    # the march reads the cells as state_at does: the cell_of floats, and
+    # unknown off the grid
+    cells = grid.cells.tobytes()
     dist = math.hypot(wx - x, wy - y)
     cx, cy = x, y
     march_reach = 0.0
@@ -158,7 +165,9 @@ def _select_local_goal_ex(
         step = 0.5 * res
         while t + step <= dist:
             nx_, ny_ = x + ux * (t + step), y + uy * (t + step)
-            if grid.state_at(nx_, ny_) != FREE_CELL:
+            ix = int(math.floor((nx_ - ox) / res))
+            iy = int(math.floor((ny_ - oy) / res))
+            if not (0 <= ix < n and 0 <= iy < n and cells[iy * n + ix] == FREE_CELL):
                 break
             t += step
             cx, cy = nx_, ny_
@@ -168,33 +177,45 @@ def _select_local_goal_ex(
         march_reach = t
 
     cand_ix, cand_iy = grid.cell_of(cx, cy)
+    key = (cand_ix, cand_iy, search_radius, ox, oy, res, grid.side, cells)
+    if grid._search is None or grid._search[0] != key:
+        grid._search = (key, _disc_goal(grid, cand_ix, cand_iy, search_radius))
+    return grid._search[1], march_reach
+
+
+def _disc_goal(
+    grid: LocalObstacleGrid, cand_ix: int, cand_iy: int, search_radius: float
+) -> tuple[float, float] | None:
+    """Center of the free cell within ``search_radius`` of the candidate
+    cell with the most clearance, ties to the nearer and then the lower flat
+    index; None when the disc holds no free cell."""
+    res = grid.resolution
     r_cells = search_radius / res
     x_lo = max(0, int(math.floor(cand_ix - r_cells)))
     x_hi = min(grid.n - 1, int(math.ceil(cand_ix + r_cells)))
     y_lo = max(0, int(math.floor(cand_iy - r_cells)))
     y_hi = min(grid.n - 1, int(math.ceil(cand_iy + r_cells)))
     if x_lo > x_hi or y_lo > y_hi:
-        return None, march_reach
+        return None
     sub = grid.cells[y_lo : y_hi + 1, x_lo : x_hi + 1]
     fy, fx = np.nonzero(sub == FREE_CELL)
     if fx.size == 0:
-        return None, march_reach
+        return None
     gx, gy = fx + x_lo, fy + y_lo
     in_disc = (gx - cand_ix) ** 2 + (gy - cand_iy) ** 2 <= r_cells**2
     gx, gy = gx[in_disc], gy[in_disc]
     if gx.size == 0:
-        return None, march_reach
+        return None
 
     scores = grid.clearance_at(gx, gy)
     d2 = (gx - cand_ix) ** 2 + (gy - cand_iy) ** 2
     flats = gy * grid.n + gx
     best = np.lexsort((flats, d2, -scores))[0]
     bx, by = int(gx[best]), int(gy[best])
-    goal = (
+    return (
         grid.origin_x + (bx + 0.5) * res,
         grid.origin_y + (by + 0.5) * res,
     )
-    return goal, march_reach
 
 
 @dataclass

@@ -139,19 +139,32 @@ class TestRun:
         assert builds == 2
         assert summary["planner.extract_traversability"]["calls"] == builds
 
-    def test_page_fault_tool_wraps_functions_that_exist(self):
-        # tools/page_faults.py wraps module attributes by the names callers
-        # look them up by; each must still be a callable of its module
-        path = Path(__file__).resolve().parents[1] / "tools" / "page_faults.py"
-        spec = importlib.util.spec_from_file_location("page_faults", path)
+    @staticmethod
+    def load_tool(name):
+        """Import ``tools/<name>.py`` without running it."""
+        path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
         tool = importlib.util.module_from_spec(spec)
         saved = list(sys.path)
         try:
             spec.loader.exec_module(tool)
         finally:
             sys.path[:] = saved
+        return tool
+
+    def test_page_fault_tool_wraps_functions_that_exist(self):
+        # tools/page_faults.py wraps module attributes by the names callers
+        # look them up by; each must still be a callable of its module
+        tool = self.load_tool("page_faults")
         assert ("planner", "plan") in tool.WRAPPED
         for mod, attr in tool.WRAPPED:
+            assert callable(getattr(importlib.import_module(f"semteam.{mod}"), attr, None)), (mod, attr)
+
+    def test_kernel_time_tool_times_functions_that_exist(self):
+        # tools/kernel_times.py patches and replays kernels by these names
+        tool = self.load_tool("kernel_times")
+        assert [attr for _, attr in tool.KERNELS] == ["match_costs", "predict", "_select_local_goal_ex"]
+        for mod, attr in tool.KERNELS:
             assert callable(getattr(importlib.import_module(f"semteam.{mod}"), attr, None)), (mod, attr)
 
     @pytest.mark.parametrize("name", sorted(SMALL_RUN_SHA256))
@@ -439,6 +452,27 @@ class TestMapEdge:
     def test_a_start_that_stages_every_robot_on_the_world_builds(self):
         sim = Simulation(ScenarioConfig.from_dict({"start": [196.5, 23]}))
         assert [a.true_pose[:2] for a in sim.ground_agents] == [(196.5, 23.0), (199.5, 23.0)]
+
+
+def test_every_local_goal_of_a_run_equals_a_memo_free_twins(monkeypatch, tmp_path):
+    # the local grid keeps its last disc search for the steps between scans;
+    # along a run, each search must give what a fresh copy of the grid gives
+    raw = tracker._select_local_goal_ex
+    kept = {True: 0, False: 0}
+
+    def checked(grid, pose, waypoint, radius):
+        last = grid._search
+        got = raw(grid, pose, waypoint, radius)
+        kept[grid._search is last] += 1
+        twin = tracker.LocalObstacleGrid(
+            grid.side, grid.resolution, grid.n, grid.cells.copy(), grid.origin_x, grid.origin_y
+        )
+        assert got == raw(twin, pose, waypoint, radius)
+        return got
+
+    monkeypatch.setattr(tracker, "_select_local_goal_ex", checked)
+    Simulation(small_config(), world=small_world()).run(tmp_path)
+    assert kept[True] > 50 and kept[False] > 50, kept
 
 
 class TestParkedRobots:

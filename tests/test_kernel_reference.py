@@ -619,6 +619,32 @@ class TestMatchCostsMatchesLoop:
         steps = np.diff(filled)
         assert (steps > 0).any() and (steps < 0).any(), filled
 
+    @pytest.mark.parametrize("res", [0.3, 0.5])
+    def test_signed_zeros_on_cell_edges(self, res):
+        # particles on cell edges and integer points, on and off the map, at
+        # axis-aligned yaws, and bins whose offsets are +0.0 or -0.0: every
+        # projected point lands on or next to a cell edge, so a product or
+        # sum whose bits differ in anything but a zero's sign moves a cell
+        rng = np.random.default_rng(14)
+        w, h = 14, 10
+        origin = (-3 * res, 2 * res)
+        grid = make_map(cluttered_classes(rng, w, h, unknown=0.2), res, origin)
+        offsets = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (res, -0.0), (-0.0, -res),
+                   (-res, 0.0), (0.0, 2 * res), (1.0, -0.0), (-0.0, -1.0), (2.0, 3 * res)]
+        layers = [int(c) for c in SemanticClass if c != SemanticClass.UNKNOWN] + [FREE_LAYER]
+        obs = PolarObservation(
+            dx=np.array([o[0] for o in offsets]),
+            dy=np.array([o[1] for o in offsets]),
+            layer=np.array([layers[i % len(layers)] for i in range(len(offsets))], dtype=np.int64),
+        )
+        edges_x = [origin[0] + k * res for k in range(-2, w + 3)] + [float(k) for k in range(-6, 8)]
+        edges_y = [origin[1] + k * res for k in range(-2, h + 3)] + [float(k) for k in range(-2, 9)]
+        yaws = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
+        xs, ys, yaw = (np.array(a, dtype=np.float64).ravel() for a in np.meshgrid(edges_x, edges_y, yaws))
+        particles = ParticleSet(xs, ys, yaw, np.full(xs.size, 1.0 / xs.size))
+        got = match_costs(particles, obs, grid, 0.4, match_table(grid))
+        assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
+
     def test_empty_observation(self):
         rng = np.random.default_rng(12)
         obs = PolarObservation.from_scan(scan_of([]), 36, 10, 15.0)

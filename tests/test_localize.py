@@ -1,5 +1,6 @@
 """Particle filter: prediction, matching, resampling, convergence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from semteam.localize import (
     match_table,
     predict,
     update_and_resample,
+    weighted_mean_pose,
 )
 from semteam.world import SemanticClass, SemanticGridMap, WorldModel, ground_scan
 from test_kernel_reference import pairs_of, scan_of
@@ -182,6 +184,23 @@ class TestPredict:
         assert predict(second, OdomDelta(1e-300, 0.0, 0.0), (0, 0, 0), rng) is not second
         assert predict(second, OdomDelta(0.0, 0.0, 0.0), (0.1, 0, 0), rng) is not second
         assert not ParticleSet(second.xs, second.ys, second.yaws, second.weights).at_rest
+
+    def test_trig_is_numpys_of_the_yaws_and_a_new_set_takes_its_own(self):
+        ps = init_filter((0, 0, 3.0), 200, (1, 1, 2.0), np.random.default_rng(15))
+        yaws = ps.yaws.copy()
+        yaws[:6] = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2]
+        ps = ParticleSet(ps.xs, ps.ys, yaws, ps.weights)
+        assert ps.cos.tobytes() == np.cos(yaws).tobytes()
+        assert ps.sin.tobytes() == np.sin(yaws).tobytes()
+        assert ps.cos is ps.cos and ps.sin is ps.sin
+        turned = dataclasses.replace(ps, yaws=yaws + 0.5)
+        assert turned.cos.tobytes() == np.cos(yaws + 0.5).tobytes()
+        assert turned.sin.tobytes() == np.sin(yaws + 0.5).tobytes()
+        # predict reads the input's trig and leaves the output's to first use
+        out = predict(ps, OdomDelta(1.0, 0.5, 0.1), (0, 0, 0), np.random.default_rng(16))
+        assert out.weights is ps.weights and "cos" not in vars(out)
+        assert out.cos.tobytes() == np.cos(out.yaws).tobytes()
+        assert out.xs.tobytes() == (ps.xs + np.cos(yaws) * 1.0 - np.sin(yaws) * 0.5).tobytes()
 
     def test_forward_shift_along_own_yaw(self):
         ps = init_filter((0, 0, 0), 100, (2, 2, 1.0), np.random.default_rng(6))
@@ -360,6 +379,23 @@ class TestUpdateResample:
         out, _, info = update_and_resample(ps, obs, grid, TEMPERATURE, rng, match_table(grid))
         if not info.resampled:
             np.testing.assert_allclose(out.weights, ps.weights, atol=1e-12)
+
+    def test_the_weighted_set_shares_poses_and_trig(self):
+        world = ring_world()
+        obs = scan_obs(world.truth, (11.5, 11.5, 0.0))
+        table = match_table(world.truth)
+        ps = init_filter((11.5, 11.5, 0.0), 200, (0.3, 0.3, 0.05), np.random.default_rng(17))
+        out, est, info = update_and_resample(ps, obs, world.truth, 1e6, np.random.default_rng(18), table)
+        assert not info.resampled
+        assert all(a is b for a, b in zip((out.xs, out.ys, out.yaws, out.cos, out.sin), (ps.xs, ps.ys, ps.yaws, ps.cos, ps.sin)))
+        fresh = ParticleSet(ps.xs.copy(), ps.ys.copy(), ps.yaws.copy(), out.weights.copy())
+        assert np.array(est).tobytes() == np.array(weighted_mean_pose(fresh)).tobytes()
+        # a resampled set takes the trig of its own yaws
+        ps = init_filter((11.5, 11.5, 0.0), 200, (4.0, 4.0, 0.5), np.random.default_rng(19))
+        out, _, info = update_and_resample(ps, obs, world.truth, 1e-3, np.random.default_rng(18), table)
+        assert info.resampled
+        assert out.cos.tobytes() == np.cos(out.yaws).tobytes()
+        assert out.sin.tobytes() == np.sin(out.yaws).tobytes()
 
     def test_dominant_particle_wins(self):
         world = ring_world()

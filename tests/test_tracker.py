@@ -247,6 +247,32 @@ class TestClearanceAt:
         assert select_checking_reads(grid, pose, (101.5, 100.5), 3.0)[1] > 0
 
 
+class TestSearchMemo:
+    def test_a_write_in_place_between_two_same_queries_gives_the_fresh_goal(self):
+        grid = filled_grid()
+        grid.cells[8:12, 14:20] = OBSTACLE_CELL
+        pose, waypoint = (12.5, 12.5, 0.0), (16.5, 12.5)
+        first, n_first = select_checking_reads(grid, pose, waypoint, 3.0)
+        # the same query on the same grid reads no clearance
+        assert select_checking_reads(grid, pose, waypoint, 3.0) == (first, 0)
+        gx, gy = grid.cell_of(*first)
+        grid.cells[gy, gx] = OBSTACLE_CELL
+        second, n_second = select_checking_reads(grid, pose, waypoint, 3.0)
+        twin = LocalObstacleGrid(grid.side, grid.resolution, grid.n, grid.cells.copy(), grid.origin_x, grid.origin_y)
+        assert second == _select_local_goal_ex(twin, pose, waypoint, 3.0)[0]
+        assert second != first and n_first > 0 and n_second > 0
+
+    def test_a_grid_moved_with_the_same_cells_gives_the_goal_at_its_new_origin(self):
+        grid = filled_grid()
+        pose, waypoint = (12.5, 12.5, 0.0), (16.5, 12.5)
+        first, _ = _select_local_goal_ex(grid, pose, waypoint, 3.0)
+        grid.recenter(pose[0] + 5.0, pose[1])
+        grid.cells[:, :] = FREE_CELL
+        moved = (pose[0] + 5.0, pose[1], 0.0)
+        goal, _ = _select_local_goal_ex(grid, moved, (waypoint[0] + 5.0, waypoint[1]), 3.0)
+        assert goal == (first[0] + 5.0, first[1])
+
+
 class TestStep:
     def test_goal_dead_ahead_full_speed(self):
         grid = filled_grid()
