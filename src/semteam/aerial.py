@@ -5,10 +5,12 @@ is created every time the platform has moved a threshold distance. Each
 keyframe's footprint cells are fused into a map accumulator, which marks
 them observed and takes their class from the keyframe. Every keyframe copies
 the true class of each cell it sees, so every observation of a cell carries
-the same class, and the fused map is independent of arrival order. Fusing
-noisy or estimated-pose keyframes would need a tie-break between
-observations again, such as the one that keeps the pixel closest to the
-image center.
+the same class, and the fused map is independent of arrival order. For the
+same reason a complete accumulator, one that has observed every cell,
+takes no more keyframes: none could change it. Fusing noisy or
+estimated-pose keyframes would need a tie-break between observations
+again, such as the one that keeps the pixel closest to the image center,
+and would have to fuse past completion.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
 
 class MapAccumulator:
     """Per-cell fusion state for the aerial map: which cells have been seen,
-    and their class (UNKNOWN where none has)."""
+    and their class (UNKNOWN where none has). ``complete`` holds once every
+    cell has been seen."""
 
     def __init__(self, width: int, height: int, resolution: float = 1.0,
                  origin_x: float = 0.0, origin_y: float = 0.0) -> None:
@@ -76,6 +79,7 @@ class MapAccumulator:
         shape = (height, width)
         self.classes = np.full(shape, SemanticClass.UNKNOWN, dtype=np.int8)
         self.observed = np.zeros(shape, dtype=bool)
+        self.complete = False
         self._next_version = 1
 
     @classmethod
@@ -87,6 +91,7 @@ class MapAccumulator:
         ixs, iys = kf.ixs[ok], kf.iys[ok]
         self.observed[iys, ixs] = True
         self.classes[iys, ixs] = kf.classes[ok]
+        self.complete = bool(self.observed.all())
 
     def snapshot(self) -> SemanticGridMap:
         """Immutable snapshot with a strictly increasing version."""

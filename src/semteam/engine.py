@@ -188,13 +188,15 @@ class AerialAgent:
             self.true_pose = (x + dx / dist * step, y + dy / dist * step, altitude, math.atan2(dy, dx))
 
     def autonomy(self, tick: int) -> None:
-        pose = self.true_pose
-        kf = am.maybe_create_keyframe(
-            pose, self.last_kf_pose, KEYFRAME_THRESHOLD, world=self.world, fov_half_angle=FOV_HALF_ANGLE
-        )
-        if kf is not None:
-            self.last_kf_pose = pose
-            self.acc.fuse_keyframe(kf)
+        # a keyframe copies truth, so a complete map needs none
+        if not self.acc.complete:
+            pose = self.true_pose
+            kf = am.maybe_create_keyframe(
+                pose, self.last_kf_pose, KEYFRAME_THRESHOLD, world=self.world, fov_half_angle=FOV_HALF_ANGLE
+            )
+            if kf is not None:
+                self.last_kf_pose = pose
+                self.acc.fuse_keyframe(kf)
         if tick % self.cfg.aerial.snapshot_period_ticks == 0 and self.acc.observed.any():
             snap = self.acc.snapshot()
             rec = self.db.put_local(MAP_KEY, am.encode_snapshot(snap))

@@ -222,8 +222,12 @@ def wrap_angle(a):
     if isinstance(a, float):
         r = (float(a) + math.pi) % (2 * math.pi) - math.pi
         return math.pi if r == -math.pi else r
-    r = np.mod(np.asarray(a) + np.pi, 2 * np.pi) - np.pi
-    r = np.where(r == -np.pi, np.pi, r)
     if np.isscalar(a) or np.asarray(a).ndim == 0:
-        return float(r)
+        r = np.mod(np.asarray(a) + np.pi, 2 * np.pi) - np.pi
+        return float(np.where(r == -np.pi, np.pi, r))
+    # the same operations in place on one fresh array
+    r = np.asarray(a) + np.pi
+    np.mod(r, 2 * np.pi, out=r)
+    r -= np.pi
+    np.copyto(r, np.pi, where=r == -np.pi)
     return r

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semteam.aerial import (
+    Keyframe,
     MapAccumulator,
     decode_snapshot,
     encode_snapshot,
@@ -147,6 +148,46 @@ class TestFusion:
         assert inside and inside != cells
         got = {(int(ix), int(iy)) for iy, ix in zip(*np.nonzero(acc.observed))}
         assert got == inside
+
+
+class TestCompletion:
+    def test_new_and_partial_maps_are_not_complete(self):
+        world = flat_world()
+        acc = MapAccumulator.like(world.truth)
+        assert acc.complete is False
+        acc.fuse_keyframe(kf_at(world, 20.0, 20.0))
+        assert acc.observed.any() and not acc.observed.all()
+        assert acc.complete is False
+
+    def test_a_full_view_completes_the_map(self):
+        world = flat_world()
+        acc = MapAccumulator.like(world.truth)
+        acc.fuse_keyframe(full_view_keyframe(world.truth))
+        assert acc.complete is True
+
+    def test_complete_once_the_last_cell_is_seen(self):
+        world, kfs = TestFusion()._random_keyframes(seed=4, n=20)
+        acc = MapAccumulator.like(world.truth)
+        for kf in kfs:
+            acc.fuse_keyframe(kf)
+            assert acc.complete is bool(acc.observed.all())
+        iys, ixs = np.nonzero(~acc.observed)
+        assert len(ixs) > 1
+        acc.fuse_keyframe(Keyframe(ixs=ixs[1:], iys=iys[1:], classes=world.truth.classes[iys[1:], ixs[1:]]))
+        assert acc.complete is False
+        acc.fuse_keyframe(Keyframe(ixs=ixs[:1], iys=iys[:1], classes=world.truth.classes[iys[:1], ixs[:1]]))
+        assert acc.complete is True
+
+    def test_no_keyframe_changes_a_complete_map(self):
+        # every keyframe copies the truth, which a complete map already holds
+        world, kfs = TestFusion()._random_keyframes(seed=12, n=20)
+        acc = MapAccumulator.like(world.truth)
+        acc.fuse_keyframe(full_view_keyframe(world.truth))
+        before = (acc.classes.tobytes(), acc.observed.tobytes())
+        for kf in kfs + [full_view_keyframe(world.truth)]:
+            acc.fuse_keyframe(kf)
+            assert (acc.classes.tobytes(), acc.observed.tobytes()) == before
+            assert acc.complete is True
 
 
 class TestSnapshot:

@@ -160,6 +160,15 @@ class TestRun:
         for mod, attr in tool.WRAPPED:
             assert callable(getattr(importlib.import_module(f"semteam.{mod}"), attr, None)), (mod, attr)
 
+    def test_setup_sample_tool_times_the_benchmarks_set_up_child(self):
+        tool = self.load_tool("setup_samples")
+        cfg = tool.workloads.config("team2", tool.workloads.REFERENCE_SEED)
+        got = tool.sample(cfg)
+        assert set(got) == {"setup_s", "scaled_s", "minflt"}
+        assert got["setup_s"] > 0 and got["scaled_s"] > 0
+        # the whole set-up process: imports, world and agents, and the burst
+        assert type(got["minflt"]) is int and got["minflt"] > 1000
+
     def test_kernel_time_tool_times_functions_that_exist(self):
         # tools/kernel_times.py patches and replays kernels by these names
         tool = self.load_tool("kernel_times")
@@ -187,6 +196,26 @@ class TestRun:
         ticks = sorted({int(row.split(",")[0]) for row in rows})
         assert ticks == list(range(0, report.ticks, POSE_PERIOD))
         assert len(rows) == 2 * len(ticks)
+
+    def test_out_dir_files_follow_their_schema(self, two_runs):
+        _, ((out, _), _) = two_runs
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert events and all(type(ev) is dict for ev in events)
+        assert all(type(ev["tick"]) is int and type(ev["ev"]) is str for ev in events)
+        ticks = [ev["tick"] for ev in events]
+        assert ticks == sorted(ticks)
+        with open(out / "poses.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == (
+            "tick,robot,bel_x,bel_y,bel_yaw,true_x,true_y,true_yaw,dr_x,dr_y,dr_yaw,ess,diverged".split(",")
+        )
+        assert rows and all(len(row) == 13 and int(row[0]) % POSE_PERIOD == 0 for row in rows)
+        with open(out / "metrics.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == [fld.name for fld in dataclasses.fields(RunReport)]
+        assert len(rows) == 1 and len(rows[0]) == len(header)
+        snap = decode_snapshot((out / "map_final.bin").read_bytes())
+        assert snap.observed.shape == snap.classes.shape == (snap.height, snap.width)
 
     def test_written_config_loads_back(self, two_runs):
         cfg, ((out, _), _) = two_runs
@@ -277,6 +306,64 @@ def test_metrics_print_an_integer_comm_range_as_a_float(tmp_path):
     with open(tmp_path / "metrics.csv", newline="") as f:
         (row,) = csv.DictReader(f)
     assert row["comm_range"] == "60.0"
+
+
+class NeverComplete(MapAccumulator):
+    """An accumulator that never reports complete, so its robot keeps
+    taking keyframes for the whole run."""
+
+    complete = property(lambda self: False, lambda self, value: None)
+
+
+class TestCompleteAerialMap:
+    @staticmethod
+    def flight(monkeypatch, acc_type=MapAccumulator, **overrides):
+        """An aerial-only run of the standard world, whose map completes at
+        tick 440. Returns the simulation, for each ``maybe_create_keyframe``
+        call whether the map was already complete, and the sha256 of every
+        published map payload."""
+        cfg = ScenarioConfig.from_dict({"n_ground": 0, "max_ticks": 600} | overrides)
+        sim = Simulation(cfg)
+        robot = sim.agents[0]
+        if acc_type is not MapAccumulator:
+            robot.acc = acc_type.like(sim.world.truth)
+        seen_complete, payloads = [], []
+        make, encode = aerial.maybe_create_keyframe, aerial.encode_snapshot
+
+        def maybe_create_keyframe(*args, **kwargs):
+            seen_complete.append(bool(robot.acc.observed.all()))
+            return make(*args, **kwargs)
+
+        def encode_snapshot(grid):
+            data = encode(grid)
+            payloads.append(hashlib.sha256(data).hexdigest())
+            return data
+
+        with monkeypatch.context() as mp:
+            mp.setattr(aerial, "maybe_create_keyframe", maybe_create_keyframe)
+            mp.setattr(aerial, "encode_snapshot", encode_snapshot)
+            sim.run()
+        return sim, seen_complete, payloads
+
+    def test_no_keyframe_after_the_map_completes(self, monkeypatch):
+        sim, seen_complete, _ = self.flight(monkeypatch)
+        assert sim.tick_count == 600 and sim.agents[0].acc.complete
+        assert len(seen_complete) == 440 and not any(seen_complete)
+
+    def test_every_published_map_equals_a_never_complete_twins(self, monkeypatch):
+        sim, _, payloads = self.flight(monkeypatch)
+        twin, twin_seen, twin_payloads = self.flight(monkeypatch, NeverComplete)
+        assert sum(twin_seen) == 160  # the twin kept keyframing after tick 440
+        assert len(payloads) == 6 and payloads == twin_payloads
+        assert sim.events == twin.events
+        assert sim.agents[0].acc.classes.tobytes() == twin.agents[0].acc.classes.tobytes()
+
+    def test_a_preloaded_map_takes_no_keyframe(self, monkeypatch):
+        sim, seen_complete, payloads = self.flight(monkeypatch, initial_map="full", max_ticks=250)
+        assert seen_complete == []
+        # it still publishes a snapshot every 100 ticks
+        assert len(payloads) == 3
+        assert [json.loads(line)["ev"] for line in sim.events] == ["map"] * 3
 
 
 def roadmap_state_hash(roadmap, vis) -> str:

@@ -496,6 +496,29 @@ def test_scalar_wrap_angle_matches_the_array_path():
     assert bits(np.array(got)) == bits(want[::50])
 
 
+def ref_wrap_angle(a):
+    """The array path of ``wrap_angle`` as one expression, with temporaries."""
+    r = np.mod(np.asarray(a) + np.pi, 2 * np.pi) - np.pi
+    return np.where(r == -np.pi, np.pi, r)
+
+
+def test_array_wrap_angle_matches_the_expression_and_keeps_its_input():
+    rng = np.random.default_rng(22)
+    odd_pi = math.pi * np.arange(-9, 10, 2)
+    values = np.concatenate([
+        rng.uniform(-20.0, 20.0, 500),
+        [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi],
+        odd_pi, np.nextafter(odd_pi, 0.0), np.nextafter(odd_pi, np.sign(odd_pi) * np.inf),
+    ])
+    for a in (values, values.reshape(-1, 2), values.tolist(), values.astype(np.float32)):
+        before = np.array(a, copy=True)
+        got = geometry.wrap_angle(a)
+        want = ref_wrap_angle(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.asarray(a).tobytes() == before.tobytes()
+
+
 class TestFromScanMatchesLoop:
     @pytest.mark.parametrize("n_beams, n_azimuth", [(36, 36), (72, 36), (24, 36), (50, 7), (1, 36), (5, 1)])
     @pytest.mark.parametrize("free_stride", [0, 1, 2, 3])
