@@ -225,9 +225,10 @@ def wrap_angle(a):
     if np.isscalar(a) or np.asarray(a).ndim == 0:
         r = np.mod(np.asarray(a) + np.pi, 2 * np.pi) - np.pi
         return float(np.where(r == -np.pi, np.pi, r))
-    # the same operations in place on one fresh array
+    # the same operations in place on one fresh array; np.mod returns a
+    # value in [0, 2 pi) unchanged, so it runs only on the others
     r = np.asarray(a) + np.pi
-    np.mod(r, 2 * np.pi, out=r)
+    np.mod(r, 2 * np.pi, out=r, where=(r < 0.0) | (r >= 2 * np.pi))
     r -= np.pi
     np.copyto(r, np.pi, where=r == -np.pi)
     return r

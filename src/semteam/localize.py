@@ -230,56 +230,74 @@ def match_costs(
     """Normalized semantic mismatch between the observation and the map,
     one cost per particle. ``table`` is the map's ``match_table``.
 
-    The bins-by-particles temporaries live in a per-thread workspace kept
-    across calls. Fresh arrays there are about 1.3 MiB per call on a
-    500-particle filter: above the allocator's threshold for mapping memory
-    straight from the kernel, so every call would fault in new pages.
+    The particles-by-bins temporaries, 25 bytes per (particle, bin) pair,
+    live in a per-thread workspace kept across calls. Fresh arrays there
+    would be about 1.2 MiB per call for 500 particles and the 102 filled
+    bins of a median standard-world scan: above the allocator's threshold
+    for mapping memory straight from the kernel, so every call would fault
+    in new pages.
     """
     if obs.n_filled == 0:
         return np.zeros(particles.n)
     n, bins = particles.n, obs.n_filled
     floats, codes = _workspace(n * bins)
-    u, v, scratch = (a[: n * bins].reshape(bins, n) for a in floats)
-    codes = codes[: n * bins].reshape(bins, n)
-    # bin-by-particle layout: every numpy loop runs along the particles
+    u, v, scratch = (a[: n * bins].reshape(n, bins) for a in floats)
+    codes = codes[: n * bins].reshape(n, bins)
+    # particle-by-bin layout: each particle's bins are one row, so the sum
+    # at the end runs along rows with no transpose
     c, s = particles.cos, particles.sin
     dx, dy = obs.dx, obs.dy
     inv_res = 1.0 / grid.resolution
+    xs = particles.xs - grid.origin_x
+    ys = particles.ys - grid.origin_y
     # u = (x - origin_x) * inv_res + (c * dx - s * dy) * inv_res, and v the
-    # same in y, evaluated in place. einsum writes each outer product as
-    # 0 + dx * c: the product's bits, but for the sign of a zero, which the
-    # floor and clip below map to the same index
-    np.einsum("i,j->ij", dx, c, out=u)
-    np.einsum("i,j->ij", dy, s, out=v)
-    u -= v
-    u *= inv_res
-    u += (particles.xs - grid.origin_x) * inv_res
-    np.einsum("i,j->ij", dx, s, out=v)
-    np.einsum("i,j->ij", dy, c, out=scratch)
-    v += scratch
-    v *= inv_res
-    v += (particles.ys - grid.origin_y) * inv_res
+    # same in y, one contraction each. For two or more bins, einsum adds the
+    # k terms of each output in order, unfused, onto zero (a test in
+    # tests/test_kernel_reference.py probes this): ((0 + c * dx) + (-s) * dy)
+    # is c * dx - s * dy but for the sign of a zero, which the floor and clip
+    # below map to the same index. For one bin it sums over k in another
+    # order, which is exact for two terms only
+    if inv_res == 1.0 and bins > 1:
+        # the shift multiplies a row of ones: one contraction per coordinate
+        rows = np.stack([dx, dy, np.ones(bins)])
+        np.einsum("ik,kj->ij", np.stack([c, -s, xs], axis=1), rows, out=u)
+        np.einsum("ik,kj->ij", np.stack([s, c, ys], axis=1), rows, out=v)
+    else:
+        rows = np.stack([dx, dy])
+        np.einsum("ik,kj->ij", np.stack([c, -s], axis=1), rows, out=u)
+        u *= inv_res
+        u += (xs * inv_res)[:, None]
+        np.einsum("ik,kj->ij", np.stack([s, c], axis=1), rows, out=v)
+        v *= inv_res
+        v += (ys * inv_res)[:, None]
     np.floor(u, out=u)
-    np.clip(u, -1, grid.width, out=u)
     np.floor(v, out=v)
-    np.clip(v, -1, grid.height, out=v)
-    # flat index into the match table: cells off the map land on its border
+    # |c * dx - s * dy| <= |dx| + |dy|: clip only if some particle's reach,
+    # with a cell of margin for rounding, can leave the map and its border
+    reach = (np.abs(dx) + np.abs(dy)).max() * inv_res + 1.0
+    if not (
+        xs.min() * inv_res - reach >= 0.0
+        and xs.max() * inv_res + reach <= grid.width
+        and ys.min() * inv_res - reach >= 0.0
+        and ys.max() * inv_res + reach <= grid.height
+    ):
+        # cells off the map land on its border
+        np.clip(u, -1, grid.width, out=u)
+        np.clip(v, -1, grid.height, out=v)
+    # flat index into the match table
     stride = grid.width + 2
     v *= stride
     v += u
-    v += (obs.layer * ((grid.height + 2) * stride) + stride + 1).astype(np.float64)[:, None]
+    v += (obs.layer * ((grid.height + 2) * stride) + stride + 1).astype(np.float64)
     flat = scratch.view(np.intp)
     np.copyto(flat, v, casting="unsafe")
     # every index is in range; take buffers its output in the default mode
     table.ravel().take(flat, out=codes, mode="clip")
-    # particle-by-bin costs, in u's buffer, so each particle's sum runs over
-    # one row; the codes go to intp first, which take would otherwise copy
-    # them to on every call
-    index = flat.reshape(n, bins)
-    np.copyto(index, codes.T)
-    per_bin = u.reshape(n, bins)
-    np.array([0.0, 1.0, unknown_cost]).take(index, out=per_bin, mode="clip")
-    return per_bin.sum(axis=1) / bins
+    # the codes go to intp first, which take would otherwise copy them to
+    # on every call; the costs go in u's buffer
+    np.copyto(flat, codes)
+    np.array([0.0, 1.0, unknown_cost]).take(flat, out=u, mode="clip")
+    return u.sum(axis=1) / bins
 
 
 _scratch = threading.local()

@@ -179,7 +179,13 @@ class VisibilityMap:
         return [nid for nid, cells in self.node_cells.items() if f in cells]
 
     def add_cells(self, nid: int, flats: set[int]) -> None:
-        self.node_cells.setdefault(nid, set()).update(flats)
+        """Add cells that node ``nid`` sees; the map keeps ``flats`` itself
+        as the region of a node that has none yet."""
+        cells = self.node_cells.get(nid)
+        if cells is None:
+            self.node_cells[nid] = flats
+        else:
+            cells.update(flats)
         self.cover.reshape(-1)[np.fromiter(flats, dtype=np.int64, count=len(flats))] = True
 
     def copy(self) -> "VisibilityMap":

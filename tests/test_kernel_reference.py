@@ -587,6 +587,26 @@ def particles_around(rng, n, center, spread, yaw_spread=3.2):
     return ParticleSet(xs, ys, yaws, np.full(n, 1.0 / n))
 
 
+@pytest.mark.parametrize("n, bins", [(500, 90), (500, 102), (500, 128), (500, 97), (7, 3), (1, 90), (1, 2)])
+def test_einsum_adds_its_terms_in_order_without_fusing(n, bins):
+    # match_costs's bits rest on np.einsum("ik,kj->ij") giving
+    # ((0 + a0 * b0) + a1 * b1) + a2 * b2 with every product rounded, for
+    # two or more columns j (with one, numpy sums over k in another order).
+    # A fused multiply-add keeps the -2**-60 that rounding (1 + 2**-30) *
+    # (1 - 2**-30) to 1.0 drops; adding the terms in another order keeps
+    # the 1 that 2**53 + 1 rounds away
+    probes = [
+        ([1.0, 1.0 + 2**-30], [-1.0, 1.0 - 2**-30]),
+        ([1.0, 1.0 + 2**-30, 0.0], [-1.0, 1.0 - 2**-30, 1.0]),
+        ([1.0, 1.0, -1.0], [2.0**53, 1.0, 2.0**53]),
+    ]
+    for a, b in probes:
+        rows, cols = np.stack([np.full(n, x) for x in a], axis=1), np.stack([np.full(bins, x) for x in b])
+        out = np.empty((n, bins))
+        np.einsum("ik,kj->ij", rows, cols, out=out)
+        assert bits(out) == bits(np.zeros((n, bins)))
+
+
 class TestMatchCostsMatchesLoop:
     def test_seeded_maps_with_unknown_cells(self):
         rng = np.random.default_rng(9)
@@ -642,7 +662,7 @@ class TestMatchCostsMatchesLoop:
         steps = np.diff(filled)
         assert (steps > 0).any() and (steps < 0).any(), filled
 
-    @pytest.mark.parametrize("res", [0.3, 0.5])
+    @pytest.mark.parametrize("res", [0.3, 0.5, 1.0])
     def test_signed_zeros_on_cell_edges(self, res):
         # particles on cell edges and integer points, on and off the map, at
         # axis-aligned yaws, and bins whose offsets are +0.0 or -0.0: every
@@ -665,6 +685,65 @@ class TestMatchCostsMatchesLoop:
         yaws = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
         xs, ys, yaw = (np.array(a, dtype=np.float64).ravel() for a in np.meshgrid(edges_x, edges_y, yaws))
         particles = ParticleSet(xs, ys, yaw, np.full(xs.size, 1.0 / xs.size))
+        got = match_costs(particles, obs, grid, 0.4, match_table(grid))
+        assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
+
+    @pytest.mark.parametrize("res", [1.0, 0.5])
+    def test_reach_inside_and_past_each_edge(self, res):
+        # a set whose reach stays well inside the map needs no clip; sets
+        # whose farthest point lands one cell inside an edge, on its edge
+        # cell, or one or three cells past it each take their own call.
+        # Three cells past, an unclipped index wraps over the border ring
+        # into a map cell of the row or layer before or after
+        rng = np.random.default_rng(15)
+        w, h, reach = 60, 50, 8.0
+        origin = (-7.0, 4.5)
+        grid = make_map(cluttered_classes(rng, w, h), res, origin)
+        table = match_table(grid)
+        # one bin at full reach along each axis, the rest within it
+        far = [(reach, 0.0), (-reach, 0.0), (0.0, reach), (0.0, -reach)]
+        inner = rng.uniform(-reach / 2, reach / 2, (40, 2))
+        offsets = np.concatenate([far, inner])
+        layers = [int(c) for c in SemanticClass if c != SemanticClass.UNKNOWN] + [FREE_LAYER]
+        obs = PolarObservation(
+            dx=offsets[:, 0].copy(), dy=offsets[:, 1].copy(),
+            layer=np.array([layers[i % len(layers)] for i in range(len(offsets))], dtype=np.int64),
+        )
+        mid_x, mid_y = origin[0] + w * res / 2, origin[1] + h * res / 2
+        sets = [particles_around(rng, 200, (mid_x, mid_y), spread=1.0, yaw_spread=math.pi)]
+        # the farthest point of a yaw-0 particle is x - reach, x + reach,
+        # y - reach or y + reach; it lands mid-cell, k cells past the edge
+        # cell, and smaller yaws pull it back toward the particle
+        lo = {"x": origin[0] + res / 2, "y": origin[1] + res / 2}
+        hi = {"x": origin[0] + (w - 0.5) * res, "y": origin[1] + (h - 0.5) * res}
+        for k in (-1, 0, 1, 3):
+            for axis, sign in itertools.product("xy", (-1, 1)):
+                edge = (lo if sign < 0 else hi)[axis] + sign * k * res
+                at = edge - sign * reach
+                across = rng.uniform(-2.0, 2.0, 30) + (mid_y if axis == "x" else mid_x)
+                xs, ys = (np.full(30, at), across) if axis == "x" else (across, np.full(30, at))
+                yaws = np.where(np.arange(30) % 3 == 0, 0.0, rng.uniform(-0.2, 0.2, 30))
+                sets.append(ParticleSet(xs, ys, yaws, np.full(30, 1.0 / 30)))
+        for particles in sets:
+            got = match_costs(particles, obs, grid, 0.4, table)
+            assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
+
+    @pytest.mark.parametrize("res", [1.0, 0.5])
+    @pytest.mark.parametrize("n_bins", [1, 2, 7])
+    def test_rotations_that_cancel_on_cell_edges(self, res, n_bins):
+        # particles on cell edges, each turned so that one bin's rotated
+        # offset along x or y is a rounding residue: adding the shift before
+        # or between the rotation terms moves such a point across the edge
+        # about half the time
+        rng = np.random.default_rng(16 + n_bins)
+        grid = make_map(cluttered_classes(rng, 30, 30), res)
+        dx, dy = rng.uniform(-6.0, 6.0, (2, n_bins))
+        obs = PolarObservation(dx=dx, dy=dy, layer=rng.integers(0, FREE_LAYER + 1, n_bins))
+        phi = np.arctan2(dy, dx)
+        turns = np.concatenate([math.pi / 2 - phi, -math.pi / 2 - phi, -phi, math.pi - phi])
+        edges = np.arange(8, 22) * res
+        xs, ys, yaws = (a.ravel() for a in np.meshgrid(edges, edges, turns))
+        particles = ParticleSet(xs, ys, yaws, np.full(xs.size, 1.0 / xs.size))
         got = match_costs(particles, obs, grid, 0.4, match_table(grid))
         assert got.tobytes() == ref_match_costs(particles, obs, grid, 0.4).tobytes()
 
