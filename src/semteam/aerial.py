@@ -7,10 +7,13 @@ them observed and takes their class from the keyframe. Every keyframe copies
 the true class of each cell it sees, so every observation of a cell carries
 the same class, and the fused map is independent of arrival order. For the
 same reason a complete accumulator, one that has observed every cell,
-takes no more keyframes: none could change it. Fusing noisy or
-estimated-pose keyframes would need a tie-break between observations
-again, such as the one that keeps the pixel closest to the image center,
-and would have to fuse past completion.
+takes no more keyframes: none could change it, and only a fuse that sees a
+cell for the first time changes the map at all. So the accumulator records
+such a fuse, and a snapshot is published only after one: every published
+map has cells that no earlier one had. Fusing noisy or estimated-pose
+keyframes would need a tie-break between observations again, such as the
+one that keeps the pixel closest to the image center, would have to fuse
+past completion, and would have to publish on a changed class too.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ def full_view_keyframe(grid: SemanticGridMap) -> Keyframe:
 class MapAccumulator:
     """Per-cell fusion state for the aerial map: which cells have been seen,
     and their class (UNKNOWN where none has). ``complete`` holds once every
-    cell has been seen."""
+    cell has been seen, and ``changed`` once a fuse has seen a cell that the
+    last snapshot did not show."""
 
     def __init__(self, width: int, height: int, resolution: float = 1.0,
                  origin_x: float = 0.0, origin_y: float = 0.0) -> None:
@@ -80,6 +84,7 @@ class MapAccumulator:
         self.classes = np.full(shape, SemanticClass.UNKNOWN, dtype=np.int8)
         self.observed = np.zeros(shape, dtype=bool)
         self.complete = False
+        self.changed = False
         self._next_version = 1
 
     @classmethod
@@ -89,12 +94,14 @@ class MapAccumulator:
     def fuse_keyframe(self, kf: Keyframe) -> None:
         ok = (kf.ixs >= 0) & (kf.ixs < self.width) & (kf.iys >= 0) & (kf.iys < self.height)
         ixs, iys = kf.ixs[ok], kf.iys[ok]
+        self.changed |= not self.observed[iys, ixs].all()
         self.observed[iys, ixs] = True
         self.classes[iys, ixs] = kf.classes[ok]
         self.complete = bool(self.observed.all())
 
     def snapshot(self) -> SemanticGridMap:
-        """Immutable snapshot with a strictly increasing version."""
+        """Immutable snapshot with a strictly increasing version; it shows
+        every change so far, so ``changed`` is cleared."""
         snap = SemanticGridMap(
             origin_x=self.origin_x,
             origin_y=self.origin_y,
@@ -106,6 +113,7 @@ class MapAccumulator:
             version=self._next_version,
         )
         self._next_version += 1
+        self.changed = False
         return snap.freeze()
 
 

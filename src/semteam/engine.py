@@ -6,7 +6,8 @@ fixed-range communication topology, event logging. All randomness flows
 from counter-based Philox streams keyed by (master seed, robot, purpose),
 so identical (config, seed) reproduce byte-identical event logs. The
 ground robots share one decode of each map record and the planning
-products built from it (``TeamMaps``).
+products built from it alone (``TeamMaps``). The aerial robot publishes a
+map record only when its map has changed.
 """
 
 from __future__ import annotations
@@ -87,13 +88,12 @@ POSE_PERIOD = 10  # ticks between poses.csv rows
 
 @dataclass(eq=False)
 class MapProducts:
-    """What a ground robot plans and localizes on after rebuilding on a
-    chain of map records, given by their seqs: the planning grid (free cells
-    and clearance), ROIs and particle-filter match table of the chain's last
-    version, and the roadmap grown over the whole chain. Robots with the same
-    chain share one and only read it."""
+    """What a ground robot localizes and plans on, built from one map record
+    alone: the decoded map, its particle-filter match table, its planning
+    grid (free cells and clearance), its ROIs, and its roadmap. Robots that
+    took the same record share one and only read it."""
 
-    chain: tuple[int, ...]
+    map: SemanticGridMap
     match_table: np.ndarray
     grid: pln.TraversabilityGrid
     rois: list[msn.ROI]
@@ -102,58 +102,36 @@ class MapProducts:
 
 
 class TeamMaps:
-    """The ground team's decoded map versions and planning products, each
-    built once and shared by the robots that hold it.
+    """The ground team's map products, one per map record, built once and
+    shared by the robots that take the record.
 
-    Decoded maps are keyed by the seq of the map record they come from, and
-    products by the chain of seqs a robot rebuilt on: a robot cut off from
-    gossip can skip a version, and its roadmap then differs. Both tables
-    hold their values weakly, so an entry goes when the last robot drops it
-    and a long flight with many versions keeps only what the robots hold.
+    Each record's products are a function of its map alone, so they are
+    keyed by the record's seq, and a robot that skipped a record while cut
+    off from gossip takes the same products as one that did not. The table
+    holds them weakly, so an entry goes when the last robot drops it and a
+    long flight with many versions keeps only what the robots hold.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.maps: weakref.WeakValueDictionary[int, SemanticGridMap] = weakref.WeakValueDictionary()
-        self.products: weakref.WeakValueDictionary[tuple[int, ...], MapProducts] = weakref.WeakValueDictionary()
+        self.products: weakref.WeakValueDictionary[int, MapProducts] = weakref.WeakValueDictionary()
 
-    def take_map(self, rec: gossip.DbRecord) -> SemanticGridMap:
-        """The map a record carries, decoded once for the team."""
-        snap = self.maps.get(rec.seq)
-        if snap is None:
-            snap = self.maps[rec.seq] = am.decode_snapshot(rec.payload)
-        return snap
-
-    def rebuild(self, held: MapProducts | None, seq: int) -> MapProducts:
-        """The products of ``held``'s chain extended by record ``seq``, whose
-        map the caller holds. A cached result is adopted; otherwise the
-        roadmap grows on a copy of ``held``'s, so every state is a function of
-        its chain alone."""
-        chain = (held.chain if held is not None else ()) + (seq,)
-        products = self.products.get(chain)
+    def take(self, rec: gossip.DbRecord) -> MapProducts:
+        """The products of a map record, decoded and built once for the team."""
+        products = self.products.get(rec.seq)
         if products is None:
-            products = self.products[chain] = self._extend(held, chain)
+            products = self.products[rec.seq] = self._build(am.decode_snapshot(rec.payload))
         return products
 
-    def _extend(self, held: MapProducts | None, chain: tuple[int, ...]) -> MapProducts:
-        seq = chain[-1]
-        peer = next((p for c, p in self.products.items() if c[-1] == seq), None)
-        if peer is not None:
-            table, grid, rois = peer.match_table, peer.grid, peer.rois
-        else:
-            cfg = self.cfg
-            snap = self.maps[seq]
-            table = localize.match_table(snap)
-            grid = pln.extract_traversability(snap, cfg.planner.close_radius)
-            rois = msn.extract_rois(
-                snap, cfg.mission.cluster_radius, dilation_radius=cfg.mission.dilation_radius, grid=grid
-            )
-        if held is None:
-            roadmap, vis = pln.Roadmap(radius=pln.NODE_RADIUS), None
-        else:
-            roadmap, vis = held.roadmap.copy(), held.vis.copy()
-        roadmap, vis = pln.update_roadmap(roadmap, vis, grid)
-        return MapProducts(chain, table, grid, rois, roadmap, vis)
+    def _build(self, snap: SemanticGridMap) -> MapProducts:
+        cfg = self.cfg
+        table = localize.match_table(snap)
+        grid = pln.extract_traversability(snap, cfg.planner.close_radius)
+        rois = msn.extract_rois(
+            snap, cfg.mission.cluster_radius, dilation_radius=cfg.mission.dilation_radius, grid=grid
+        )
+        roadmap, vis = pln.update_roadmap(grid, pln.NODE_RADIUS)
+        return MapProducts(snap, table, grid, rois, roadmap, vis)
 
 
 class AerialAgent:
@@ -197,7 +175,7 @@ class AerialAgent:
             if kf is not None:
                 self.last_kf_pose = pose
                 self.acc.fuse_keyframe(kf)
-        if tick % self.cfg.aerial.snapshot_period_ticks == 0 and self.acc.observed.any():
+        if tick % self.cfg.aerial.snapshot_period_ticks == 0 and self.acc.changed:
             snap = self.acc.snapshot()
             rec = self.db.put_local(MAP_KEY, am.encode_snapshot(snap))
             self.events.append(
@@ -254,7 +232,6 @@ class GroundAgent:
         self._grid_belief: tuple[float, float, float] | None = None
         self.tracker_state: trk.TrackerState | None = None
         self.mission = msn.MissionController(robot_id=robot_id)
-        self.map: SemanticGridMap | None = None
         self.map_seq = 0  # of the last map record taken; records start at seq 1
         self.products: MapProducts | None = None  # set with the first map
         self.backtracks = 0
@@ -268,6 +245,11 @@ class GroundAgent:
             return None
         idx = (self.id - self.cfg.n_aerial) % len(m.waypoints)
         return [tuple(p) for p in m.waypoints[idx]]
+
+    @property
+    def map(self) -> SemanticGridMap | None:
+        """The map of the last record taken."""
+        return self.products.map if self.products is not None else None
 
     # ---- engine-called phases -------------------------------------------
 
@@ -362,23 +344,15 @@ class GroundAgent:
         rec = self.db.get(MAP_ORIGIN, MAP_KEY)
         if rec is None or rec.seq == self.map_seq:
             return
+        # every record has content that no earlier one had
         self.map_seq = rec.seq
-        snap = self.team_maps.take_map(rec)
-        unchanged = (
-            self.map is not None
-            and np.array_equal(snap.classes, self.map.classes)
-            and np.array_equal(snap.observed, self.map.observed)
-        )
-        self.map = snap
-        if unchanged:  # the held products, match table included, still fit
-            return
-        self.products = self.team_maps.rebuild(self.products, self.map_seq)
+        self.products = self.team_maps.take(rec)
         self.events.append(
             {
                 "tick": tick,
                 "ev": "map_ingested",
                 "robot": self.id,
-                "version": snap.version,
+                "version": self.map.version,
                 "nodes": len(self.products.roadmap.nodes),
                 "rois": len(self.products.rois),
             }
@@ -497,8 +471,8 @@ class Simulation:
             raise ConfigError([f"ground robot {a.id} stages at {a.true_pose[:2]}, outside the world" for a in off])
 
         if config.initial_map == "full":
-            # the aerial robot's own map starts complete, so that none of the
-            # snapshots it publishes later replaces the preload with less
+            # the aerial robot's own map starts complete, and the preload is
+            # its first snapshot: it never publishes another
             truth = self.world.truth
             acc = self.agents[0].acc if config.n_aerial else am.MapAccumulator.like(truth)
             acc.fuse_keyframe(am.full_view_keyframe(truth))

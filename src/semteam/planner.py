@@ -1,8 +1,10 @@
-"""Incremental global planner over the aerial semantic map.
+"""Global planner over the aerial semantic map.
 
 Each map version gives one planning grid: the road/dirt classes with a
 morphological close, and every cell's clearance to the nearest obstacle.
-The roadmap is grown deterministically by repeatedly placing nodes at the
+Each grid gives one roadmap, built from that grid alone, as a visibility
+roadmap is a function of one map (Simeon, Laumond & Nissoux, Advanced
+Robotics 2000). Nodes are placed deterministically by repeatedly taking the
 highest-clearance cell not yet visible to the graph, until every free cell
 sees at least one node. A node is linked to every earlier node its own
 visible region contains. Pairs of nearby nodes whose regions overlap but
@@ -13,26 +15,16 @@ node's visible region is found by quadrant (``geometry.visible_from``),
 each quadrant against the obstacles on its side of the node. An edge
 stores only its weight, which trades distance against clearance with the
 printed heuristic at lambda = 1: W = |u-v| + [m^2 + sqrt(m)], m = min
-clearance along the edge. A new map version recomputes only the weights of
-edges whose bounding box holds a cell where the clearance changed. A plan
-searches the roadmap once from its start and routes to its goals over that
-tree, so one search serves each selection of a robot's next target. It
-routes the goals nearest the start first, and stops at the first goal whose
-straight-line length alone costs more than the best route found, since no
-weight is below its segment's length. Weights are computed in batches by
-``geometry.segments_min_value``, which tests at most ``geometry.BLOCK``
-cells at a time: every edge a new node makes, every edge a new version
-recomputes, and a plan's connectors and pruning candidates. Clearance is 0
+clearance along the edge. A plan searches the roadmap once from its start
+and routes to its goals over that tree, so one search serves each selection
+of a robot's next target. It routes the goals nearest the start first, and
+stops at the first goal whose straight-line length alone costs more than
+the best route found, since no weight is below its segment's length.
+Weights are computed in batches by ``geometry.segments_min_value``, which
+tests at most ``geometry.BLOCK`` cells at a time: every edge a new node
+makes, and a plan's connectors and pruning candidates. Clearance is 0
 exactly on the cells that are not free, so the same minimum also tells
 whether a segment is clear.
-
-Map versions only add free cells. The aerial robot maps at its exact pose,
-so every keyframe copies the true class of each footprint cell; the map
-accumulator's ``observed`` mask only grows; and the morphological close is
-an increasing operator. So the traversable mask of a later version holds
-the earlier one, nodes and edges stay valid once made, and the roadmap only
-grows, as a visibility roadmap does (Simeon, Laumond & Nissoux, Advanced
-Robotics 2000). ``update_roadmap`` rejects a version that breaks this.
 """
 
 from __future__ import annotations
@@ -179,20 +171,10 @@ class VisibilityMap:
         return [nid for nid, cells in self.node_cells.items() if f in cells]
 
     def add_cells(self, nid: int, flats: set[int]) -> None:
-        """Add cells that node ``nid`` sees; the map keeps ``flats`` itself
-        as the region of a node that has none yet."""
-        cells = self.node_cells.get(nid)
-        if cells is None:
-            self.node_cells[nid] = flats
-        else:
-            cells.update(flats)
+        """Record the cells node ``nid`` sees; the map keeps ``flats``
+        itself."""
+        self.node_cells[nid] = flats
         self.cover.reshape(-1)[np.fromiter(flats, dtype=np.int64, count=len(flats))] = True
-
-    def copy(self) -> "VisibilityMap":
-        out = VisibilityMap(self.width, self.height)
-        out.node_cells = {nid: set(cells) for nid, cells in self.node_cells.items()}
-        out.cover = self.cover.copy()
-        return out
 
 
 #: visibility radius of the ground robots' roadmaps, in meters
@@ -210,72 +192,23 @@ class Roadmap:
         self.edges: dict[tuple[int, int], float] = {}  # (a, b), a < b -> weight
         self.adj: dict[int, set[int]] = {}
         self._next_id = 0
-        self._prev: TraversabilityGrid | None = None  # the grid of the last update
-
-    def copy(self) -> "Roadmap":
-        """An independent roadmap with the same state. The previous version's
-        grid is shared: it is read-only."""
-        out = Roadmap(self.radius)
-        out.nodes = dict(self.nodes)
-        out.edges = dict(self.edges)
-        out.adj = {nid: set(nbrs) for nid, nbrs in self.adj.items()}
-        out._next_id = self._next_id
-        out._prev = self._prev
-        return out
 
 
-def update_roadmap(
-    roadmap: Roadmap,
-    vis: VisibilityMap | None,
-    grid: TraversabilityGrid,
-) -> tuple[Roadmap, VisibilityMap]:
-    """Grow the roadmap for a new map version.
-
-    Nodes, edges and visible regions are kept across versions; only newly
-    free cells trigger additions. A version must keep every cell the last
-    one had free (keyframes copy truth classes, the accumulator's
-    ``observed`` mask only grows, and the close is increasing); one that
-    loses a free cell raises ``ValueError`` and leaves the roadmap as it was.
-    """
+def update_roadmap(grid: TraversabilityGrid, radius: float) -> tuple[Roadmap, VisibilityMap]:
+    """The roadmap of one planning grid with visibility radius ``radius`` in
+    meters, and the cells each of its nodes sees: nodes at the clearance
+    maxima until every free cell sees one, then bridges (``_bridge``)."""
+    roadmap = Roadmap(radius)
     free = grid.free
-    prev = roadmap._prev
-    if prev is not None and (prev.free & ~free).any():
-        raise ValueError("map version turns free cells into obstacles; the roadmap only grows")
     h, w = free.shape
-    if vis is None or vis.width != w or vis.height != h:
-        vis = VisibilityMap(w, h)
-    res = grid.resolution
-    r_cells = roadmap.radius / res
-    newly_free = free if prev is None else (free & ~prev.free)
-
-    # the edges kept from earlier versions; every edge added below gets its
-    # weight from this grid when it is created
-    _refresh_weights(roadmap, grid)
-
-    # newly free cells may already see existing nodes
-    if newly_free.any() and roadmap.nodes:
-        nf_iy, nf_ix = np.nonzero(newly_free)
-        for nid, (nx, ny) in roadmap.nodes.items():
-            d2 = (nf_ix - nx) ** 2 + (nf_iy - ny) ** 2
-            sel = d2 <= r_cells**2
-            if not sel.any():
-                continue
-            cand_ix, cand_iy = nf_ix[sel], nf_iy[sel]
-            ob_ix, ob_iy = _window_obstacles(free, (nx, ny), cand_ix, cand_iy)
-            seen = visible_from((nx, ny), cand_ix, cand_iy, ob_ix, ob_iy)
-            vis.add_cells(nid, set((cand_iy[seen] * w + cand_ix[seen]).tolist()))
-
-    # cover every free cell: place nodes at the clearance maxima
-    uncovered = free & ~vis.cover
+    vis = VisibilityMap(w, h)
+    r_cells = radius / grid.resolution
+    uncovered = free
     while uncovered.any():
         flat = int(np.argmax(np.where(uncovered, grid.dist, -np.inf)))
-        cell = (flat % w, flat // w)
-        _add_node(roadmap, vis, grid, cell, r_cells)
+        _add_node(roadmap, vis, grid, (flat % w, flat // w), r_cells)
         uncovered = free & ~vis.cover
-
     _bridge(roadmap, vis, grid, r_cells)
-
-    roadmap._prev = grid
     return roadmap, vis
 
 
@@ -347,37 +280,6 @@ def _bridge(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, r_ce
             near = o != n and (ox - bx) ** 2 + (oy - by) ** 2 <= reach2
             if near and n not in adj[o] and adj[o].isdisjoint(adj[n]):
                 heapq.heappush(heap, (o, n))
-
-
-def _refresh_weights(roadmap: Roadmap, grid: TraversabilityGrid) -> None:
-    """Recompute the weights of edges whose bounding box holds a cell where
-    the clearance changed since the last update.
-
-    An edge's supercover lies inside the bounding box of its end cells, so
-    an edge whose box holds no changed cell keeps its exact min clearance.
-    The boxes are tested all at once against a summed-area table of the
-    changed cells.
-    """
-    keys = list(roadmap.edges)
-    if roadmap._prev is not None:
-        changed = grid.dist != roadmap._prev.dist
-        if not changed.any():
-            return
-        h, w = changed.shape
-        sat = np.zeros((h + 1, w + 1), dtype=np.int32)
-        sat[1:, 1:] = changed.cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
-        nodes = roadmap.nodes
-        ends = np.fromiter(
-            itertools.chain.from_iterable(nodes[a] + nodes[b] for a, b in keys), dtype=np.int64, count=4 * len(keys)
-        ).reshape(-1, 4)
-        x0 = np.minimum(ends[:, 0], ends[:, 2])
-        x1 = np.maximum(ends[:, 0], ends[:, 2]) + 1
-        y0 = np.minimum(ends[:, 1], ends[:, 3])
-        y1 = np.maximum(ends[:, 1], ends[:, 3]) + 1
-        hits = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
-        keys = [key for key, hit in zip(keys, hits) if hit]
-    nodes = roadmap.nodes
-    roadmap.edges.update(zip(keys, edge_weights([nodes[a] + nodes[b] for a, b in keys], grid)))
 
 
 def _window_obstacles(free, node, cand_ix, cand_iy):

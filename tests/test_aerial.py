@@ -214,6 +214,23 @@ class TestSnapshot:
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)
 
+    def test_changed_until_a_snapshot_shows_every_seen_cell(self):
+        world, kfs = TestFusion()._random_keyframes(seed=5, n=6)
+        acc = MapAccumulator.like(world.truth)
+        assert acc.changed is False
+        for kf in kfs:
+            shown = acc.observed.copy()
+            acc.fuse_keyframe(kf)
+            assert acc.changed is bool((acc.observed & ~shown).any())
+            acc.fuse_keyframe(kf)
+            assert acc.changed is bool((acc.observed & ~shown).any())
+            acc.snapshot()
+            assert acc.changed is False
+        # seeing only cells that were shown before changes nothing
+        acc.fuse_keyframe(kfs[0])
+        acc.fuse_keyframe(Keyframe(ixs=np.array([-1]), iys=np.array([0]), classes=np.array([1], dtype=np.int8)))
+        assert acc.changed is False
+
     def test_wire_roundtrip(self):
         rng = np.random.default_rng(3)
         acc = MapAccumulator(17, 9, resolution=0.5, origin_x=-3.0, origin_y=2.0)

@@ -31,10 +31,10 @@ STANDARD_WORLD_SHA256 = "1366f5bc4fa144b4290d116ab954e5a4a275b9a418b42dd851c9668
 
 #: sha256 of each output file of the small-world run at seed 0
 SMALL_RUN_SHA256 = {
-    "events.jsonl": "87d6f719c3f2a25c70f05bacaa0063d79667061bc8d49ad5b9d4477cf29f25e6",
+    "events.jsonl": "765289d3c4a8038d535bbe12cccfafc31dde2eb29d2f9da84c97b3a0975fa9e2",
     "poses.csv": "2f5ab2f19d074ab5c820ef84f07b16665c515abd88e5a1cf36d19f1943588860",
     "metrics.csv": "17d837515bd41476d480b0d0b7080927ec5dfdc36a2fea1ee947bb0c3e44e763",
-    "map_final.bin": "4ca51a47b0d30d24309b90b108b3d74c8cee921fbd0f1f1d107f00fe7a095021",
+    "map_final.bin": "5270c863b0b0d158d8dcbbba41bdbbeed4cbf3afa73044ebd1a85e96d8bf5b1f",
 }
 
 
@@ -187,7 +187,10 @@ class TestRun:
         assert report.ticks < cfg.max_ticks
         events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
         kinds = {ev["ev"] for ev in events}
-        assert {"map", "sync", "map_ingested", "claimed", "visited", "target_reached", "all_targets_visited"} <= kinds
+        assert {"sync", "map_ingested", "claimed", "visited", "target_reached", "all_targets_visited"} <= kinds
+        # the preload is the only map record: the aerial robot's map never
+        # changes after it
+        assert "map" not in kinds
         assert report.duration_s == report.ticks * cfg.tick_seconds
 
     def test_pose_rows_every_pose_period(self, two_runs):
@@ -361,9 +364,26 @@ class TestCompleteAerialMap:
     def test_a_preloaded_map_takes_no_keyframe(self, monkeypatch):
         sim, seen_complete, payloads = self.flight(monkeypatch, initial_map="full", max_ticks=250)
         assert seen_complete == []
-        # it still publishes a snapshot every 100 ticks
-        assert len(payloads) == 3
-        assert [json.loads(line)["ev"] for line in sim.events] == ["map"] * 3
+        # the preload counts as published, and the map never changes after it
+        assert payloads == [] and sim.events == []
+
+    def test_every_published_record_shows_cells_no_earlier_one_did(self, monkeypatch):
+        shown = []
+        encode = aerial.encode_snapshot
+
+        def encode_snapshot(grid):
+            shown.append(grid.observed)
+            return encode(grid)
+
+        monkeypatch.setattr(aerial, "encode_snapshot", encode_snapshot)
+        cfg = ScenarioConfig.from_dict({"n_ground": 0, "max_ticks": 600, "aerial": {"snapshot_period_ticks": 2}})
+        sim = Simulation(cfg)
+        sim.run()
+        assert sim.agents[0].acc.complete and len(shown) > 50
+        seen = np.zeros_like(shown[0])
+        for observed in shown:
+            assert (observed & ~seen).any()
+            seen |= observed
 
 
 def roadmap_state_hash(roadmap, vis) -> str:
@@ -379,18 +399,13 @@ def roadmap_state_hash(roadmap, vis) -> str:
 
 
 def cache_holds_only_held(sim) -> bool:
-    """Every cached map and product is held by some ground robot."""
-    team = sim.team_maps
-    maps = [g.map for g in sim.ground_agents]
-    products = [g.products for g in sim.ground_agents]
-    return all(any(m is v for m in maps) for v in team.maps.values()) and all(
-        any(p is v for p in products) for v in team.products.values()
-    )
+    """Every cached set of products is held by some ground robot."""
+    held = [g.products for g in sim.ground_agents]
+    return all(any(p is v for p in held) for v in sim.team_maps.products.values())
 
 
 class TestTeamMaps:
-    """Ground robots share one decode per map record and one roadmap per
-    chain of records rebuilt on."""
+    """Ground robots share one decode and one set of products per map record."""
 
     @staticmethod
     def map_records(truth, bounds=(14, 26, 40)):
@@ -408,45 +423,39 @@ class TestTeamMaps:
             records[seq] = DbRecord(origin=0, key=MAP_KEY, seq=seq, payload=encode_snapshot(snap))
         return records
 
-    def test_divergent_chains_match_solo_builds(self):
+    def test_a_skipped_record_leaves_the_same_products(self):
         world = small_world()
         cfg = small_config(n_ground=3, initial_map="none")
         sim = Simulation(cfg, world=world)
         records = self.map_records(world.truth)
-        solo = {}  # chain of seqs -> state hash of one roadmap grown over it
 
-        def solo_hash(seqs):
-            if seqs not in solo:
-                rm, vis = planner.Roadmap(radius=planner.NODE_RADIUS), None
-                for seq in seqs:
-                    grid = planner.extract_traversability(decode_snapshot(records[seq].payload), 0)
-                    rm, vis = planner.update_roadmap(rm, vis, grid)
-                solo[seqs] = roadmap_state_hash(rm, vis)
-            return solo[seqs]
+        def solo(seq):
+            """A fresh build of one record's products, outside the team."""
+            snap = decode_snapshot(records[seq].payload)
+            grid = planner.extract_traversability(snap, 0)
+            rois = mission.extract_rois(
+                snap, cfg.mission.cluster_radius, dilation_radius=cfg.mission.dilation_radius, grid=grid
+            )
+            return localize.match_table(snap), grid, rois, planner.update_roadmap(grid, planner.NODE_RADIUS)
 
         a, b, c = sim.ground_agents
-        # a and c take every version; b misses version 2 while out of range.
-        # The steps grow a state others still hold (a: 2, a: 3), adopt a
-        # cached one (c: 2, c: 3) and grow one no other robot holds (b: 3).
+        # a and c take every version; b misses version 2 while out of range
         steps = [(a, 1), (b, 1), (c, 1), (a, 2), (c, 2), (b, 3), (a, 3), (c, 3)]
+        taken = []
         for tick, (robot, seq) in enumerate(steps):
-            others = [g for g in (a, b, c) if g is not robot and g.products is not None]
-            before = {g.id: roadmap_state_hash(g.products.roadmap, g.products.vis) for g in others}
             robot.db.merge([records[seq]])
             robot._ingest_map(tick)
-            for g in others:
-                assert roadmap_state_hash(g.products.roadmap, g.products.vis) == before[g.id], (tick, g.id)
-            for g in (a, b, c):
-                if g.products is not None:
-                    state = roadmap_state_hash(g.products.roadmap, g.products.vis)
-                    assert state == solo_hash(g.products.chain), (tick, g.id)
+            assert robot.map_seq == robot.map.version == seq
+            assert all(g.products is robot.products for g in (a, b, c) if g.map_seq == seq), tick
             assert cache_holds_only_held(sim), tick
-        full, skipped = (1, 2, 3), (1, 3)
-        assert [g.products.chain for g in (a, b, c)] == [full, skipped, full]
-        assert a.products is c.products
-        assert a.map is b.map is c.map
-        # grid and ROIs of version 3 were built once, for both chains
-        assert a.products.grid is b.products.grid
+            p = robot.products
+            taken.append((seq, p.match_table, p.grid, p.rois, roadmap_state_hash(p.roadmap, p.vis)))
+        assert a.products is b.products is c.products
+        for seq, table, grid, rois, state in taken:
+            want_table, want_grid, want_rois, (rm, vis) = solo(seq)
+            assert np.array_equal(table, want_table) and rois == want_rois, seq
+            assert np.array_equal(grid.free, want_grid.free) and np.array_equal(grid.dist, want_grid.dist), seq
+            assert state == roadmap_state_hash(rm, vis), seq
 
     @pytest.fixture(scope="class")
     def loop_flight(self):
@@ -482,22 +491,22 @@ class TestTeamMaps:
         events = [json.loads(line) for line in sim.events]
         return sim, events, calls, consistent
 
-    def test_one_build_per_content_changing_version(self, loop_flight):
+    def test_one_decode_and_build_per_published_record(self, loop_flight):
         sim, events, calls, _ = loop_flight
         ingested = [(ev["robot"], ev["version"]) for ev in events if ev["ev"] == "map_ingested"]
         versions = sorted({v for _, v in ingested})
         assert len(versions) >= 5
-        # every robot rebuilt on every one of them, yet each was built once
+        # every robot took every one of them, yet each was decoded and built once
         assert sorted(ingested) == sorted((g.id, v) for g in sim.ground_agents for v in versions)
-        assert calls["update_roadmap"] == calls["extract_rois"] == calls["match_table"] == len(versions)
-        published = sum(ev["ev"] == "map" and ev["tick"] < sim.tick_count - 1 for ev in events)
-        assert published > 100
-        assert calls["decode_snapshot"] == published
+        published = [ev["version"] for ev in events if ev["ev"] == "map" and ev["tick"] < sim.tick_count - 1]
+        assert published == versions
+        for name in ("decode_snapshot", "match_table", "extract_rois", "update_roadmap"):
+            assert calls[name] == len(versions), name
 
     def test_cache_holds_only_what_robots_hold(self, loop_flight):
         sim, _, _, consistent = loop_flight
         assert len(consistent) == sim.tick_count and all(consistent)
-        assert len(sim.team_maps.maps) == len(sim.team_maps.products) == 1
+        assert len(sim.team_maps.products) == 1
 
 
 class TestMapEdge:

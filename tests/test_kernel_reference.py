@@ -826,11 +826,10 @@ class TestSupercoverMinimumMatchesPerSegment:
     def test_every_edge_of_the_golden_roadmap(self):
         from test_planner import TestIncrementalRoadmap, grid_from_free, incremental_versions
 
-        rm, vis = planner.Roadmap(radius=TestIncrementalRoadmap.RADIUS), None
         checked = 0
         for free in incremental_versions():
             grid = grid_from_free(free)
-            rm, vis = planner.update_roadmap(rm, vis, grid)
+            rm, _ = planner.update_roadmap(grid, TestIncrementalRoadmap.RADIUS)
             segs = [rm.nodes[a] + rm.nodes[b] for a, b in rm.edges]
             assert_batch_matches(segs, grid.dist)
             want = [ref_edge_weight(rm.nodes[a], rm.nodes[b], grid) for a, b in rm.edges]
@@ -872,14 +871,12 @@ class TestRoadmapGrowthMatchesReferences:
     def test_update_roadmap_bridges_as_a_full_rescan_does(self, monkeypatch):
         bridged = versions = 0
         for radius, grids in self.growing_grids():
-            rm, vis = planner.Roadmap(radius), None
-            ref_rm, ref_vis = planner.Roadmap(radius), None
             for grid in grids:
-                rm, vis = planner.update_roadmap(rm, vis, grid)
+                rm, vis = planner.update_roadmap(grid, radius)
                 with monkeypatch.context() as m:
                     counts = []
                     m.setattr(planner, "_bridge", lambda *a: counts.append(ref_bridge(*a)))
-                    ref_rm, ref_vis = planner.update_roadmap(ref_rm, ref_vis, grid)
+                    ref_rm, ref_vis = planner.update_roadmap(grid, radius)
                 got, want = self.state(rm, vis), self.state(ref_rm, ref_vis)
                 assert got[:4] == want[:4]
                 assert np.array_equal(got[4], want[4])

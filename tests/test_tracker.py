@@ -7,7 +7,7 @@ import pytest
 from scipy.ndimage import distance_transform_edt
 
 from semteam.geometry import segments_min_value
-from semteam.planner import Roadmap, extract_traversability, plan, update_roadmap
+from semteam.planner import extract_traversability, plan, update_roadmap
 from semteam.tracker import (
     ARRIVAL_TOLERANCE,
     FREE_CELL,
@@ -387,8 +387,7 @@ class TestTrackingScenarios:
             rng = np.random.default_rng(seed)
             world = class_map(corridor_world_classes(rng))
             grid_t = extract_traversability(world, 0)
-            rm = Roadmap(radius=9.0)
-            rm, vis = update_roadmap(rm, None, grid_t)
+            rm, vis = update_roadmap(grid_t, 9.0)
             ys, xs = np.nonzero(grid_t.free)
             order = rng.permutation(len(xs))
             path = None

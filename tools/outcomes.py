@@ -7,7 +7,7 @@ run in parallel on ``--jobs`` processes (default 2) without changing one.
 
 Run from the root of a checkout (takes a few minutes):
 
-    python3 tools/outcomes.py [--jobs N] [--events DIR] [--against DIR] [ROW ...]
+    python3 tools/outcomes.py [--jobs N] [--events DIR [--against DIR [--skip EV ...]]] [ROW ...]
 
 Each row prints as ``name done=… targets=…/… false=… ticks=… dist=…
 loc_err_late=…``. A false visit is a ``visited`` event whose robot's true
@@ -19,12 +19,15 @@ re-pins the reference with this tool's output and says why.
 
 ``--events DIR`` keeps each row's ``events.jsonl`` as ``DIR/<row>.jsonl``.
 ``--against DIR`` reads the files another checkout wrote so, and prints for
-each row the first event at which the two logs part.
+each row the first event at which the two logs part. ``--skip EV`` leaves
+events of kind ``EV`` out of both logs first, such as the ``map_ingested``
+events whose node counts a planner change moves by design.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import tempfile
@@ -162,10 +165,11 @@ def first_divergence(ours: list[str], theirs: list[str]) -> str | None:
     for i, (a, b) in enumerate(zip(ours, theirs)):
         if a != b:
             return f"line {i + 1}: here {a} | there {b}"
-    if len(ours) != len(theirs):
-        i = min(len(ours), len(theirs))
-        return f"line {i + 1}: here {ours[i] if i < len(ours) else 'end'} | there {theirs[i] if i < len(theirs) else 'end'}"
-    return None
+    if len(ours) == len(theirs):
+        return None
+    i = min(len(ours), len(theirs))
+    here, there = (log[i] if i < len(log) else "end" for log in (ours, theirs))
+    return f"line {i + 1}: here {here} | there {there}"
 
 
 def main(argv: list[str]) -> int:
@@ -174,6 +178,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--events", help="keep each row's events.jsonl in this directory")
     ap.add_argument("--against", help="print where each row's events part from those in this directory")
+    ap.add_argument("--skip", action="append", default=[], metavar="EV", help="event kind --against leaves out")
     args = ap.parse_args(argv)
     unknown = set(args.rows) - set(ROWS)
     if unknown:
@@ -194,8 +199,11 @@ def main(argv: list[str]) -> int:
         print("moved:", line)
     if args.against:
         for name in names:
-            ours = (Path(args.events) / f"{name}.jsonl").read_text().splitlines()
-            theirs = (Path(args.against) / f"{name}.jsonl").read_text().splitlines()
+            ours, theirs = (
+                [line for line in (Path(d) / f"{name}.jsonl").read_text().splitlines()
+                 if json.loads(line)["ev"] not in args.skip]
+                for d in (args.events, args.against)
+            )
             print(f"parts {name}: {first_divergence(ours, theirs) or 'identical'}")
     means = mean_ticks(rows, reference)
     if means is not None:
