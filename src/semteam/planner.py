@@ -184,10 +184,7 @@ NODE_RADIUS = 25.0
 class Roadmap:
     """Spatial graph of high-clearance nodes and obstacle-free edges."""
 
-    def __init__(self, radius: float) -> None:
-        if radius <= 0:
-            raise ValueError("radius must be > 0")
-        self.radius = radius
+    def __init__(self) -> None:
         self.nodes: dict[int, tuple[int, int]] = {}
         self.edges: dict[tuple[int, int], float] = {}  # (a, b), a < b -> weight
         self.adj: dict[int, set[int]] = {}
@@ -198,7 +195,9 @@ def update_roadmap(grid: TraversabilityGrid, radius: float) -> tuple[Roadmap, Vi
     """The roadmap of one planning grid with visibility radius ``radius`` in
     meters, and the cells each of its nodes sees: nodes at the clearance
     maxima until every free cell sees one, then bridges (``_bridge``)."""
-    roadmap = Roadmap(radius)
+    if radius <= 0:
+        raise ValueError("radius must be > 0")
+    roadmap = Roadmap()
     free = grid.free
     h, w = free.shape
     vis = VisibilityMap(w, h)

@@ -375,6 +375,11 @@ class TestRoadmapConstruction:
         covered = vis.cover > 0
         assert covered[free].all()
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_a_radius_that_is_not_positive_raises(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            update_roadmap(grid_from_free(np.ones((4, 4), dtype=bool)), radius)
+
     def test_walled_square_node_at_clearance_max(self):
         free = np.zeros((21, 21), dtype=bool)
         free[1:20, 1:20] = True
@@ -636,7 +641,7 @@ class TestPlan:
         start, goal = (2, 10), (18, 10)
         waypoints = []
         for order in ([2, 10], [10, 2]):
-            rm = Roadmap(radius=30.0)
+            rm = Roadmap()
             rm.nodes = {0: start, 1: goal, 2: (10, 3), 10: (10, 17)}
             rm.edges = {(0, 2): 10.0, (0, 10): 10.0, (1, 2): 10.0, (1, 10): 10.0}
             rm.adj = {0: set(), 1: {2, 10}, 2: {0, 1}, 10: {0, 1}}
@@ -659,7 +664,7 @@ class TestPlan:
         free[8:13, 8:13] = False
         grid = grid_from_free(free)
         start, goal = (2, 10), (18, 10)
-        rm = Roadmap(radius=30.0)
+        rm = Roadmap()
         rm.nodes = {2: (10, 3), 10: (10, 17)}
         rm.edges = {}
         rm.adj = {2: set(), 10: set()}

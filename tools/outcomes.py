@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -189,7 +190,7 @@ def main(argv: list[str]) -> int:
     if args.events:
         Path(args.events).mkdir(parents=True, exist_ok=True)
     rows = []
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=args.jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
         for row in pool.map(run_row, names, [args.events] * len(names)):
             rows.append(row)
             print(format_row(row), flush=True)
