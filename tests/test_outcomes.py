@@ -42,6 +42,7 @@ def test_the_reference_holds_every_row(tool):
     "fields, why",
     [
         ({"done": 0, "targets": (12, 13), "ticks": 8000}, "lost completion"),
+        ({"targets": (12, 13)}, "targets 13 -> 12"),
         ({"false": 1}, "false visits 0 -> 1"),
         ({"ticks": 2201}, "ticks 2000 -> 2201"),
         ({"loc_err_late": 0.61}, "loc_err_late 0.5 -> 0.61"),
@@ -57,6 +58,11 @@ def test_each_way_a_row_gets_worse(tool, fields, why):
 )
 def test_moves_within_tolerance_or_for_the_better_are_not_worse(tool, fields):
     assert tool.worse(row(**fields), row()) == []
+
+
+def test_a_row_that_does_not_complete_and_loses_targets_is_worse(tool):
+    ref = row(done=0, targets=(12, 13), false=1, ticks=8000)
+    assert tool.worse(row(done=0, targets=(6, 13), false=1, ticks=8000), ref) == ["targets 12 -> 6"]
 
 
 def test_a_row_that_gains_completion_is_not_worse(tool):

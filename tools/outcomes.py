@@ -3,11 +3,11 @@ each with ``tools/reference_outcomes.txt``.
 
 The rows are seeds 0-15 of the standard world with 2 ground robots, and
 seed 0 with 6 robots, each capped at 8000 ticks. Ticks are exact, so rows
-run in parallel on ``--jobs`` processes (default 2) without changing one.
+run in parallel on ``JOBS`` processes, one per CPU, without changing one.
 
 Run from the root of a checkout (takes a few minutes):
 
-    python3 tools/outcomes.py [--jobs N] [--events DIR [--against DIR [--skip EV ...]]] [ROW ...]
+    python3 tools/outcomes.py [--events DIR [--against DIR [--skip EV ...]]]
 
 Each row prints as ``name done=… targets=…/… false=… ticks=… dist=…
 loc_err_late=…``. A false visit is a ``visited`` event whose robot's true
@@ -43,6 +43,7 @@ from semteam.engine import VISIT_RADIUS, Simulation  # noqa: E402
 
 REFERENCE = Path(__file__).resolve().with_name("reference_outcomes.txt")
 MAX_TICKS = 8000
+JOBS = 2
 
 #: name -> scenario config overrides
 ROWS = {f"seed{seed}": {"seed": seed, "max_ticks": MAX_TICKS} for seed in range(16)}
@@ -121,12 +122,16 @@ def parse(text: str) -> dict[str, dict]:
 
 
 def worse(row: dict, ref: dict) -> list[str]:
-    """How ``row`` is worse than ``ref``: completion lost, a false visit
-    gained, more than ``TICKS_TOLERANCE`` extra ticks, or a late
-    localization error more than ``LOC_ERR_TOLERANCE`` higher."""
+    """How ``row`` is worse than ``ref``: completion lost, a target lost, a
+    false visit gained, more than ``TICKS_TOLERANCE`` extra ticks, or a late
+    localization error more than ``LOC_ERR_TOLERANCE`` higher. A row that
+    does not complete always reads the tick cap, so only its targets show
+    that it got worse."""
     why = []
     if ref["done"] and not row["done"]:
         why.append("lost completion")
+    if row["targets"][0] < ref["targets"][0]:
+        why.append(f"targets {ref['targets'][0]} -> {row['targets'][0]}")
     if row["false"] > ref["false"]:
         why.append(f"false visits {ref['false']} -> {row['false']}")
     if row["ticks"] > ref["ticks"] * (1 + TICKS_TOLERANCE):
@@ -175,23 +180,17 @@ def first_divergence(ours: list[str], theirs: list[str]) -> str | None:
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("rows", nargs="*", help="rows to run (default: all)")
-    ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--events", help="keep each row's events.jsonl in this directory")
     ap.add_argument("--against", help="print where each row's events part from those in this directory")
     ap.add_argument("--skip", action="append", default=[], metavar="EV", help="event kind --against leaves out")
     args = ap.parse_args(argv)
-    unknown = set(args.rows) - set(ROWS)
-    if unknown:
-        ap.error(f"unknown row(s) {sorted(unknown)}; choose from {', '.join(ROWS)}")
     if args.against and not args.events:
         ap.error("--against compares the events that --events keeps")
-    names = args.rows or list(ROWS)
     if args.events:
         Path(args.events).mkdir(parents=True, exist_ok=True)
     rows = []
-    with ProcessPoolExecutor(max_workers=args.jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-        for row in pool.map(run_row, names, [args.events] * len(names)):
+    with ProcessPoolExecutor(max_workers=JOBS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for row in pool.map(run_row, ROWS, [args.events] * len(ROWS)):
             rows.append(row)
             print(format_row(row), flush=True)
     reference = parse(REFERENCE.read_text())
@@ -199,7 +198,7 @@ def main(argv: list[str]) -> int:
     for line in moved:
         print("moved:", line)
     if args.against:
-        for name in names:
+        for name in ROWS:
             ours, theirs = (
                 [line for line in (Path(d) / f"{name}.jsonl").read_text().splitlines()
                  if json.loads(line)["ev"] not in args.skip]
