@@ -1,8 +1,12 @@
 """Deterministic lockstep simulation.
 
-Every tick runs a fixed order: kinematics, noisy odometry, sensing,
-per-agent autonomy in ascending robot id, pairwise gossip syncs over the
-fixed-range communication topology, event logging. All randomness flows
+Every tick runs a fixed order: kinematics, noisy odometry, the team's
+sensing pass on scan ticks, per-agent autonomy in ascending robot id,
+event logging, pairwise gossip syncs over the fixed-range communication
+topology. The sensing pass casts every ground robot's scan and bins it in
+one call each; a scan reads only the truth and the robot's true pose, which
+are fixed once kinematics has run, so each robot's autonomy then finds its
+own scan and observation kept on the truth. All randomness flows
 from counter-based Philox streams keyed by (master seed, robot, purpose),
 so identical (config, seed) reproduce byte-identical event logs. The
 ground robots share one decode of each map record and the planning
@@ -26,7 +30,7 @@ from semteam import gossip, localize, mission as msn, planner as pln, tracker as
 from semteam.config import ConfigError, ScenarioConfig
 from semteam.geometry import wrap_angle
 from semteam.standard import build_standard_world
-from semteam.world import Scan, SemanticGridMap, WorldModel, ground_scan, load_world
+from semteam.world import Scan, SemanticGridMap, WorldModel, ground_scan, ground_scans, load_world
 
 
 def rng_stream(master_seed: int, robot_id: int, purpose: str) -> np.random.Generator:
@@ -505,7 +509,13 @@ class Simulation:
         # (2) noisy odometry
         for agent, pose in zip(self.ground_agents, prev):
             agent.odometry(pose)
-        # (3)+(4) sensing and autonomy, ascending id
+        # (3) the team's sensing pass: each robot's autonomy finds the scan
+        # and observation kept here
+        if t % SCAN_PERIOD_TICKS == 0 and self.ground_agents:
+            truth = self.world.truth
+            scans = ground_scans(truth, [a.true_pose for a in self.ground_agents], SCAN_MAX_RANGE, SCAN_BEAMS)
+            localize.PolarObservation.from_scans(scans, max_range=SCAN_MAX_RANGE, free_margin=truth.resolution)
+        # (4) autonomy, ascending id
         for agent in self.agents:
             agent.autonomy(t)
         for agent in self.agents:

@@ -115,15 +115,43 @@ class PolarObservation:
         the struck cell. ``free_stride`` thins the free evidence (adjacent
         radial bins on one beam carry largely redundant information).
         A read-only scan keeps its observation for the next call with the
-        same parameters.
+        same parameters; on a miss the scan is binned by ``from_scans``.
         """
+        return cls.from_scans([scan], n_azimuth, n_range, max_range, free_margin, free_stride)[0]
+
+    @classmethod
+    def from_scans(
+        cls,
+        scans: list[Scan],
+        n_azimuth: int = 36,
+        n_range: int = 10,
+        max_range: float = 20.0,
+        free_margin: float = 1.0,
+        free_stride: int = 2,
+    ) -> list["PolarObservation"]:
+        """``from_scan`` of each scan, in order. The scans that keep no
+        observation for these parameters are binned together in one array
+        pass, and each read-only one keeps its observation."""
         key = (n_azimuth, n_range, max_range, free_margin, free_stride)
-        obs = scan.polar.get(key)
-        if obs is not None:
-            return obs
+        todo = list({id(scan): scan for scan in scans if key not in scan.polar}.values())
+        binned = {}
+        if todo:
+            for scan, obs in zip(todo, cls._bin(todo, n_azimuth, n_range, max_range, free_margin, free_stride)):
+                binned[id(scan)] = obs
+                if not (scan.ranges.flags.writeable or scan.classes.flags.writeable):
+                    scan.polar[key] = obs
+        return [binned[id(scan)] if id(scan) in binned else scan.polar[key] for scan in scans]
+
+    @classmethod
+    def _bin(cls, scans, n_azimuth, n_range, max_range, free_margin, free_stride) -> list["PolarObservation"]:
+        """Every beam of every scan in one pass, keyed by its scan too."""
         rng_width = max_range / n_range
-        ranges, classes = scan.ranges, scan.classes
-        cos, sin, ia, ks, r_k = _beam_layout(ranges.size, n_azimuth, n_range, max_range, free_stride)
+        layouts = [_beam_layout(scan.ranges.size, n_azimuth, n_range, max_range, free_stride) for scan in scans]
+        ranges = np.concatenate([scan.ranges for scan in scans])
+        classes = np.concatenate([scan.classes for scan in scans])
+        cos, sin, ia = (np.concatenate([layout[i] for layout in layouts]) for i in range(3))
+        ks, r_k = layouts[0][3:]
+        owner = np.repeat(np.arange(len(scans)), [scan.ranges.size for scan in scans])
         hit = classes != int(SemanticClass.UNKNOWN)
 
         # free samples in beam-major, then outward order; radii only grow
@@ -131,10 +159,12 @@ class PolarObservation:
         r_stop = np.where(hit, ranges - free_margin, max_range)
         beam, k = np.nonzero(r_k[None, :] <= r_stop[:, None])
 
-        # bins keyed ia * n_range + ir, hits before free samples: the first
-        # claim on a bin fills it
+        # bins keyed (scan * n_azimuth + ia) * n_range + ir, hits before free
+        # samples: the first claim on a bin fills it, and a stable unique
+        # finds each scan's first claims among its own keys
         hits = np.flatnonzero(hit)
         ir = np.minimum((ranges[hits] / rng_width).astype(np.int64), n_range - 1)
+        ia = ia + owner * n_azimuth
         keys = np.concatenate([ia[hits] * n_range + ir, ia[beam] * n_range + ks[k]])
         _, first = np.unique(keys, return_index=True)
         first.sort()
@@ -143,14 +173,13 @@ class PolarObservation:
         hits = hits[first[:split]]
         beams = np.concatenate([hits, beam[free]])
         radii = np.concatenate([ranges[hits], r_k[k[free]]])
-        obs = cls(
-            dx=radii * cos[beams],
-            dy=radii * sin[beams],
-            layer=np.concatenate([classes[hits], np.full(free.size, FREE_LAYER, dtype=np.int64)]),
-        )
-        if not (ranges.flags.writeable or classes.flags.writeable):
-            scan.polar[key] = obs
-        return obs
+        layer = np.concatenate([classes[hits], np.full(free.size, FREE_LAYER, dtype=np.int64)])
+        # each scan's bins together, its hit bins first
+        order = np.argsort(owner[beams], kind="stable")
+        beams, radii, layer = beams[order], radii[order], layer[order]
+        dx, dy = radii * cos[beams], radii * sin[beams]
+        edges = np.searchsorted(owner[beams], np.arange(len(scans) + 1)).tolist()
+        return [cls(dx=dx[a:b], dy=dy[a:b], layer=layer[a:b]) for a, b in zip(edges, edges[1:])]
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,17 +286,28 @@ def match_costs(
     # is c * dx - s * dy but for the sign of a zero, which the floor and clip
     # below map to the same index. For one bin it sums over k in another
     # order, which is exact for two terms only
-    if inv_res == 1.0 and bins > 1:
+    # the operands are written into fresh arrays of the layout np.stack
+    # would give, at a fraction of its cost: bin rows (k, bins) and particle
+    # matrices (n, k), both C-contiguous
+    fold = inv_res == 1.0 and bins > 1
+    k = 3 if fold else 2
+    rows = np.empty((k, bins))
+    rows[0], rows[1] = dx, dy
+    mat = np.empty((n, k))
+    mat[:, 0], mat[:, 1] = c, -s
+    if fold:
         # the shift multiplies a row of ones: one contraction per coordinate
-        rows = np.stack([dx, dy, np.ones(bins)])
-        np.einsum("ik,kj->ij", np.stack([c, -s, xs], axis=1), rows, out=u)
-        np.einsum("ik,kj->ij", np.stack([s, c, ys], axis=1), rows, out=v)
+        rows[2] = 1.0
+        mat[:, 2] = xs
+        np.einsum("ik,kj->ij", mat, rows, out=u)
+        mat[:, 0], mat[:, 1], mat[:, 2] = s, c, ys
+        np.einsum("ik,kj->ij", mat, rows, out=v)
     else:
-        rows = np.stack([dx, dy])
-        np.einsum("ik,kj->ij", np.stack([c, -s], axis=1), rows, out=u)
+        np.einsum("ik,kj->ij", mat, rows, out=u)
         u *= inv_res
         u += (xs * inv_res)[:, None]
-        np.einsum("ik,kj->ij", np.stack([s, c], axis=1), rows, out=v)
+        mat[:, 0], mat[:, 1] = s, c
+        np.einsum("ik,kj->ij", mat, rows, out=v)
         v *= inv_res
         v += (ys * inv_res)[:, None]
     np.floor(u, out=u)

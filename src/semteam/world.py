@@ -316,8 +316,10 @@ def beam_offsets(n_beams: int) -> np.ndarray:
 #: ground_scan's cell code for the ring of cells around the map
 _OUTSIDE = 255
 
-#: scans a frozen map keeps, by pose: enough for every parked robot of a
-#: team to find its own while the moving ones add one per scan
+#: scans a frozen map keeps, by pose. The team's sensing pass keeps every
+#: robot's scan before the robots ask for their own, and a parked robot
+#: finds its scan again on the next pass; a team larger than this still
+#: gets its scans, but a robot whose scan the pass pushed out casts it again
 SCANS_KEPT = 64
 
 
@@ -334,38 +336,68 @@ def ground_scan(
     traversal; reported at the midpoint of the beam's chord through that
     cell, so the point at the reported range lies inside the struck cell),
     clamped to ``max_range`` with class UNKNOWN when nothing is hit before
-    the range limit or the map edge.
+    the range limit or the map edge. A pose on a non-traversable cell reads
+    range 0 and that cell's class on every beam.
 
     A frozen map's scan depends on its arguments alone, so the map keeps
     the ``SCANS_KEPT`` it served last, keyed by the pose's exact bits, and
-    hands a parked robot the same read-only scan again.
+    hands the same read-only scan to every later call with that pose,
+    ``ground_scans`` included. On a miss the pose is cast alone.
     """
+    return ground_scans(grid, [pose], max_range, n_beams)[0]
+
+
+def ground_scans(
+    grid: SemanticGridMap,
+    poses: list[tuple[float, float, float]],
+    max_range: float,
+    n_beams: int,
+) -> list[Scan]:
+    """``ground_scan`` of each pose, in order. The poses a frozen map does
+    not keep are cast together in one array pass, and the map keeps them.
+    A pose outside the map raises before any pose is cast."""
     if grid.classes.flags.writeable:
-        return _cast(grid, pose, max_range, n_beams)
+        return _cast(grid, poses, max_range, n_beams)
     kept = grid.__dict__.setdefault("_scans", {})
-    key = (np.array(pose, dtype=np.float64).tobytes(), float(max_range), n_beams)
-    scan = kept.pop(key, None)
-    if scan is None:
-        scan = _cast(grid, pose, max_range, n_beams)
-        scan.ranges.setflags(write=False)
-        scan.classes.setflags(write=False)
+    keys = [(np.array(pose, dtype=np.float64).tobytes(), float(max_range), n_beams) for pose in poses]
+    missing = {key: pose for key, pose in zip(keys, poses) if key not in kept}
+    served = {}
+    if missing:
+        for key, scan in zip(missing, _cast(grid, list(missing.values()), max_range, n_beams)):
+            scan.ranges.setflags(write=False)
+            scan.classes.setflags(write=False)
+            served[key] = scan
+    served.update((key, kept.pop(key)) for key in keys if key in kept)
+    for key, scan in served.items():
         if len(kept) >= SCANS_KEPT:
             del kept[next(iter(kept))]  # the least recently served
-    kept[key] = scan
-    return scan
+        kept[key] = scan
+    return [served[key] for key in keys]
 
 
-def _cast(grid: SemanticGridMap, pose: tuple[float, float, float], max_range: float, n_beams: int) -> Scan:
-    x, y, yaw = pose
-    ix0, iy0 = grid.cell_of(x, y)
-    if not grid.in_bounds(ix0, iy0):
-        raise ValueError(f"pose ({x}, {y}) outside map bounds")
+def _cast(
+    grid: SemanticGridMap, poses: list[tuple[float, float, float]], max_range: float, n_beams: int
+) -> list[Scan]:
+    """One scan per pose, the beams of every pose cast in one array pass.
+    Each beam starts from its own pose's cell and does the arithmetic of a
+    scan cast alone, in the same order."""
+    starts = [grid.cell_of(x, y) for x, y, _ in poses]
+    for (x, y, _), (ix, iy) in zip(poses, starts):
+        if not grid.in_bounds(ix, iy):
+            raise ValueError(f"pose ({x}, {y}) outside map bounds")
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
 
-    start_cls = grid.class_at(ix0, iy0)
-    if not traversable(start_cls):
-        return Scan(np.zeros(n_beams), np.full(n_beams, int(start_cls), dtype=np.int64))
+    scans: list[Scan | None] = [None] * len(poses)
+    cast = []  # the poses on traversable cells
+    for i, (ix, iy) in enumerate(starts):
+        start_cls = grid.class_at(ix, iy)
+        if traversable(start_cls):
+            cast.append(i)
+        else:
+            scans[i] = Scan(np.zeros(n_beams), np.full(n_beams, int(start_cls), dtype=np.int64))
+    if not cast:
+        return scans
 
     # padded cell codes: 0 traversable, 1 + class blocking, _OUTSIDE on the
     # ring of cells around the map; kept on the map only once it is frozen,
@@ -377,15 +409,21 @@ def _cast(grid: SemanticGridMap, pose: tuple[float, float, float], max_range: fl
         if not grid.classes.flags.writeable:
             grid._scan_codes = codes
 
+    # one row per beam, pose-major: each beam's pose, start cell and azimuth
+    n = len(cast) * n_beams
+    xy = np.repeat(np.array([poses[i][:2] for i in cast], dtype=np.float64).T, n_beams, axis=1)
+    cell0 = np.repeat(np.array([starts[i] for i in cast]).T, n_beams, axis=1)
+    yaws = np.array([poses[i][2] for i in cast], dtype=np.float64)
+
     res = grid.resolution
-    az = yaw + beam_offsets(n_beams)
+    az = (yaws[:, None] + beam_offsets(n_beams)).ravel()
     dirs = np.array([np.cos(az), np.sin(az)])  # rows: x, y
     steps = np.sign(dirs).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         # per axis: time to the first cell edge ahead and between edges
         origin = np.array([[grid.origin_x], [grid.origin_y]])
-        edge = origin + (np.array([[ix0], [iy0]]) + (dirs > 0)) * res
-        t_first = np.where(dirs != 0, (edge - np.array([[x], [y]])) / dirs, np.inf)
+        edge = origin + (cell0 + (dirs > 0)) * res
+        t_first = np.where(dirs != 0, (edge - xy) / dirs, np.inf)
         t_delta = np.where(dirs != 0, res / np.abs(dirs), np.inf)
 
     # Exact grid traversal with every step at once. The edge-crossing times
@@ -396,23 +434,24 @@ def _cast(grid: SemanticGridMap, pose: tuple[float, float, float], max_range: fl
     # axis, one more than needed against rounding, cover every crossing
     # within max_range and the one after it.
     m = int(max_range / res) + 3
-    t_cross = np.empty((n_beams, 2, m))
+    t_cross = np.empty((n, 2, m))
     # + 0.0 turns a -0.0 first crossing (a pose on a cell edge, beam heading
     # down) into the +0.0 the walk reads after adding 0.0 to the idle axis
     t_cross[:, :, 0] = t_first.T + 0.0
     t_cross[:, :, 1:] = t_delta.T[:, :, None]
     np.cumsum(t_cross, axis=2, out=t_cross)
-    order = np.argsort(t_cross.reshape(n_beams, 2 * m), axis=1, kind="stable")
-    beams = np.arange(n_beams)
+    order = np.argsort(t_cross.reshape(n, 2 * m), axis=1, kind="stable")
+    beams = np.arange(n)
     t_enter = t_cross.ravel().take(order + 2 * m * beams[:, None])
 
-    # walk the padded raster: an x crossing moves one column, a y crossing
-    # one row. The walk meets the outside ring before it could leave the
-    # raster; the cells after a beam's stop are never read, so clip them
+    # walk the padded raster from each beam's start cell: an x crossing
+    # moves one column, a y crossing one row. The walk meets the outside
+    # ring before it could leave the raster; the cells after a beam's stop
+    # are never read, so clip them
     stride = grid.width + 2
     moves = np.where(order < m, steps[0][:, None], steps[1][:, None] * stride)
     cells = np.cumsum(moves, axis=1)
-    cells += (iy0 + 1) * stride + ix0 + 1
+    cells += ((cell0[1] + 1) * stride + cell0[0] + 1)[:, None]
     code = codes.ravel().take(cells, mode="clip")
 
     # every beam stops: its last merged crossing lies beyond max_range
@@ -421,9 +460,13 @@ def _cast(grid: SemanticGridMap, pose: tuple[float, float, float], max_range: fl
     code_k = code[beams, k]
     blocked = (t_enter[beams, k] <= max_range) & (code_k != _OUTSIDE)
     k, hit_beams = k[blocked], beams[blocked]
-    ranges = np.full(n_beams, float(max_range))
-    hit_cls = np.full(n_beams, int(SemanticClass.UNKNOWN), dtype=np.int64)
+    ranges = np.full(n, float(max_range))
+    hit_cls = np.full(n, int(SemanticClass.UNKNOWN), dtype=np.int64)
     # chord midpoint inside the struck cell
     ranges[blocked] = 0.5 * (t_enter[hit_beams, k] + t_enter[hit_beams, k + 1])
     hit_cls[blocked] = code_k[blocked] - 1
-    return Scan(ranges, hit_cls)
+    ranges = ranges.reshape(-1, n_beams)
+    hit_cls = hit_cls.reshape(-1, n_beams)
+    for j, i in enumerate(cast):
+        scans[i] = Scan(ranges[j], hit_cls[j])
+    return scans

@@ -172,7 +172,7 @@ class TestRun:
     def test_kernel_time_tool_times_functions_that_exist(self):
         # tools/kernel_times.py patches and replays kernels by these names
         tool = self.load_tool("kernel_times")
-        assert [attr for _, attr in tool.KERNELS] == ["match_costs", "predict", "_select_local_goal_ex"]
+        assert [attr for _, attr in tool.KERNELS] == ["match_costs", "predict", "_select_local_goal_ex", "ground_scans"]
         for mod, attr in tool.KERNELS:
             assert callable(getattr(importlib.import_module(f"semteam.{mod}"), attr, None)), (mod, attr)
 
@@ -657,6 +657,138 @@ class TestParkedRobots:
         assert ref_calls["integrate_scan"] - calls["integrate_scan"] >= 2 * (parked_scans - 1)
         assert calls["sync_pair"] < ref_calls["sync_pair"]
         assert any(json.loads(line)["ev"] == "sync" for line in events)
+
+
+
+class TestTeamSensing:
+    """On a scan tick the engine casts, in one call, the scans of the ground
+    robots whose poses the truth does not keep, and bins them in one call.
+    Each robot's own ``ground_scan`` and ``from_scan`` then return the kept
+    scan and observation, and cast and bin nothing."""
+
+    PARK = range(44, 130)  # ticks over which the last ground robot is held still
+    TICKS = 160
+
+    @classmethod
+    def stepped(cls, n_ground=3):
+        """Step the small world with ``n_ground`` robots, the last held still
+        over PARK. Returns each tick's robot states, the events, and per
+        tick: the truth's kept pose keys before the tick, each cast and bin
+        (and whether a robot's own call made it), the team pass's scans and
+        observations, and each robot's own scans and observations."""
+        sim = Simulation(small_config(n_ground=n_ground), world=small_world())
+        truth = sim.world.truth
+        log = []
+        own = [False]  # inside a robot's own ground_scan or from_scan
+        raw_cast, raw_scans, raw_scan = semteam.world._cast, engine.ground_scans, engine.ground_scan
+        obs_cls = localize.PolarObservation
+        raw_bin, raw_from_scan = obs_cls.__dict__["_bin"].__func__, obs_cls.__dict__["from_scan"].__func__
+        raw_from_scans = obs_cls.__dict__["from_scans"].__func__
+
+        def cast(grid, poses, *args):
+            log[-1]["cast"].append((own[0], list(poses)))
+            return raw_cast(grid, poses, *args)
+
+        def bin_(klass, scans, *args):
+            log[-1]["bin"].append((own[0], len(scans)))
+            return raw_bin(klass, scans, *args)
+
+        def ground_scans(grid, poses, *args):
+            log[-1]["team_scans"] = raw_scans(grid, poses, *args)
+            return log[-1]["team_scans"]
+
+        def from_scans(klass, scans, *args, **kwargs):
+            got = raw_from_scans(klass, scans, *args, **kwargs)
+            if not own[0]:
+                log[-1]["team_obs"] = got
+            return got
+
+        def robot_call(name, fn):
+            def wrapper(*args, **kwargs):
+                own[0] = True
+                try:
+                    got = fn(*args, **kwargs)
+                finally:
+                    own[0] = False
+                log[-1][name].append(got)
+                return got
+
+            return wrapper
+
+        states = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semteam.world, "_cast", cast)
+            mp.setattr(engine, "ground_scans", ground_scans)
+            mp.setattr(engine, "ground_scan", robot_call("own_scans", raw_scan))
+            mp.setattr(obs_cls, "_bin", classmethod(bin_))
+            mp.setattr(obs_cls, "from_scans", classmethod(from_scans))
+            mp.setattr(obs_cls, "from_scan", classmethod(robot_call("own_obs", raw_from_scan)))
+            for t in range(cls.TICKS):
+                if t in cls.PARK:
+                    sim.ground_agents[-1].command = (0.0, 0.0)
+                kept = set(truth.__dict__.get("_scans", {}))
+                log.append({"kept": kept, "cast": [], "bin": [], "own_scans": [], "own_obs": []})
+                sim.tick()
+                states.append([TestParkedRobots.agent_state(g) for g in sim.ground_agents])
+                log[-1]["poses"] = [g.true_pose for g in sim.ground_agents]
+        return states, sim.events, log
+
+    @pytest.fixture(scope="class")
+    def sensed(self):
+        return self.stepped()
+
+    @staticmethod
+    def key(pose):
+        return (np.array(pose, dtype=np.float64).tobytes(), engine.SCAN_MAX_RANGE, engine.SCAN_BEAMS)
+
+    def test_one_team_cast_per_scan_tick_of_only_the_unkept_poses(self, sensed):
+        _, _, log = sensed
+        parked = log[self.PARK[0]]["poses"][-1]
+        for t, rec in enumerate(log):
+            if t % engine.SCAN_PERIOD_TICKS:
+                assert rec["cast"] == [] and "team_scans" not in rec, t
+                continue
+            unkept = list(dict.fromkeys(p for p in rec["poses"] if self.key(p) not in rec["kept"]))
+            assert rec["cast"] == ([(False, unkept)] if unkept else []), t
+            if t in self.PARK[1:]:
+                # the held robot, cast on its first held tick, is not cast
+                # again, while another robot moves on
+                assert rec["poses"][-1] == parked and parked not in unkept and unkept, t
+        # the robots stand still until the shake-out starts at tick 40
+        assert [t for t in range(4, 40, 4) if log[t]["cast"]] == []
+
+    def test_each_robot_gets_the_kept_scan_and_observation(self, sensed):
+        _, _, log = sensed
+        scan_ticks = 0
+        for t, rec in enumerate(log):
+            if t % engine.SCAN_PERIOD_TICKS:
+                assert rec["own_scans"] == rec["own_obs"] == rec["bin"] == [], t
+                continue
+            scan_ticks += 1
+            assert len(rec["own_scans"]) == len(rec["own_obs"]) == 3
+            assert all(a is b for a, b in zip(rec["own_scans"], rec["team_scans"])), t
+            assert all(a is b for a, b in zip(rec["own_obs"], rec["team_obs"])), t
+            # a fresh scan keeps no observation yet: one bin where a cast was
+            assert rec["bin"] == ([(False, len(rec["cast"][0][1]))] if rec["cast"] else []), t
+        assert scan_ticks == self.TICKS // engine.SCAN_PERIOD_TICKS
+
+    def test_no_ground_robots_tick_without_a_cast(self, monkeypatch):
+        casts = []
+        monkeypatch.setattr(semteam.world, "_cast", lambda *args: casts.append(args))
+        sim = Simulation(small_config(n_ground=0, max_ticks=12), world=small_world())
+        for _ in range(12):
+            sim.tick()
+        assert casts == [] and sim.tick_count == 12
+
+    def test_a_team_larger_than_the_kept_scans_gives_the_same_run(self, sensed, monkeypatch):
+        states, events, _ = sensed
+        monkeypatch.setattr(semteam.world, "SCANS_KEPT", 2)
+        got_states, got_events, log = self.stepped()
+        assert got_events == events
+        for t, (got, want) in enumerate(zip(got_states, states)):
+            assert got == want, t
+        # robots whose scans the team pass pushed out cast their own again
+        assert sum(own for rec in log for own, _ in rec["cast"]) > 10
 
 
 def test_every_pose_is_a_tuple_of_floats():

@@ -16,10 +16,19 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
-from semteam import geometry, mission, planner
+from semteam import geometry, mission, planner, world
 from semteam.geometry import segment_cells, segments_min_value
 from semteam.localize import FREE_LAYER, ParticleSet, PolarObservation, match_costs, match_table
-from semteam.world import Scan, SemanticClass, SemanticGridMap, ground_scan, traversable, traversable_mask
+from semteam.world import (
+    Scan,
+    SemanticClass,
+    SemanticGridMap,
+    WorldModel,
+    ground_scan,
+    ground_scans,
+    traversable,
+    traversable_mask,
+)
 
 # ---------------------------------------------------------------------------
 # reference loop versions
@@ -449,6 +458,79 @@ class TestGroundScanMatchesLoop:
         assert pairs_of(got) == [(0.0, SemanticClass.VEGETATION)] * 12
 
 
+
+class TestTeamCastMatchesLoop:
+    """``_cast`` casts a group of poses in one pass; each pose's scan must be
+    the scan of the loop reference cast alone."""
+
+    @staticmethod
+    def group(rng, grid, size):
+        """Poses on cell corners, on cell edges and inside cells, with yaws
+        of +0.0, -0.0, pi/2, -pi and random ones."""
+        poses = []
+        for _ in range(size):
+            ix, iy = int(rng.integers(0, grid.width)), int(rng.integers(0, grid.height))
+            fx, fy = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), tuple(rng.uniform(0, 1, 2))][int(rng.integers(4))]
+            yaw = [0.0, -0.0, math.pi / 2, -math.pi, float(rng.uniform(-4, 4))][int(rng.integers(5))]
+            res = grid.resolution
+            poses.append((grid.origin_x + (ix + fx) * res, grid.origin_y + (iy + fy) * res, yaw))
+        return poses
+
+    def test_groups_of_one_to_seven_poses(self):
+        rng = np.random.default_rng(23)
+        blocked_in_group = 0
+        for trial in range(70):
+            res = float(rng.choice([1.0, 0.5, 0.25]))
+            origin = (float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)))
+            w, h = (int(v) for v in rng.integers(8, 40, size=2))
+            grid = make_map(cluttered_classes(rng, w, h, blocked=0.25), res, origin)
+            n_beams = int(rng.choice([1, 3, 8, 36]))
+            max_range = float(rng.choice([3.0, 7.5, 15.0]))
+            poses = self.group(rng, grid, 1 + trial % 7)
+            got = world._cast(grid, poses, max_range, n_beams)
+            assert len(got) == len(poses)
+            for pose, scan in zip(poses, got):
+                assert_same_scan(scan, ref_ground_scan(grid, pose, max_range, n_beams))
+            starts = [grid.class_at(*grid.cell_of(x, y)) for x, y, _ in poses]
+            blocked_in_group += len(poses) > 1 and not all(map(traversable, starts)) and any(map(traversable, starts))
+        assert blocked_in_group >= 5
+
+    def test_a_blocked_start_inside_a_group(self):
+        rng = np.random.default_rng(24)
+        classes = cluttered_classes(rng, 20, 20)
+        classes[5, 5] = SemanticClass.VEGETATION
+        classes[[2, 9, 12], [3, 14, 7]] = SemanticClass.ROAD
+        grid = make_map(classes)
+        poses = [(3.5, 2.5, 0.0), (5.0, 5.0, -math.pi), (14.5, 9.0, math.pi / 2), (7.25, 12.5, -0.0)]
+        got = world._cast(grid, poses, 15.0, 36)
+        assert pairs_of(got[1]) == [(0.0, SemanticClass.VEGETATION)] * 36
+        for pose, scan in zip(poses, got):
+            assert_same_scan(scan, ref_ground_scan(grid, pose, 15.0, 36))
+
+    def test_a_pose_outside_the_map_raises_and_keeps_nothing(self):
+        rng = np.random.default_rng(25)
+        truth = WorldModel.from_map(make_map(cluttered_classes(rng, 20, 20, blocked=0.0))).truth
+        kept = ground_scan(truth, (4.5, 4.5, 0.0), 10.0, 8)
+        inside = [(4.5, 4.5, 0.0), (10.5, 10.5, 1.0)]
+        for outside in ((-1.0, 5.0, 0.0), (5.0, 20.0, 0.0), (20.0, 0.5, 0.0)):
+            with pytest.raises(ValueError, match="outside map bounds"):
+                world._cast(truth, [inside[1], outside, inside[0]], 10.0, 8)
+            with pytest.raises(ValueError, match="outside map bounds"):
+                ground_scans(truth, [inside[0], outside, inside[1]], 10.0, 8)
+            assert list(truth._scans.values()) == [kept]
+
+    def test_a_frozen_map_keeps_each_pose_once(self):
+        rng = np.random.default_rng(26)
+        truth = WorldModel.from_map(make_map(cluttered_classes(rng, 30, 30))).truth
+        poses = self.group(rng, truth, 5)
+        first = ground_scans(truth, poses + [poses[2]], 15.0, 36)
+        assert first[5] is first[2] and len(truth._scans) == 5
+        assert [ground_scan(truth, pose, 15.0, 36) for pose in poses] == first[:5]
+        assert all(a is b for a, b in zip(ground_scans(truth, poses[::-1], 15.0, 36), first[4::-1]))
+        for pose, scan in zip(poses, first):
+            assert not (scan.ranges.flags.writeable or scan.classes.flags.writeable)
+            assert_same_scan(scan, ref_ground_scan(truth, pose, 15.0, 36))
+
 # ---------------------------------------------------------------------------
 # from_scan
 
@@ -565,6 +647,48 @@ class TestFromScanMatchesLoop:
             scan = ground_scan(grid, pose, 15.0, 36)
             args = (scan, 36, 10, 15.0, 1.0)
             assert_same_observation(PolarObservation.from_scan(*args), ref_from_scan(*args))
+
+    def test_scans_binned_together_match_each_alone(self):
+        rng = np.random.default_rng(27)
+        for trial in range(40):
+            params = (
+                int(rng.choice([1, 7, 36])),
+                int(rng.choice([1, 4, 10])),
+                float(rng.choice([5.0, 15.0, 20.0])),
+                float(rng.choice([0.0, 1.0, 2.5])),
+                int(rng.choice([0, 1, 2, 3])),
+            )
+            max_range = params[2]
+            scans = [
+                random_scan(rng, int(rng.choice([0, 1, 24, 36, 72])), max_range, p_unknown=float(rng.uniform(0, 1)))
+                for _ in range(1 + trial % 7)
+            ]
+            got = PolarObservation.from_scans(scans, *params)
+            assert len(got) == len(scans)
+            for scan, obs in zip(scans, got):
+                alone = PolarObservation.from_scan(scan, *params)
+                assert obs is not alone
+                for a, b in zip((obs.dx, obs.dy, obs.layer), (alone.dx, alone.dy, alone.layer)):
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert_same_observation(obs, ref_from_scan(scan, *params))
+
+    def test_read_only_scans_keep_their_observations(self):
+        rng = np.random.default_rng(28)
+        truth = WorldModel.from_map(make_map(cluttered_classes(rng, 40, 40))).truth
+        poses = [(float(rng.uniform(0, 40)), float(rng.uniform(0, 40)), float(rng.uniform(-4, 4))) for _ in range(4)]
+        frozen = ground_scans(truth, poses, 15.0, 36)
+        writable = random_scan(rng, 36, 15.0)
+        scans = [frozen[0], writable, frozen[1], frozen[0], frozen[2], frozen[3]]
+        key = (36, 10, 15.0, 1.0, 2)
+        got = PolarObservation.from_scans(scans, 36, 10, 15.0, 1.0)
+        assert got[3] is got[0]
+        assert writable.polar == {}
+        assert all(scan.polar[key] is obs for scan, obs in zip(scans, got) if scan is not writable)
+        again = PolarObservation.from_scans(scans, 36, 10, 15.0, 1.0)
+        assert [a is b for a, b in zip(again, got)] == [True, False, True, True, True, True]
+        assert PolarObservation.from_scan(frozen[2], 36, 10, 15.0, 1.0) is got[4]
+        for scan, obs in zip(scans, again):
+            assert_same_observation(obs, ref_from_scan(scan, 36, 10, 15.0, 1.0))
 
     def test_numpy_trig_matches_math_on_beam_offsets(self):
         # the array code takes np.cos / np.sin where the loop took math.cos /

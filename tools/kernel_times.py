@@ -1,19 +1,22 @@
-"""Print the time per call of the moving robot's hot kernels, on inputs
+"""Print the time per call of the ground team's hot kernels, on inputs
 captured from a run.
 
-The kernels are ``localize.match_costs``, ``localize.predict`` and
-``tracker._select_local_goal_ex``. The tool runs the first 1200 ticks of the
-benchmark's ``team6`` workload at seed 0 and records the arguments of every
-call of each kernel. It then replays each kernel's calls in run order, 5
-times, timing each call alone, and prints the calls per repeat and the
-median over the repeats of the mean microseconds per call.
+The kernels are ``localize.match_costs``, ``localize.predict``,
+``tracker._select_local_goal_ex`` and the team's sensing pass: the engine's
+``world.ground_scans`` call of each scan tick, with the binning of its scans
+by ``PolarObservation.from_scans`` that follows it. The tool runs the first
+1200 ticks of the benchmark's ``team6`` workload at seed 0 and records the
+arguments of every call of each kernel. It then replays each kernel's calls
+in run order, 5 times, timing each call alone, and prints the calls per
+repeat and the median over the repeats of the mean microseconds per call.
 
 Each call is replayed in the state the run made it in. A particle set that
 held its heading trig when the run passed it holds it again, computed
 outside the timed call, and each robot's local grid holds the cells and
 origin it held, on one grid object per robot, as in the run. ``predict``
 draws its noise from a generator of its own, which costs what the run's
-does.
+does. The truth's kept scans are cleared before each sensing pass, so the
+pass casts and bins every robot's scan, parked robots' included.
 
 Run from the root of a checkout (takes about half a minute):
 
@@ -34,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 import workloads  # noqa: E402
-from semteam import localize, tracker  # noqa: E402
+from semteam import engine, localize, tracker  # noqa: E402
 from semteam.config import ScenarioConfig  # noqa: E402
 from semteam.engine import Simulation  # noqa: E402
 
@@ -43,6 +46,7 @@ KERNELS = (
     ("localize", "match_costs"),
     ("localize", "predict"),
     ("tracker", "_select_local_goal_ex"),
+    ("engine", "ground_scans"),
 )
 TICKS = 1200
 REPEATS = 5
@@ -66,6 +70,7 @@ def capture() -> dict[str, list]:
     """Every call's arguments over the first TICKS ticks, per kernel."""
     calls: dict[str, list] = {attr: [] for _, attr in KERNELS}
     raw_match, raw_predict, raw_goal = localize.match_costs, localize.predict, tracker._select_local_goal_ex
+    raw_scans = engine.ground_scans
     last_cells: dict[int, bytes] = {}
 
     def match_costs(particles, *args):
@@ -85,14 +90,20 @@ def capture() -> dict[str, list]:
         calls["_select_local_goal_ex"].append((id(grid), state, grid.origin_x, grid.origin_y, args))
         return raw_goal(grid, *args)
 
+    def ground_scans(grid, poses, *args):
+        calls["ground_scans"].append((grid, list(poses), args))
+        return raw_scans(grid, poses, *args)
+
     cfg = ScenarioConfig.from_dict(workloads.config("team6", workloads.REFERENCE_SEED))
     sim = Simulation(cfg)
     localize.match_costs, localize.predict, tracker._select_local_goal_ex = match_costs, predict, goal
+    engine.ground_scans = ground_scans
     try:
         for _ in range(TICKS):
             sim.tick()
     finally:
         localize.match_costs, localize.predict, tracker._select_local_goal_ex = raw_match, raw_predict, raw_goal
+        engine.ground_scans = raw_scans
     return calls
 
 
@@ -112,6 +123,13 @@ def replay(name: str, recorded: list) -> float:
             particles = particles_of(state)
             t0 = clock()
             localize.predict(particles, delta, noise, rng)
+            total += clock() - t0
+    elif name == "ground_scans":
+        for grid, poses, (max_range, n_beams) in recorded:
+            grid.__dict__.pop("_scans", None)
+            t0 = clock()
+            scans = engine.ground_scans(grid, poses, max_range, n_beams)
+            localize.PolarObservation.from_scans(scans, max_range=max_range, free_margin=grid.resolution)
             total += clock() - t0
     else:
         grids: dict[int, tracker.LocalObstacleGrid] = {}
