@@ -1,8 +1,8 @@
 """Desk-scale simulator for an air-ground robot team.
 
 A single aerial robot builds a semantic ortho-map online; ground robots
-localize in it with a semantic particle filter, plan over it with an
-incrementally built roadmap, coordinate through a gossip-replicated
+localize in it with a semantic particle filter, plan over it with a
+roadmap built from each map version, coordinate through a gossip-replicated
 database, and investigate vehicle regions of interest. Everything runs
 in a deterministic lockstep simulation driven by one master seed.
 """

@@ -366,7 +366,7 @@ class GroundAgent:
         """Plan to the cheapest cell on the held products; only their ROIs call this."""
         start = self.map.cell_of(*self.believed[:2])
         if not self.map.in_bounds(*start):
-            return pln.PlanResult(ok=False, reason="unmapped")
+            return pln.PlanResult(ok=False)
         p = self.products
         return pln.plan(p.roadmap, p.vis, p.grid, start, *goal_cells)
 

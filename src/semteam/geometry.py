@@ -1,4 +1,4 @@
-"""Segment-vs-grid geometry shared by the planner and trackers.
+"""Segment-vs-grid and disc geometry shared by the planner, missions and trackers.
 
 A segment between two cell centers "touches" every cell whose closed unit
 square it intersects (the supercover of the segment). Touch tests are done
@@ -214,6 +214,27 @@ def _axis_intervals(
     t1 = (cells - p0) / d
     t2 = (cells + 1 - p0) / d
     return np.minimum(t1, t2), np.maximum(t1, t2)
+
+
+def disc_cells(mask: np.ndarray, centers, r_cells: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of ``mask`` within ``r_cells`` of any integer cell of
+    ``centers``, as (ixs, iys) in flat-index order. Only the window around
+    the centers, clamped to the grid, is read; it holds no cell when it lies
+    wholly off the grid, where a negative bound would wrap the slice."""
+    h, w = mask.shape
+    xs, ys = zip(*centers)
+    x_lo = max(0, int(math.floor(min(xs) - r_cells)))
+    x_hi = min(w - 1, int(math.ceil(max(xs) + r_cells)))
+    y_lo = max(0, int(math.floor(min(ys) - r_cells)))
+    y_hi = min(h - 1, int(math.ceil(max(ys) + r_cells)))
+    if x_lo > x_hi or y_lo > y_hi:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    fy, fx = np.nonzero(mask[y_lo : y_hi + 1, x_lo : x_hi + 1])
+    gx, gy = fx + x_lo, fy + y_lo
+    near = np.zeros(gx.size, dtype=bool)
+    for cx, cy in centers:
+        near |= (gx - cx) ** 2 + (gy - cy) ** 2 <= r_cells**2
+    return gx[near], gy[near]
 
 
 def wrap_angle(a):

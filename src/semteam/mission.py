@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semteam import planner
+from semteam.geometry import disc_cells
 from semteam.gossip import Database
 from semteam.planner import PlanResult, TraversabilityGrid
 from semteam.world import SemanticClass, SemanticGridMap
@@ -120,24 +121,10 @@ def extract_rois(
 def _goal_for_cluster(cells, grid, dilation_radius):
     """The highest-clearance free cell within ``dilation_radius`` of the
     cluster, lowest flat index first on ties; None when there is none."""
-    r_cells = dilation_radius / grid.resolution
-    h, w = grid.shape
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    x_lo = max(0, int(math.floor(min(xs) - r_cells)))
-    x_hi = min(w - 1, int(math.ceil(max(xs) + r_cells)))
-    y_lo = max(0, int(math.floor(min(ys) - r_cells)))
-    y_hi = min(h - 1, int(math.ceil(max(ys) + r_cells)))
-    sub_free = grid.free[y_lo : y_hi + 1, x_lo : x_hi + 1]
-    fy, fx = np.nonzero(sub_free)
-    gx, gy = fx + x_lo, fy + y_lo
-    near = np.zeros(gx.size, dtype=bool)
-    for cx, cy in cells:
-        near |= (gx - cx) ** 2 + (gy - cy) ** 2 <= r_cells**2
-    gx, gy = gx[near], gy[near]
+    gx, gy = disc_cells(grid.free, cells, dilation_radius / grid.resolution)
     if not gx.size:
         return None
-    flats = gy * w + gx
+    flats = gy * grid.shape[1] + gx
     scores = grid.dist[gy, gx]
     order = np.lexsort((flats, -scores))
     return int(gx[order[0]]), int(gy[order[0]])

@@ -36,24 +36,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semteam.geometry import segments_min_value, visible_from
-from semteam.world import SemanticClass, SemanticGridMap, traversable_mask
+from semteam.geometry import disc_cells, segments_min_value, visible_from
+from semteam.world import SemanticGridMap, traversable_mask
 
 
 @dataclass(frozen=True)
 class TraversabilityGrid:
     """The planning state of one map version: the free mask (unknown =
-    obstacle), the unknown cells, and ``dist``, the Euclidean distance in
-    meters to the nearest obstacle cell, 0 exactly on obstacles. Its arrays
-    are read-only, as a map snapshot's are."""
+    obstacle) and ``dist``, the Euclidean distance in meters to the nearest
+    obstacle cell, 0 exactly on obstacles. Its arrays are read-only, as a
+    map snapshot's are."""
 
     free: np.ndarray
-    unknown: np.ndarray
     dist: np.ndarray
     resolution: float
 
     def __post_init__(self) -> None:
-        for layer in (self.free, self.unknown, self.dist):
+        for layer in (self.free, self.dist):
             layer.setflags(write=False)
 
     @property
@@ -75,7 +74,6 @@ def extract_traversability(grid_map: SemanticGridMap, close_radius: int) -> Trav
     free = _close(traversable_mask(grid_map.classes), close_radius)
     return TraversabilityGrid(
         free=free,
-        unknown=grid_map.classes == int(SemanticClass.UNKNOWN),
         dist=distance_transform(free, grid_map.resolution),
         resolution=grid_map.resolution,
     )
@@ -188,7 +186,6 @@ class Roadmap:
         self.nodes: dict[int, tuple[int, int]] = {}
         self.edges: dict[tuple[int, int], float] = {}  # (a, b), a < b -> weight
         self.adj: dict[int, set[int]] = {}
-        self._next_id = 0
 
 
 def update_roadmap(grid: TraversabilityGrid, radius: float) -> tuple[Roadmap, VisibilityMap]:
@@ -308,22 +305,13 @@ def _window_obstacles(free, node, cand_ix, cand_iy):
 
 def _add_node(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, cell, r_cells) -> int:
     free = grid.free
-    h, w = free.shape
+    w = free.shape[1]
     nx, ny = cell
-    nid = roadmap._next_id
-    roadmap._next_id += 1
+    nid = len(roadmap.nodes)  # a roadmap never loses a node
     roadmap.nodes[nid] = (nx, ny)
     roadmap.adj[nid] = set()
 
-    x_lo = max(0, int(math.floor(nx - r_cells)))
-    x_hi = min(w - 1, int(math.ceil(nx + r_cells)))
-    y_lo = max(0, int(math.floor(ny - r_cells)))
-    y_hi = min(h - 1, int(math.ceil(ny + r_cells)))
-    sub = free[y_lo : y_hi + 1, x_lo : x_hi + 1]
-    cy, cx = np.nonzero(sub)
-    cand_ix, cand_iy = cx + x_lo, cy + y_lo
-    in_disc = (cand_ix - nx) ** 2 + (cand_iy - ny) ** 2 <= r_cells**2
-    cand_ix, cand_iy = cand_ix[in_disc], cand_iy[in_disc]
+    cand_ix, cand_iy = disc_cells(free, [cell], r_cells)
     ob_ix, ob_iy = _window_obstacles(free, (nx, ny), cand_ix, cand_iy)
     seen = visible_from((nx, ny), cand_ix, cand_iy, ob_ix, ob_iy)
     flats = set((cand_iy[seen] * w + cand_ix[seen]).tolist())
@@ -352,19 +340,16 @@ class PlanResult:
     ok: bool
     waypoints: list[tuple[int, int]] = field(default_factory=list)
     cost: float = 0.0
-    reason: str | None = None  # "unmapped" | "unreachable" on failure
 
 
 def plan(
     roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, start: tuple[int, int], *goals: tuple[int, int]
 ) -> PlanResult:
     """Least-weight roadmap route from start to the cheapest of ``goals``,
-    pruned; the first of equally cheap goals wins. When no goal is reached,
-    the first goal's failure is returned. Goals are routed nearest first,
-    and only while one can still cost no more than the best route.
-
-    Failure reasons: "unmapped" when an endpoint lies on unknown cells,
-    "unreachable" when it is a known obstacle or no graph path exists.
+    pruned; the first of equally cheap goals wins. Goals are routed nearest
+    first, and only while one can still cost no more than the best route.
+    The plan fails when the start or every goal is not free, or no goal is
+    reached over the roadmap.
     """
     if not goals:
         raise ValueError("plan needs a goal")
@@ -374,7 +359,7 @@ def plan(
             raise ValueError(f"{name} {ix, iy} outside map bounds")
     sx, sy = start
     if not grid.free[sy, sx]:
-        return _endpoint_failure(grid, start)
+        return PlanResult(ok=False)
     # every weight is at least its segment's length times the resolution, so
     # a goal's pruned cost is at least its straight-line length: once that
     # exceeds the best cost, up to float rounding, no later goal can win
@@ -392,17 +377,7 @@ def plan(
             route = _route(roadmap, vis, grid, start, goals[i], *tree)
         if route.ok and (best is None or (route.cost, i) < best[:2]):
             best = (route.cost, i, route)
-    if best is not None:
-        return best[2]
-    # no goal is reached: the first one's failure
-    gx, gy = goals[0]
-    return PlanResult(ok=False, reason="unreachable") if grid.free[gy, gx] else _endpoint_failure(grid, goals[0])
-
-
-def _endpoint_failure(grid: TraversabilityGrid, cell: tuple[int, int]) -> PlanResult:
-    """The failure of a plan with an endpoint on a cell that is not free."""
-    ix, iy = cell
-    return PlanResult(ok=False, reason="unmapped" if grid.unknown[iy, ix] else "unreachable")
+    return best[2] if best is not None else PlanResult(ok=False)
 
 
 def _search(roadmap: Roadmap, vis: VisibilityMap, grid: TraversabilityGrid, start: tuple[int, int]):
@@ -440,7 +415,7 @@ def _route(roadmap, vis, grid, start, goal, settled, prev) -> PlanResult:
     the node the goal sees with the least cost, the earliest popped on ties."""
     ends = [nid for nid in vis.nodes_visible_from(goal) if nid in settled]
     if not ends:
-        return PlanResult(ok=False, reason="unreachable")
+        return PlanResult(ok=False)
     to_goal = edge_weights([(*roadmap.nodes[nid], *goal) for nid in ends], grid)
     _, _, at = min((settled[nid][0] + t, settled[nid][1], nid) for nid, t in zip(ends, to_goal))
     chain: list[int] = []

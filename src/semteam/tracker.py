@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semteam.geometry import wrap_angle
+from semteam.geometry import disc_cells, wrap_angle
 from semteam.world import Scan, SemanticClass, beam_offsets
 
 UNKNOWN_CELL = 0
@@ -190,20 +190,7 @@ def _disc_goal(
     cell with the most clearance, ties to the nearer and then the lower flat
     index; None when the disc holds no free cell."""
     res = grid.resolution
-    r_cells = search_radius / res
-    x_lo = max(0, int(math.floor(cand_ix - r_cells)))
-    x_hi = min(grid.n - 1, int(math.ceil(cand_ix + r_cells)))
-    y_lo = max(0, int(math.floor(cand_iy - r_cells)))
-    y_hi = min(grid.n - 1, int(math.ceil(cand_iy + r_cells)))
-    if x_lo > x_hi or y_lo > y_hi:
-        return None
-    sub = grid.cells[y_lo : y_hi + 1, x_lo : x_hi + 1]
-    fy, fx = np.nonzero(sub == FREE_CELL)
-    if fx.size == 0:
-        return None
-    gx, gy = fx + x_lo, fy + y_lo
-    in_disc = (gx - cand_ix) ** 2 + (gy - cand_iy) ** 2 <= r_cells**2
-    gx, gy = gx[in_disc], gy[in_disc]
+    gx, gy = disc_cells(grid.cells == FREE_CELL, [(cand_ix, cand_iy)], search_radius / res)
     if gx.size == 0:
         return None
 

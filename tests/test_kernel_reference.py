@@ -1,8 +1,9 @@
 """The array kernels of the scan and filter hot path give exactly the floats
 of their step-by-step loop versions, which are kept here as references, the
-batched supercover minimum gives exactly the per-segment one, the
-planner's distance transform gives exactly SciPy's, and ROI clustering
-gives the clusters of an all-pairs union-find.
+batched supercover minimum gives exactly the per-segment one, the disc
+search gives the cells of a loop over the whole mask, the planner's
+distance transform gives exactly SciPy's, and ROI clustering gives the
+clusters of an all-pairs union-find.
 
 The array code does the same arithmetic in the same order, so every result
 is compared for equality (bit for bit where floats are involved), never
@@ -19,6 +20,7 @@ from scipy.ndimage import distance_transform_edt
 from semteam import geometry, mission, planner, world
 from semteam.geometry import segment_cells, segments_min_value
 from semteam.localize import FREE_LAYER, ParticleSet, PolarObservation, match_costs, match_table
+from semteam.tracker import FREE_CELL, OBSTACLE_CELL, UNKNOWN_CELL
 from semteam.world import (
     Scan,
     SemanticClass,
@@ -1044,6 +1046,91 @@ class TestRoadmapGrowthMatchesReferences:
         got = geometry.visible_from(node, cand_ix, cand_iy, obst_ix, obst_iy)
         assert np.array_equal(got, ref_visible_from(node, cand_ix, cand_iy, obst_ix, obst_iy))
         assert got[-1] and not got.all()
+
+
+# ---------------------------------------------------------------------------
+# disc search
+
+
+def ref_disc_cells(mask, centers, r_cells):
+    """Every cell of the mask in flat-index order, kept when it is set and
+    within r_cells of some center."""
+    h, w = mask.shape
+    cells = [
+        (ix, iy)
+        for iy in range(h)
+        for ix in range(w)
+        if mask[iy, ix] and any((ix - cx) ** 2 + (iy - cy) ** 2 <= r_cells**2 for cx, cy in centers)
+    ]
+    return [ix for ix, _ in cells], [iy for _, iy in cells]
+
+
+class WindowLog(np.ndarray):
+    """A mask that records every index it is read at."""
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return np.asarray(self)[key]
+
+
+class TestDiscCellsMatchesLoop:
+    RADII = (0.5, 1.5, 3.0, 25.0)
+
+    @classmethod
+    def cases(cls):
+        """(mask, centers, r_cells): random bool masks and 30 x 30 local
+        grids compared with FREE_CELL, with one to four centers inside the
+        grid, on its edges, and off it on every side, mostly to the left and
+        below, where the window's bounds go negative."""
+        rng = np.random.default_rng(46)
+        states = np.array([UNKNOWN_CELL, FREE_CELL, OBSTACLE_CELL], dtype=np.int8)
+        for k in range(240):
+            if k % 2:
+                h, w = (int(d) for d in rng.integers(1, 41, size=2))
+                mask = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+            else:
+                h = w = 30
+                mask = states[rng.choice(3, size=(h, w), p=rng.dirichlet(np.ones(3)))] == FREE_CELL
+            centers = []
+            for _ in range(int(rng.integers(1, 5))):
+                kind = rng.integers(0, 4)
+                if kind == 0:  # inside
+                    c = (int(rng.integers(0, w)), int(rng.integers(0, h)))
+                elif kind == 1:  # on an edge
+                    c = [(0, int(rng.integers(0, h))), (w - 1, int(rng.integers(0, h))),
+                         (int(rng.integers(0, w)), 0), (int(rng.integers(0, w)), h - 1)][int(rng.integers(0, 4))]
+                elif kind == 2:  # off to the left or below
+                    c = [(int(rng.integers(-30, 0)), int(rng.integers(-5, h))),
+                         (int(rng.integers(-5, w)), int(rng.integers(-30, 0)))][int(rng.integers(0, 2))]
+                else:  # off anywhere
+                    c = (int(rng.integers(-30, w + 30)), int(rng.integers(-30, h + 30)))
+                centers.append(c)
+            yield mask, centers, cls.RADII[k % len(cls.RADII)]
+
+    def test_cells_match_the_loop_in_order(self):
+        found = empty = several = 0
+        for mask, centers, r_cells in self.cases():
+            ixs, iys = geometry.disc_cells(mask, centers, r_cells)
+            assert ixs.dtype == iys.dtype == np.intp
+            assert [ixs.tolist(), iys.tolist()] == list(ref_disc_cells(mask, centers, r_cells)), (centers, r_cells)
+            found += ixs.size > 0
+            empty += ixs.size == 0
+            several += len(centers) > 1 and ixs.size > 0
+        assert found > 100 and empty > 20 and several > 50, (found, empty, several)
+
+    def test_reads_only_the_window_clamped_to_the_grid(self):
+        # a window wholly off the grid to the left or below has a negative
+        # upper bound, which would wrap a slice round to the far side
+        off_grid = 0
+        for mask, centers, r_cells in self.cases():
+            log = mask.view(WindowLog)
+            log.keys = []
+            geometry.disc_cells(log, centers, r_cells)
+            h, w = mask.shape
+            for ys, xs in log.keys:
+                assert 0 <= ys.start <= ys.stop <= h and 0 <= xs.start <= xs.stop <= w, (centers, r_cells)
+            off_grid += not log.keys
+        assert off_grid > 10, off_grid
 
 
 # ---------------------------------------------------------------------------

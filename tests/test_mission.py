@@ -97,7 +97,7 @@ def plan_cost_fn(costs, calls=None):
             calls.append(cells)
         reached = [cell for cell in cells if cell in costs]
         if not reached:
-            return PlanResult(ok=False, reason="unreachable")
+            return PlanResult(ok=False)
         cell = min(reached, key=costs.get)
         return PlanResult(ok=True, waypoints=[cell], cost=costs[cell])
 

@@ -5,7 +5,7 @@ The rows are seeds 0-15 of the standard world with 2 ground robots, and
 seed 0 with 6 robots, each capped at 8000 ticks. Ticks are exact, so rows
 run in parallel on ``JOBS`` processes, one per CPU, without changing one.
 
-Run from the root of a checkout (takes a few minutes):
+Run from the root of a checkout (takes about 22 s on a 2-vCPU host):
 
     python3 tools/outcomes.py [--events DIR [--against DIR [--skip EV ...]]]
 

@@ -6,7 +6,7 @@ was. The runs are seed 0 of the benchmark's ``team2``, ``team6`` and
 team: ``clutter`` at ``comm_range`` 8, and the standard world at
 ``comm_range`` 15 capped at 3000 ticks.
 
-Run from the root of a checkout (takes about a minute):
+Run from the root of a checkout (takes about 14 s on a 2-vCPU host):
 
     python3 tools/output_digests.py [NAME ...]
 
