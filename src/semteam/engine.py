@@ -3,10 +3,16 @@
 Every tick runs a fixed order: kinematics, noisy odometry, the team's
 sensing pass on scan ticks, per-agent autonomy in ascending robot id,
 event logging, pairwise gossip syncs over the fixed-range communication
-topology. The sensing pass casts every ground robot's scan and bins it in
-one call each; a scan reads only the truth and the robot's true pose, which
-are fixed once kinematics has run, so each robot's autonomy then finds its
-own scan and observation kept on the truth. All randomness flows
+topology. The sensing pass is staged for the whole ground team: it casts
+every robot's scan and bins it in one call each, then runs each robot's
+``sense`` (its filter update) in ascending id, then puts the scans of the
+robots whose scan or belief changed into their local grids in one
+``tracker.integrate_scans`` call. A scan reads only the truth and the
+robot's true pose, which are fixed once kinematics has run, so each robot
+finds its own scan and observation kept on the truth. Each stage of a robot
+reads only that robot's state, and its map ingest, mission and tracker run
+after it in its autonomy, so the staged order gives what running each
+robot's stages back to back gives. All randomness flows
 from counter-based Philox streams keyed by (master seed, robot, purpose),
 so identical (config, seed) reproduce byte-identical event logs. The
 ground robots share one decode of each map record and the planning
@@ -297,32 +303,38 @@ class GroundAgent:
             self.particles = particles
             self.believed = localize.weighted_mean_pose(particles)
 
-    def autonomy(self, tick: int) -> None:
-        cfg = self.cfg
+    def sense(self, tick: int) -> bool:
+        """A scan tick's sensing, up to the local grid: take the kept scan
+        and observation, and run the motion-gated filter update. Returns
+        whether the local grid must take the scan; the engine puts it in
+        with the other robots' in one pass."""
         truth = self.world.truth
-        if tick % SCAN_PERIOD_TICKS == 0:
-            scan = ground_scan(truth, self.true_pose, SCAN_MAX_RANGE, SCAN_BEAMS)
-            obs = localize.PolarObservation.from_scan(scan, max_range=SCAN_MAX_RANGE, free_margin=truth.resolution)
-            # measurement updates are gated on motion: stationary re-scans of
-            # the same scene add no information and let resampling noise
-            # collapse the cloud onto corridor aliases
-            if self.map is not None and self.moving:
-                self.particles, self.believed, self.last_update = localize.update_and_resample(
-                    self.particles,
-                    obs,
-                    self.map,
-                    cfg.localizer.temperature,
-                    self.filter_rng,
-                    self.products.match_table,
-                )
-            # the grid takes each cell the scan touches by assignment, and
-            # recentering on the same pose does nothing, so the same scan at
-            # the same belief leaves it as it is (a 0.0 and a -0.0 belief put
-            # the same cells in the grid)
-            if scan is not self._grid_scan or self.believed != self._grid_belief:
-                self._grid_scan, self._grid_belief = scan, self.believed
-                trk.integrate_scan(self.local_grid, scan, self.believed, SCAN_MAX_RANGE)
+        scan = ground_scan(truth, self.true_pose, SCAN_MAX_RANGE, SCAN_BEAMS)
+        obs = localize.PolarObservation.from_scan(scan, max_range=SCAN_MAX_RANGE, free_margin=truth.resolution)
+        # measurement updates are gated on motion: stationary re-scans of
+        # the same scene add no information and let resampling noise
+        # collapse the cloud onto corridor aliases
+        if self.map is not None and self.moving:
+            self.particles, self.believed, self.last_update = localize.update_and_resample(
+                self.particles,
+                obs,
+                self.map,
+                self.cfg.localizer.temperature,
+                self.filter_rng,
+                self.products.match_table,
+            )
+        # the grid takes each cell the scan touches by assignment, and
+        # recentering on the same pose does nothing, so the same scan at
+        # the same belief leaves it as it is (a 0.0 and a -0.0 belief put
+        # the same cells in the grid)
+        if scan is self._grid_scan and self.believed == self._grid_belief:
+            return False
+        self._grid_scan, self._grid_belief = scan, self.believed
+        return True
 
+    def autonomy(self, tick: int) -> None:
+        """Everything after the local grid: map ingest, mission and tracker."""
+        cfg = self.cfg
         self._ingest_map(tick)
         if self._wp_script is not None:
             self._waypoint_mission(tick)
@@ -509,12 +521,20 @@ class Simulation:
         # (2) noisy odometry
         for agent, pose in zip(self.ground_agents, prev):
             agent.odometry(pose)
-        # (3) the team's sensing pass: each robot's autonomy finds the scan
-        # and observation kept here
+        # (3) the team's sensing pass: each robot's sense finds the scan
+        # and observation kept here, then its filter update runs, and the
+        # robots whose scan or belief changed take the scan into their local
+        # grids in one pass
         if t % SCAN_PERIOD_TICKS == 0 and self.ground_agents:
             truth = self.world.truth
             scans = ground_scans(truth, [a.true_pose for a in self.ground_agents], SCAN_MAX_RANGE, SCAN_BEAMS)
             localize.PolarObservation.from_scans(scans, max_range=SCAN_MAX_RANGE, free_margin=truth.resolution)
+            fresh = [a for a in self.ground_agents if a.sense(t)]
+            if fresh:
+                trk.integrate_scans(
+                    [a.local_grid for a in fresh], [a._grid_scan for a in fresh],
+                    [a._grid_belief for a in fresh], SCAN_MAX_RANGE,
+                )
         # (4) autonomy, ascending id
         for agent in self.agents:
             agent.autonomy(t)

@@ -249,6 +249,12 @@ def wrap_angle(a):
     # the same operations in place on one fresh array; np.mod returns a
     # value in [0, 2 pi) unchanged, so it runs only on the others
     r = np.asarray(a) + np.pi
+    if r.size and 0.0 < r.min() and r.max() < 2 * np.pi:
+        # every r in (0, 2 pi) leaves np.mod a no-op, and r - pi cannot
+        # round to -pi: the least positive a + pi from an a above -pi is an
+        # ulp of pi, and pi less one ulp is exact, so the fix-up is a no-op too
+        r -= np.pi
+        return r
     np.mod(r, 2 * np.pi, out=r, where=(r < 0.0) | (r >= 2 * np.pi))
     r -= np.pi
     np.copyto(r, np.pi, where=r == -np.pi)

@@ -111,33 +111,72 @@ def integrate_scan(
     max_range: float,
 ) -> LocalObstacleGrid:
     """Carve free space along each beam and mark the hit cell; latest wins."""
-    x, y, yaw = pose
-    grid.recenter(x, y)
-    res = grid.resolution
-    ranges = scan.ranges
-    hit = scan.classes != int(SemanticClass.UNKNOWN)
-    az = yaw + beam_offsets(ranges.size)
+    integrate_scans([grid], [scan], [pose], max_range)
+    return grid
+
+
+def integrate_scans(
+    grids: list[LocalObstacleGrid],
+    scans: list[Scan],
+    poses: list[tuple[float, float, float]],
+    max_range: float,
+) -> None:
+    """``integrate_scan`` of each grid with its own scan and pose, the
+    samples of every beam of every scan placed in one array pass.
+
+    The grids share one resolution and size. Each is recentered on its pose
+    first; then each beam's samples are placed from its own pose and in its
+    own grid's origin, with the arithmetic of a grid taken alone. Each grid
+    then takes its free cells and after them its hit cells. Every write of
+    one kind stores the same value, so that order is the only one that
+    matters: the struck cell stays marked.
+    """
+    if not grids:
+        return
+    res, n = grids[0].resolution, grids[0].n
+    if any(g.resolution != res or g.n != n for g in grids):
+        raise ValueError("integrate_scans takes grids of one resolution and size")
+    for grid, (x, y, _) in zip(grids, poses):
+        grid.recenter(x, y)
+    counts = [scan.ranges.size for scan in scans]
+    bounds = np.cumsum([0] + counts)
+    # one entry per beam of its own pose and its own grid's origin
+    columns = [(px, py, pyaw, g.origin_x, g.origin_y) for g, (px, py, pyaw) in zip(grids, poses)]
+    x, y, yaw, ox, oy = np.repeat(np.array(columns, dtype=np.float64).T, counts, axis=1)
+    ranges = np.concatenate([scan.ranges for scan in scans])
+    hit = np.concatenate([scan.classes for scan in scans]) != int(SemanticClass.UNKNOWN)
+    az = yaw + np.concatenate([beam_offsets(c) for c in counts])
     dirx, diry = np.cos(az), np.sin(az)
     # free space ends just short of each hit so the struck cell stays marked
     free_to = np.where(hit, ranges - 0.75 * res, np.minimum(ranges, max_range))
 
+    # each sample's cell coordinates before the floor, in place: a cell is
+    # in the grid exactly when its coordinates are in [0, n), and there the
+    # integer cast is the floor
     radii = np.arange(0.0, max_range + 0.5 * res, 0.5 * res)
-    rr = radii[None, :]
-    ok = rr <= free_to[:, None]
-    px = x + dirx[:, None] * rr
-    py = y + diry[:, None] * rr
-    ix = np.floor((px - grid.origin_x) / res).astype(np.int64)
-    iy = np.floor((py - grid.origin_y) / res).astype(np.int64)
-    ok &= (ix >= 0) & (ix < grid.n) & (iy >= 0) & (iy < grid.n)
-    grid.cells[iy[ok], ix[ok]] = FREE_CELL
+    cx = dirx[:, None] * radii
+    cx += x[:, None]
+    cx -= ox[:, None]
+    cx /= res
+    cy = diry[:, None] * radii
+    cy += y[:, None]
+    cy -= oy[:, None]
+    cy /= res
+    ok = (radii <= free_to[:, None]) & (cx >= 0) & (cx < n) & (cy >= 0) & (cy < n)
+    free_x, free_y = cx[ok].astype(np.int64), cy[ok].astype(np.int64)
+    free_at = np.concatenate([[0], np.cumsum(ok.sum(axis=1))])[bounds]
 
-    hx = x + dirx[hit] * ranges[hit]
-    hy = y + diry[hit] * ranges[hit]
-    ix = np.floor((hx - grid.origin_x) / res).astype(np.int64)
-    iy = np.floor((hy - grid.origin_y) / res).astype(np.int64)
-    ok = (ix >= 0) & (ix < grid.n) & (iy >= 0) & (iy < grid.n)
-    grid.cells[iy[ok], ix[ok]] = OBSTACLE_CELL
-    return grid
+    cx = (x + dirx * ranges - ox) / res
+    cy = (y + diry * ranges - oy) / res
+    ok = hit & (cx >= 0) & (cx < n) & (cy >= 0) & (cy < n)
+    hit_x, hit_y = cx[ok].astype(np.int64), cy[ok].astype(np.int64)
+    hit_at = np.concatenate([[0], np.cumsum(ok)])[bounds]
+
+    for k, grid in enumerate(grids):
+        lo, hi = free_at[k], free_at[k + 1]
+        grid.cells[free_y[lo:hi], free_x[lo:hi]] = FREE_CELL
+        lo, hi = hit_at[k], hit_at[k + 1]
+        grid.cells[hit_y[lo:hi], hit_x[lo:hi]] = OBSTACLE_CELL
 
 
 def _select_local_goal_ex(

@@ -172,7 +172,9 @@ class TestRun:
     def test_kernel_time_tool_times_functions_that_exist(self):
         # tools/kernel_times.py patches and replays kernels by these names
         tool = self.load_tool("kernel_times")
-        assert [attr for _, attr in tool.KERNELS] == ["match_costs", "predict", "_select_local_goal_ex", "ground_scans"]
+        assert [attr for _, attr in tool.KERNELS] == [
+            "match_costs", "predict", "_select_local_goal_ex", "ground_scans", "integrate_scans"
+        ]
         for mod, attr in tool.KERNELS:
             assert callable(getattr(importlib.import_module(f"semteam.{mod}"), attr, None)), (mod, attr)
 
@@ -599,14 +601,18 @@ class TestParkedRobots:
         rest, and every pair in range syncs on every tick."""
         world = small_world()
         sim = Simulation(small_config(), world=world)
-        calls = {"rest": 0, "integrate_scan": 0, "sync_pair": 0}
+        calls = {"rest": 0, "grids": 0, "sync_pair": 0}
         raw_predict, raw_scan = localize.predict, engine.ground_scan
-        raw_integrate, raw_sync = tracker.integrate_scan, gossip.sync_pair
+        raw_integrate, raw_sync = tracker.integrate_scans, gossip.sync_pair
 
         def predict(p, *args):
             out = raw_predict(dataclasses.replace(p) if recompute else p, *args)
             calls["rest"] += out is p
             return out
+
+        def integrate_scans(grids, *args):
+            calls["grids"] += len(grids)
+            return raw_integrate(grids, *args)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -620,7 +626,7 @@ class TestParkedRobots:
         states = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(localize, "predict", predict)
-            mp.setattr(tracker, "integrate_scan", counted("integrate_scan", raw_integrate))
+            mp.setattr(tracker, "integrate_scans", integrate_scans)
             mp.setattr(gossip, "sync_pair", counted("sync_pair", raw_sync))
             if recompute:
                 mp.setattr(engine, "ground_scan", lambda grid, *args: raw_scan(thawed, *args))
@@ -651,10 +657,11 @@ class TestParkedRobots:
     def test_parked_work_was_skipped(self, runs):
         (_, events, calls), (_, _, ref_calls) = runs
         # each robot computes the set at rest and the grid on its first
-        # parked tick and scan, and skips them after that
+        # parked tick and scan, and skips them after that: its grid is not
+        # handed to the team's grid pass
         assert calls["rest"] >= 2 * (len(self.PARK) - 1) and ref_calls["rest"] == 0
         parked_scans = len(self.PARK) // 4
-        assert ref_calls["integrate_scan"] - calls["integrate_scan"] >= 2 * (parked_scans - 1)
+        assert ref_calls["grids"] - calls["grids"] >= 2 * (parked_scans - 1)
         assert calls["sync_pair"] < ref_calls["sync_pair"]
         assert any(json.loads(line)["ev"] == "sync" for line in events)
 
@@ -664,7 +671,9 @@ class TestTeamSensing:
     """On a scan tick the engine casts, in one call, the scans of the ground
     robots whose poses the truth does not keep, and bins them in one call.
     Each robot's own ``ground_scan`` and ``from_scan`` then return the kept
-    scan and observation, and cast and bin nothing."""
+    scan and observation, and cast and bin nothing. After every robot's
+    filter update, the robots whose scan or belief changed put their scans
+    in their local grids in one call."""
 
     PARK = range(44, 130)  # ticks over which the last ground robot is held still
     TICKS = 160
@@ -675,7 +684,9 @@ class TestTeamSensing:
         over PARK. Returns each tick's robot states, the events, and per
         tick: the truth's kept pose keys before the tick, each cast and bin
         (and whether a robot's own call made it), the team pass's scans and
-        observations, and each robot's own scans and observations."""
+        observations, each robot's own scans and observations, each team
+        grid pass's grids, scans and poses, and each robot's grid and belief
+        after the tick."""
         sim = Simulation(small_config(n_ground=n_ground), world=small_world())
         truth = sim.world.truth
         log = []
@@ -684,6 +695,7 @@ class TestTeamSensing:
         obs_cls = localize.PolarObservation
         raw_bin, raw_from_scan = obs_cls.__dict__["_bin"].__func__, obs_cls.__dict__["from_scan"].__func__
         raw_from_scans = obs_cls.__dict__["from_scans"].__func__
+        raw_integrate = tracker.integrate_scans
 
         def cast(grid, poses, *args):
             log[-1]["cast"].append((own[0], list(poses)))
@@ -702,6 +714,10 @@ class TestTeamSensing:
             if not own[0]:
                 log[-1]["team_obs"] = got
             return got
+
+        def integrate_scans(grids, scans, poses, *args):
+            log[-1]["grid_passes"].append((list(grids), list(scans), list(poses)))
+            return raw_integrate(grids, scans, poses, *args)
 
         def robot_call(name, fn):
             def wrapper(*args, **kwargs):
@@ -723,14 +739,17 @@ class TestTeamSensing:
             mp.setattr(obs_cls, "_bin", classmethod(bin_))
             mp.setattr(obs_cls, "from_scans", classmethod(from_scans))
             mp.setattr(obs_cls, "from_scan", classmethod(robot_call("own_obs", raw_from_scan)))
+            mp.setattr(tracker, "integrate_scans", integrate_scans)
             for t in range(cls.TICKS):
                 if t in cls.PARK:
                     sim.ground_agents[-1].command = (0.0, 0.0)
                 kept = set(truth.__dict__.get("_scans", {}))
-                log.append({"kept": kept, "cast": [], "bin": [], "own_scans": [], "own_obs": []})
+                log.append({"kept": kept, "cast": [], "bin": [], "own_scans": [], "own_obs": [], "grid_passes": []})
                 sim.tick()
                 states.append([TestParkedRobots.agent_state(g) for g in sim.ground_agents])
                 log[-1]["poses"] = [g.true_pose for g in sim.ground_agents]
+                log[-1]["grids"] = [g.local_grid for g in sim.ground_agents]
+                log[-1]["believed"] = [g.believed for g in sim.ground_agents]
         return states, sim.events, log
 
     @pytest.fixture(scope="class")
@@ -771,6 +790,33 @@ class TestTeamSensing:
             # a fresh scan keeps no observation yet: one bin where a cast was
             assert rec["bin"] == ([(False, len(rec["cast"][0][1]))] if rec["cast"] else []), t
         assert scan_ticks == self.TICKS // engine.SCAN_PERIOD_TICKS
+
+    def test_one_grid_pass_per_scan_tick_of_only_the_changed_robots(self, sensed):
+        _, _, log = sensed
+        last = {}  # robot -> the scan and belief it last put in its grid
+        partial = 0
+        for t, rec in enumerate(log):
+            if t % engine.SCAN_PERIOD_TICKS:
+                assert rec["grid_passes"] == [], t
+                continue
+            # a robot's belief is the one its grid took: autonomy moves none
+            robots = [
+                k for k, seen in enumerate(zip(rec["own_scans"], rec["believed"]))
+                if k not in last or last[k][0] is not seen[0] or last[k][1] != seen[1]
+            ]
+            want = [
+                ([id(rec["grids"][k]) for k in robots], [id(rec["own_scans"][k]) for k in robots],
+                 [rec["believed"][k] for k in robots])
+            ] if robots else []
+            got = [([id(g) for g in grids], [id(s) for s in scans], poses) for grids, scans, poses in rec["grid_passes"]]
+            assert got == want, t
+            last.update((k, (rec["own_scans"][k], rec["believed"][k])) for k in robots)
+            partial += 0 < len(robots) < 3
+            if t in self.PARK[1:]:
+                assert 2 not in robots, t
+        # no robot moves before the shake-out starts at tick 40
+        assert [t for t in range(4, 40, 4) if log[t]["grid_passes"]] == []
+        assert log[0]["grid_passes"] and partial > 5
 
     def test_no_ground_robots_tick_without_a_cast(self, monkeypatch):
         casts = []

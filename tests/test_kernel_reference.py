@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
-from semteam import geometry, mission, planner, world
+from semteam import geometry, mission, planner, tracker, world
 from semteam.geometry import segment_cells, segments_min_value
 from semteam.localize import FREE_LAYER, ParticleSet, PolarObservation, match_costs, match_table
-from semteam.tracker import FREE_CELL, OBSTACLE_CELL, UNKNOWN_CELL
+from semteam.tracker import FREE_CELL, OBSTACLE_CELL, UNKNOWN_CELL, LocalObstacleGrid
 from semteam.world import (
     Scan,
     SemanticClass,
@@ -594,7 +594,15 @@ def test_array_wrap_angle_matches_the_expression_and_keeps_its_input():
         [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi],
         odd_pi, np.nextafter(odd_pi, 0.0), np.nextafter(odd_pi, np.sign(odd_pi) * np.inf),
     ])
-    for a in (values, values.reshape(-1, 2), values.tolist(), values.astype(np.float32)):
+    # arrays whose every value is in range take the fast path
+    inside = np.concatenate([
+        rng.uniform(-3.0, 3.0, 500), [0.0, -0.0, 5e-324, -5e-324],
+        np.nextafter([math.pi, -math.pi], 0.0),
+    ])
+    inside32 = np.concatenate([inside.astype(np.float32), np.nextafter(np.float32([math.pi, -math.pi]), 0)])
+    arrays = (values, values.reshape(-1, 2), values.tolist(), values.astype(np.float32),
+              inside, inside.reshape(2, -1), inside.tolist(), inside32, inside32.reshape(-1, 2))
+    for a in arrays:
         before = np.array(a, copy=True)
         got = geometry.wrap_angle(a)
         want = ref_wrap_angle(a)
@@ -1131,6 +1139,113 @@ class TestDiscCellsMatchesLoop:
                 assert 0 <= ys.start <= ys.stop <= h and 0 <= xs.start <= xs.stop <= w, (centers, r_cells)
             off_grid += not log.keys
         assert off_grid > 10, off_grid
+
+
+# ---------------------------------------------------------------------------
+# local grid
+
+
+def ref_integrate_scans(grids, scans, poses, max_range):
+    """Each grid recentered cell by cell on its own pose, then each beam's
+    samples placed one at a time, the grid's free cells before its hits.
+    Returns each grid's (cells, origin_x, origin_y), leaving the grids as
+    they are."""
+    out = []
+    for grid, scan, (x, y, yaw) in zip(grids, scans, poses):
+        res, n = grid.resolution, grid.n
+        ox = (math.floor(x / res) - n // 2) * res
+        oy = (math.floor(y / res) - n // 2) * res
+        sx, sy = round((ox - grid.origin_x) / res), round((oy - grid.origin_y) / res)
+        if sx == 0 and sy == 0:
+            ox, oy, cells = grid.origin_x, grid.origin_y, grid.cells.copy()
+        else:
+            cells = np.full((n, n), UNKNOWN_CELL, dtype=np.int8)
+            for iy, ix in itertools.product(range(n), range(n)):
+                if 0 <= iy + sy < n and 0 <= ix + sx < n:
+                    cells[iy, ix] = grid.cells[iy + sy, ix + sx]
+
+        def put(px, py, state):
+            ix, iy = math.floor((px - ox) / res), math.floor((py - oy) / res)
+            if 0 <= ix < n and 0 <= iy < n:
+                cells[iy, ix] = state
+
+        step = 0.5 * res
+        radii = [i * step for i in range(math.ceil((max_range + step) / step))]
+        n_beams = scan.ranges.size
+        az = yaw + 2.0 * math.pi * np.arange(n_beams) / n_beams
+        beams = list(zip(np.cos(az).tolist(), np.sin(az).tolist(), scan.ranges.tolist(), scan.classes.tolist()))
+        for dx, dy, r, c in beams:
+            free_to = r - 0.75 * res if c != SemanticClass.UNKNOWN else min(r, max_range)
+            for t in radii:
+                if t <= free_to:
+                    put(x + dx * t, y + dy * t, FREE_CELL)
+        for dx, dy, r, c in beams:
+            if c != SemanticClass.UNKNOWN:
+                put(x + dx * r, y + dy * r, OBSTACLE_CELL)
+        out.append((cells, ox, oy))
+    return out
+
+
+class TestTeamGridMatchesLoop:
+    """``integrate_scans`` puts a group of scans into their own local grids
+    in one pass; each grid must end as the loop reference leaves it."""
+
+    @staticmethod
+    def group(rng, size):
+        """Grids of one resolution and size, each recentered from its own
+        origin, by shifts either way, up to twice the grid, or none. Poses
+        on cell corners, on cell edges and inside cells, with yaws of +0.0,
+        -0.0, pi/2, -pi and random ones. Scans of their own beam counts,
+        with hits beyond the grid, and some with no hit."""
+        res = float(rng.choice([1.0, 0.5]))
+        n = int(rng.integers(6, 15))
+        max_range = float(rng.choice([2.0, 4.5, 9.0]))
+        grids, scans, poses = [], [], []
+        for _ in range(size):
+            fx, fy = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), tuple(rng.uniform(0, 1, 2))][int(rng.integers(4))]
+            cx, cy = (int(v) for v in rng.integers(-30, 30, 2))
+            x, y = (cx + fx) * res, (cy + fy) * res
+            yaw = [0.0, -0.0, math.pi / 2, -math.pi, float(rng.uniform(-4, 4))][int(rng.integers(5))]
+            shift = rng.integers(-2 * n, 2 * n + 1, 2) * (rng.uniform() < 0.8)
+            origin = (np.floor(np.array([x, y]) / res) - n // 2 + shift) * res
+            cells = rng.integers(0, 3, (n, n)).astype(np.int8)
+            grids.append(LocalObstacleGrid(n * res, res, n, cells, float(origin[0]), float(origin[1])))
+            n_beams = int(rng.choice([1, 5, 12, 36]))
+            classes = rng.choice([int(SemanticClass.UNKNOWN), int(SemanticClass.BUILDING)], n_beams)
+            if rng.uniform() < 0.2:
+                classes[:] = int(SemanticClass.UNKNOWN)
+            ranges = np.where(classes == SemanticClass.UNKNOWN, max_range, rng.uniform(0.0, max_range, n_beams))
+            scans.append(Scan(ranges, classes.astype(np.int64)))
+            poses.append((x, y, yaw))
+        return grids, scans, poses, max_range
+
+    def test_groups_of_one_to_seven_grids(self):
+        rng = np.random.default_rng(40)
+        seen = {"recentered": 0, "kept": 0, "off_grid_hit": 0, "no_hit": 0}
+        for trial in range(28):
+            grids, scans, poses, max_range = self.group(rng, 1 + trial % 7)
+            want = ref_integrate_scans(grids, scans, poses, max_range)
+            before = [(g.origin_x, g.origin_y) for g in grids]
+            if len(grids) == 1:
+                assert tracker.integrate_scan(grids[0], scans[0], poses[0], max_range) is grids[0]
+            else:
+                assert tracker.integrate_scans(grids, scans, poses, max_range) is None
+            for grid, (cells, ox, oy), start, scan in zip(grids, want, before, scans):
+                assert grid.cells.dtype == np.int8 and grid.cells.tobytes() == cells.tobytes(), trial
+                assert bits([grid.origin_x, grid.origin_y]) == bits([ox, oy]), trial
+                seen["recentered" if (ox, oy) != start else "kept"] += 1
+                seen["no_hit"] += bool(np.all(scan.classes == SemanticClass.UNKNOWN))
+                seen["off_grid_hit"] += bool(np.any((scan.classes != SemanticClass.UNKNOWN)
+                                                    & (scan.ranges > grid.n * grid.resolution / 2 + 1)))
+        assert min(seen.values()) >= 5, seen
+
+    def test_grids_of_another_resolution_or_size_raise(self):
+        rng = np.random.default_rng(41)
+        grids, scans, poses, max_range = self.group(rng, 2)
+        for odd in (LocalObstacleGrid.create(30.0, 1.0), LocalObstacleGrid.create(15.0, 0.25)):
+            if (odd.n, odd.resolution) != (grids[0].n, grids[0].resolution):
+                with pytest.raises(ValueError, match="one resolution and size"):
+                    tracker.integrate_scans(grids + [odd], scans + scans[:1], poses + poses[:1], max_range)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 captured from a run.
 
 The kernels are ``localize.match_costs``, ``localize.predict``,
-``tracker._select_local_goal_ex`` and the team's sensing pass: the engine's
+``tracker._select_local_goal_ex``, the team's sensing pass: the engine's
 ``world.ground_scans`` call of each scan tick, with the binning of its scans
-by ``PolarObservation.from_scans`` that follows it. The tool runs the first
+by ``PolarObservation.from_scans`` that follows it, and the team's grid
+pass: the engine's ``tracker.integrate_scans`` call of each scan tick. The
+tool runs the first
 1200 ticks of the benchmark's ``team6`` workload at seed 0 and records the
 arguments of every call of each kernel. It then replays each kernel's calls
 in run order, 5 times, timing each call alone, and prints the calls per
@@ -13,10 +15,12 @@ repeat and the median over the repeats of the mean microseconds per call.
 Each call is replayed in the state the run made it in. A particle set that
 held its heading trig when the run passed it holds it again, computed
 outside the timed call, and each robot's local grid holds the cells and
-origin it held, on one grid object per robot, as in the run. ``predict``
-draws its noise from a generator of its own, which costs what the run's
-does. The truth's kept scans are cleared before each sensing pass, so the
-pass casts and bins every robot's scan, parked robots' included.
+origin it held, on one grid object per robot, as in the run. A grid pass
+takes fresh copies of the grids it was handed, each in the state the run
+handed it over. ``predict`` draws its noise from a generator of its own,
+which costs what the run's does. The truth's kept scans are cleared before
+each sensing pass, so the pass casts and bins every robot's scan, parked
+robots' included.
 
 Run from the root of a checkout (takes about half a minute):
 
@@ -47,6 +51,7 @@ KERNELS = (
     ("localize", "predict"),
     ("tracker", "_select_local_goal_ex"),
     ("engine", "ground_scans"),
+    ("tracker", "integrate_scans"),
 )
 TICKS = 1200
 REPEATS = 5
@@ -70,7 +75,7 @@ def capture() -> dict[str, list]:
     """Every call's arguments over the first TICKS ticks, per kernel."""
     calls: dict[str, list] = {attr: [] for _, attr in KERNELS}
     raw_match, raw_predict, raw_goal = localize.match_costs, localize.predict, tracker._select_local_goal_ex
-    raw_scans = engine.ground_scans
+    raw_scans, raw_integrate = engine.ground_scans, tracker.integrate_scans
     last_cells: dict[int, bytes] = {}
 
     def match_costs(particles, *args):
@@ -94,16 +99,21 @@ def capture() -> dict[str, list]:
         calls["ground_scans"].append((grid, list(poses), args))
         return raw_scans(grid, poses, *args)
 
+    def integrate_scans(grids, scans, poses, max_range):
+        states = [(g.side, g.resolution, g.n, g.cells.copy(), g.origin_x, g.origin_y) for g in grids]
+        calls["integrate_scans"].append((states, list(scans), list(poses), max_range))
+        return raw_integrate(grids, scans, poses, max_range)
+
     cfg = ScenarioConfig.from_dict(workloads.config("team6", workloads.REFERENCE_SEED))
     sim = Simulation(cfg)
     localize.match_costs, localize.predict, tracker._select_local_goal_ex = match_costs, predict, goal
-    engine.ground_scans = ground_scans
+    engine.ground_scans, tracker.integrate_scans = ground_scans, integrate_scans
     try:
         for _ in range(TICKS):
             sim.tick()
     finally:
         localize.match_costs, localize.predict, tracker._select_local_goal_ex = raw_match, raw_predict, raw_goal
-        engine.ground_scans = raw_scans
+        engine.ground_scans, tracker.integrate_scans = raw_scans, raw_integrate
     return calls
 
 
@@ -130,6 +140,15 @@ def replay(name: str, recorded: list) -> float:
             t0 = clock()
             scans = engine.ground_scans(grid, poses, max_range, n_beams)
             localize.PolarObservation.from_scans(scans, max_range=max_range, free_margin=grid.resolution)
+            total += clock() - t0
+    elif name == "integrate_scans":
+        for states, scans, poses, max_range in recorded:
+            grids = [
+                tracker.LocalObstacleGrid(side, res, n, cells.copy(), origin_x, origin_y)
+                for side, res, n, cells, origin_x, origin_y in states
+            ]
+            t0 = clock()
+            tracker.integrate_scans(grids, scans, poses, max_range)
             total += clock() - t0
     else:
         grids: dict[int, tracker.LocalObstacleGrid] = {}
